@@ -42,8 +42,6 @@ from .potentials import (
 )
 from .quadrature import (
     ChannelTrace,
-    DensityHandle,
-    EnvelopeViolation,
     EvalGrid,
     GapBoundError,
     GaussHermiteRule,
@@ -51,7 +49,6 @@ from .quadrature import (
     QuadratureError,
     QuadResult,
     TraceRow,
-    convolved_handle,
     convolved_logdensity,
     counterexample_initial_slope,
     counterexample_trace,
@@ -59,7 +56,6 @@ from .quadrature import (
     fi_functional,
     gap_check,
     gauss_hermite,
-    gaussian_handle,
     kl_functional,
     ou_trace_gaussian,
     perturbed_bound_check,

@@ -209,11 +209,10 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
                 ga.OuSLCPoincare(alpha, beta, gamma) if m == 0.0 else ga.OuSLC(alpha, gamma)
             )
         fi0 = ga.fisher_information(p0, q0)
-        for t in np.linspace(0.0, float(params["t_max"]), int(params["points"])):
-            pt, qt = ga.evolve(p0, chan, t), ga.evolve(q0, chan, t)
-            fi = ga.fisher_information(pt, qt)
-            kl = ga.kl_divergence(pt, qt)
-            rows.append((float(t), fi, kl, env.factor(t) * fi0 if fi0 > 0 else None))
+        ts = np.linspace(0.0, float(params["t_max"]), int(params["points"]))
+        for t, fi in zip(ts, ga.fi_curve(p0, q0, chan, ts)):
+            kl = ga.kl_divergence(ga.evolve(p0, chan, t), ga.evolve(q0, chan, t))
+            rows.append((float(t), float(fi), kl, env.factor(t) * fi0 if fi0 > 0 else None))
     csv_path = run.file("trace.csv")
     write_table(csv_path, params, ["t", "fi", "kl", "bound"], rows)
     if not params["no_plot"]:
@@ -250,22 +249,19 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
     t_grid = quadrature.default_time_grid(
         float(params["t_min"]), float(params["t_max"]), int(params["t_points"])
     )
+    trace = quadrature.perturbed_bound_check(
+        m_big, halfwidth, t_grid,
+        order=int(params["gh_order"]), step=float(params["grid_step"]),
+        threads=_thread_count(),
+    )
     code = EXIT_OK
-    try:
-        trace = quadrature.perturbed_bound_check(
-            m_big, halfwidth, t_grid,
-            order=int(params["gh_order"]), step=float(params["grid_step"]),
-            threads=_thread_count(),
-        )
-        print(f"PASS perturbed envelope dominates fi on all {len(trace.rows)} rows")
-    except quadrature.EnvelopeViolation as exc:
-        print(f"FAIL envelope: t={exc.t!r} fi={exc.fi!r} bound={exc.bound!r}")
-        trace = quadrature.counterexample_trace(
-            m_big, halfwidth, t_grid,
-            order=int(params["gh_order"]), step=float(params["grid_step"]),
-            threads=_thread_count(),
-        )
+    # absolute slack: the trace's quadrature noise, not the envelope's scale
+    bad = [r for r in trace.rows if r.fi > r.bound + 1e-6]
+    if bad:
+        print(f"FAIL envelope: t={bad[0].t!r} fi={bad[0].fi!r} bound={bad[0].bound!r}")
         code = EXIT_CERT
+    else:
+        print(f"PASS perturbed envelope dominates fi on all {len(trace.rows)} rows")
 
     trace_csv = run.file("trace.csv")
     trace.write_csv(trace_csv, params)
@@ -323,7 +319,8 @@ def cmd_sampler(params: dict, run: RunDir) -> int:
         raise UsageError("need d >= 1 and positive --alpha/--L")
     if alpha != L:
         raise UsageError("the quadratic target has a single curvature: pass --alpha == --L")
-    eta = 1.0 / (d * L) if params["eta"] == "auto" else float(params["eta"])
+    # max(d, 2): at d = 1 the step 1/(d L) would give eta L = 1, outside (0, 1)
+    eta = 1.0 / (max(d, 2) * L) if params["eta"] == "auto" else float(params["eta"])
     if not 0.0 < eta * L < 1.0:
         raise UsageError("need 0 < eta * L < 1 for rejection sampling")
     iters = int(params["iters"])
@@ -557,10 +554,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def run() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ __all__ = [
     "OuSLC",
     "OuSLCPoincare",
     "ProxRate",
-    "BoundEnvelope",
     "kl_divergence",
     "fisher_information",
     "evolve",
@@ -69,13 +68,6 @@ class IsoGaussian:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def close_to(self, other: "IsoGaussian", tol: float = 0.0) -> bool:
-        return (
-            self.dim == other.dim
-            and abs(self.var - other.var) <= tol
-            and float(np.max(np.abs(self.mean - other.mean))) <= tol
-        )
 
 
 @dataclass(frozen=True)
@@ -346,9 +338,6 @@ class ProxRate:
     def factor(self, k: float) -> float:
         k = _check_time(k)
         return (1.0 + self.alpha * self.eta) ** (-2.0 * k)
-
-
-BoundEnvelope = Union[HeatSLC, HeatSLCPoincare, HeatPerturbed, OuSLC, OuSLCPoincare, ProxRate]
 
 
 # ---------------------------------------------------------------------------

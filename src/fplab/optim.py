@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import QuadraticPotential, SmoothPotential, minimize
+from .potentials import QuadraticPotential, SmoothPotential, minimize, prox_objective
 
 __all__ = ["ProxGradTrace", "prox_grad_step", "gradient_flow", "prox_grad_run"]
 
@@ -59,21 +59,8 @@ def prox_grad_step(f: SmoothPotential, x: np.ndarray, eta: float) -> np.ndarray:
     if isinstance(f, QuadraticPotential):
         c = f.curvature
         return (x + eta * c * f.center) / (1.0 + eta * c)
-    inv = 1.0 / eta
-
-    def value(z):
-        dz = z - x
-        return f.value(z) + 0.5 * inv * float(np.dot(dz, dz))
-
-    def gradient(z):
-        return f.gradient(z) + inv * (z - x)
-
-    composite = SmoothPotential(
-        dim=f.dim, value=value, gradient=gradient,
-        alpha=f.alpha + inv, smoothness=f.smoothness + inv,
-    )
     scale = 1.0 + float(np.linalg.norm(x))
-    x_new = minimize(composite, x, 1e-9 * scale / eta)
+    x_new = minimize(prox_objective(f, x, eta), x, 1e-9 * scale / eta)
     residual = float(np.linalg.norm(x_new - (x - eta * f.gradient(x_new))))
     if residual > 1e-8 * scale:
         raise RuntimeError(f"implicit-update residual {residual!r} too large")

@@ -29,6 +29,7 @@ __all__ = [
     "spike_spec",
     "spike_potential",
     "quartic_1d",
+    "prox_objective",
     "minimize",
 ]
 
@@ -224,6 +225,24 @@ def quartic_1d() -> SmoothPotential:
         return x**3 + x
 
     return SmoothPotential(dim=1, value=value, gradient=gradient, alpha=1.0, smoothness=4.0)
+
+
+def prox_objective(g: SmoothPotential, y, eta: float) -> SmoothPotential:
+    """x -> g(x) + |x - y|^2 / (2 eta), with curvature band
+    [alpha + 1/eta, smoothness + 1/eta]."""
+    inv = 1.0 / eta
+
+    def value(x):
+        dx = x - y
+        return g.value(x) + 0.5 * inv * float(np.dot(dx, dx))
+
+    def gradient(x):
+        return g.gradient(x) + inv * (x - y)
+
+    return SmoothPotential(
+        dim=g.dim, value=value, gradient=gradient,
+        alpha=g.alpha + inv, smoothness=g.smoothness + inv,
+    )
 
 
 def minimize(p: SmoothPotential, x0, tol: float) -> np.ndarray:

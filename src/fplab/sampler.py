@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import IsoGaussian, ProxRate, fisher_information, proximal_chain
-from .potentials import SmoothPotential, minimize
+from .potentials import SmoothPotential, minimize, prox_objective
 
 __all__ = [
     "SamplerConfig",
@@ -42,10 +42,12 @@ __all__ = [
     "forward_step",
     "rgo_sample",
     "run_chain",
-    "merge_runs",
     "fi_certificate_gaussian",
     "chain_rng",
 ]
+
+
+_RGO_TOL = 1e-10  # prox-point gradient tolerance, relative to 1 + |y|
 
 
 class TrialCapExceeded(RuntimeError):
@@ -71,19 +73,11 @@ def expected_trials_bound(eta: float, smoothness: float, dim: int) -> float:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain parameters.
-
-    rgo_max_trials None means: sized automatically from the target as
-    50 * ceil(kappa^(d/2)), comfortably above the required floor of
-    10 * ceil(kappa^(d/2)) while keeping genuine stalls detectable.
-    burn_in None means iters // 4.
-    """
+    """Chain parameters; burn_in None means iters // 4."""
 
     eta: float
     iters: int
     seed: int
-    rgo_tol: float = 1e-10
-    rgo_max_trials: Optional[int] = None
     burn_in: Optional[int] = None
 
     def __post_init__(self):
@@ -93,8 +87,6 @@ class SamplerConfig:
             raise ValueError("iters must be a positive integer")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if not self.rgo_tol > 0.0:
-            raise ValueError("rgo_tol must be positive")
         if self.burn_in is not None and not (0 <= self.burn_in < self.iters):
             raise ValueError("burn_in must lie in [0, iters)")
 
@@ -102,17 +94,13 @@ class SamplerConfig:
         return self.iters // 4 if self.burn_in is None else self.burn_in
 
     def resolved_max_trials(self, g: SmoothPotential) -> int:
-        floor = 10 * math.ceil(expected_trials_bound(self.eta, g.smoothness, g.dim))
-        if self.rgo_max_trials is None:
-            return max(100, 5 * floor)
-        if self.rgo_max_trials < floor:
-            raise ValueError(f"rgo_max_trials must be at least 10*ceil(kappa^(d/2)) = {floor}")
-        return self.rgo_max_trials
+        """Rejection-loop cap max(100, 50 * ceil(kappa^(d/2))): five times the
+        floor 10 * ceil(kappa^(d/2)), so genuine stalls stay detectable."""
+        return max(100, 50 * math.ceil(expected_trials_bound(self.eta, g.smoothness, g.dim)))
 
     def validate_against(self, g: SmoothPotential) -> None:
         if not self.eta * g.smoothness < 1.0:
             raise ValueError("rejection sampling needs eta * smoothness < 1")
-        self.resolved_max_trials(g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,22 +138,6 @@ def forward_step(x: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndar
     return x + math.sqrt(eta) * rng.standard_normal(x.size)
 
 
-def _composite(g: SmoothPotential, y: np.ndarray, eta: float) -> SmoothPotential:
-    inv = 1.0 / eta
-
-    def value(x):
-        dx = x - y
-        return g.value(x) + 0.5 * inv * float(np.dot(dx, dx))
-
-    def gradient(x):
-        return g.gradient(x) + inv * (x - y)
-
-    return SmoothPotential(
-        dim=g.dim, value=value, gradient=gradient,
-        alpha=g.alpha + inv, smoothness=g.smoothness + inv,
-    )
-
-
 def rgo_sample(
     g: SmoothPotential,
     y: np.ndarray,
@@ -183,8 +155,8 @@ def rgo_sample(
     if not eta * g.smoothness < 1.0:
         raise ValueError("rejection sampling needs eta * smoothness < 1")
     y = np.asarray(y, dtype=float)
-    f_y = _composite(g, y, eta)
-    tol = cfg.rgo_tol * (1.0 + float(np.linalg.norm(y)))
+    f_y = prox_objective(g, y, eta)
+    tol = _RGO_TOL * (1.0 + float(np.linalg.norm(y)))
     x_star = minimize(f_y, y, tol)
     f_star = f_y.value(x_star)
     prop_sd = math.sqrt(eta / (1.0 - eta * g.smoothness))
@@ -235,20 +207,6 @@ def run_chain(
         trial_counts=trials,
         mean_trials=float(trials.mean()),
         x_final=x.copy(),
-    )
-
-
-def merge_runs(runs) -> SamplerRun:
-    """Pool disjoint chains into one report; associative by construction."""
-    runs = list(runs)
-    if not runs:
-        raise ValueError("need at least one run")
-    trials = np.concatenate([r.trial_counts for r in runs])
-    return SamplerRun(
-        samples=np.concatenate([r.samples for r in runs], axis=0),
-        trial_counts=trials,
-        mean_trials=float(trials.mean()),
-        x_final=runs[-1].x_final.copy(),
     )
 
 

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import fplab as fp
+from fplab import quadrature
 from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, main
 from fplab.svgplot import plot_csv, read_csv_columns
 
@@ -51,6 +53,26 @@ class TestGaussianRates:
         )
         assert code == EXIT_OK
 
+    def test_ou_fi_column_matches_closed_form(self, tmp_path):
+        # the evolved variances agree to 1e-9 at late times, so the FI column
+        # must come from a form that never subtracts them
+        mp = pytest.importorskip("mpmath")
+        code = run_cli(
+            tmp_path, "gaussian-rates", "--channel", "ou", "--gamma", "1",
+            "--alpha", "0.1", "--beta", "100", "--m", "0", "--no-plot",
+        )
+        assert code == EXIT_OK
+        cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
+        worst = 0.0
+        with mp.workdps(50):
+            for t, fi in zip(cols["t"], cols["fi"]):
+                dec2 = mp.exp(-2 * mp.mpf(t))
+                vp = dec2 / 100 + (1 - dec2)
+                vq = dec2 * 10 + (1 - dec2)
+                exact = (vp - vq) ** 2 / (vp * vq**2)
+                worst = max(worst, float(abs((fi - exact) / exact)))
+        assert worst <= 1e-12
+
     def test_overdeclared_poincare_constant_fails_cert(self, tmp_path):
         # beta above the true Poincare constant of rho0 gives an envelope
         # below the exact curve: the certificate must fail with exit 2
@@ -83,6 +105,32 @@ class TestCounterexample:
     def test_domain_validation(self, tmp_path):
         assert run_cli(tmp_path, "counterexample", "--M", "1.0") == EXIT_USAGE
 
+    def test_envelope_failure_writes_the_one_trace(self, tmp_path, monkeypatch, capsys):
+        # halving the envelope puts fi(0) above its bound; the run must still
+        # write both tables from the single trace it computed
+        factor = fp.HeatPerturbed.factor
+        monkeypatch.setattr(fp.HeatPerturbed, "factor", lambda self, t: 0.5 * factor(self, t))
+        smooth = quadrature.convolved_logdensity
+        smoothed_at = []
+
+        def counted(pot, t, x, rule):
+            smoothed_at.append(t)
+            return smooth(pot, t, x, rule)
+
+        monkeypatch.setattr(quadrature, "convolved_logdensity", counted)
+        code = run_cli(
+            tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
+            "--t-points", "2", "--no-plot",
+        )
+        assert code == EXIT_CERT
+        assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
+        assert len(smoothed_at) == len(set(smoothed_at)) == 3
+        run_dir = only_run_dir(tmp_path, "counterexample")
+        for name in ("trace.csv", "bound.csv"):
+            assert os.path.getsize(os.path.join(run_dir, name)) > 0
+        bound = read_csv_columns(os.path.join(run_dir, "bound.csv"))
+        assert len(bound["t"]) == 3 and all(math.isfinite(b) for b in bound["bound"])
+
 
 class TestSampler:
     def test_small_run_and_determinism(self, tmp_path):
@@ -111,6 +159,12 @@ class TestSampler:
             assert os.path.exists(p) and os.path.getsize(p) > 0
         config = json.load(open(os.path.join(run_dir, "config.json")))
         assert config["eta"] == pytest.approx(0.2)
+
+    def test_auto_eta_valid_in_one_dimension(self, tmp_path):
+        code = run_cli(tmp_path, "sampler", "--d", "1", "--iters", "2000", "--no-plot")
+        assert code == EXIT_OK
+        config = json.load(open(os.path.join(only_run_dir(tmp_path, "sampler"), "config.json")))
+        assert config["eta"] == 0.5
 
     def test_csv_header_comment(self, tmp_path):
         run_cli(

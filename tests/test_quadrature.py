@@ -6,7 +6,13 @@ from scipy import integrate
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
-from fplab.quadrature import EvalGrid, GapBoundError, NormalizationError, QuadratureError
+from fplab.quadrature import (
+    EvalGrid,
+    GapBoundError,
+    NormalizationError,
+    QuadratureError,
+    _grid_normalized,
+)
 
 RULE = fp.gauss_hermite(128)
 
@@ -79,50 +85,56 @@ def oracle_grid():
     return EvalGrid(-42.0, 42.0, 2e-3)
 
 
+def gaussian_log_score(mean, var, x):
+    """(log-density, score) of N(mean, var) at the points x."""
+    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var), -(x - mean) / var
+
+
+def functionals(m, vp, mq, vq, grid):
+    """(fi, kl) of N(m, vp) against N(mq, vq) through the grid functionals."""
+    logrho, rho_score = gaussian_log_score(m, vp, grid.points)
+    lognu, nu_score = gaussian_log_score(mq, vq, grid.points)
+    return (fp.fi_functional(logrho, rho_score - nu_score, grid),
+            fp.kl_functional(logrho, lognu, grid))
+
+
 class TestFunctionalsAgainstClosedForms:
     def test_fi_and_kl_match_gaussian_closed_forms(self):
         grid = oracle_grid()
         for m, vp, mq, vq in gaussian_pairs():
-            rho = fp.gaussian_handle(m, vp)
-            nu = fp.gaussian_handle(mq, vq)
             p = fp.IsoGaussian([m], vp)
             q = fp.IsoGaussian([mq], vq)
-            fi = fp.fi_functional(rho, nu.score, grid)
-            kl = fp.kl_functional(rho, nu, grid)
+            fi, kl = functionals(m, vp, mq, vq, grid)
             assert fi.value == pytest.approx(fp.fisher_information(p, q), rel=1e-6, abs=1e-9)
             assert kl.value == pytest.approx(fp.kl_divergence(p, q), rel=1e-6, abs=1e-9)
 
     def test_identical_handles_vanish(self):
-        grid = oracle_grid()
-        rho = fp.gaussian_handle(0.5, 1.3)
-        assert fp.fi_functional(rho, rho.score, grid).value == pytest.approx(0.0, abs=1e-9)
-        assert fp.kl_functional(rho, rho, grid).value == pytest.approx(0.0, abs=1e-9)
+        fi, kl = functionals(0.5, 1.3, 0.5, 1.3, oracle_grid())
+        assert fi.value == pytest.approx(0.0, abs=1e-9)
+        assert kl.value == pytest.approx(0.0, abs=1e-9)
 
     def test_error_estimate_reported(self):
-        grid = oracle_grid()
-        res = fp.fi_functional(fp.gaussian_handle(0.0, 2.0), fp.gaussian_handle(0.0, 1.0).score, grid)
+        res, _ = functionals(0.0, 2.0, 0.0, 1.0, oracle_grid())
         assert math.isfinite(res.error) and res.error >= 0.0
 
     def test_refinement_stability(self):
         grid = oracle_grid()
         fine = grid.refined()
         for m, vp, mq, vq in gaussian_pairs(8, seed=6):
-            rho, nu = fp.gaussian_handle(m, vp), fp.gaussian_handle(mq, vq)
-            a = fp.fi_functional(rho, nu.score, grid).value
-            b = fp.fi_functional(rho, nu.score, fine).value
-            assert a == pytest.approx(b, rel=1e-6, abs=1e-12)
-            a = fp.kl_functional(rho, nu, grid).value
-            b = fp.kl_functional(rho, nu, fine).value
-            assert a == pytest.approx(b, rel=1e-6, abs=1e-12)
+            fi_a, kl_a = functionals(m, vp, mq, vq, grid)
+            fi_b, kl_b = functionals(m, vp, mq, vq, fine)
+            assert fi_a.value == pytest.approx(fi_b.value, rel=1e-6, abs=1e-12)
+            assert kl_a.value == pytest.approx(kl_b.value, rel=1e-6, abs=1e-12)
 
     def test_unnormalized_density_rejected(self):
         grid = oracle_grid()
-        rho = fp.gaussian_handle(0.0, 1.0)
-        bad = fp.DensityHandle(logpdf=lambda x: rho.logpdf(x) + 0.1, score=rho.score)
+        logrho, score = gaussian_log_score(0.0, 1.0, grid.points)
         with pytest.raises(NormalizationError):
-            fp.fi_functional(bad, rho.score, grid)
+            fp.fi_functional(logrho + 0.1, np.zeros_like(score), grid)
         with pytest.raises(NormalizationError):
-            fp.kl_functional(bad, rho, grid)
+            fp.kl_functional(logrho + 0.1, logrho, grid)
+        with pytest.raises(NormalizationError):
+            fp.kl_functional(logrho, logrho + 0.1, grid)
 
 
 class TestConvolvedLogdensity:
@@ -199,8 +211,8 @@ class TestConvolvedLogdensity:
 
     def test_handle_normalizes_on_grid(self):
         grid = EvalGrid(-24.0, 24.0, 2e-3)
-        handle = fp.convolved_handle(fp.counterexample_potential(2, 2), 0.3, RULE, grid)
-        mass = integrate.simpson(np.exp(handle.logpdf(grid.points)), dx=grid.dx)
+        logval, _ = fp.convolved_logdensity(fp.counterexample_potential(2, 2), 0.3, grid.points, RULE)
+        mass = integrate.simpson(np.exp(_grid_normalized(logval, grid)), dx=grid.dx)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -230,10 +242,10 @@ class TestCounterexampleAnchors:
     def test_fi_functional_route_matches_anchor(self):
         grid = EvalGrid(-24.0, 24.0, 1e-3)
         pot = fp.counterexample_potential(2, 2)
-        nu = fp.convolved_handle(pot, 0.0, RULE, grid)
-        rho = fp.gaussian_handle(0.0, 1.0)
-        fi = fp.fi_functional(rho, nu.score, grid)
-        kl = fp.kl_functional(rho, nu, grid)
+        lognu, nu_score = fp.convolved_logdensity(pot, 0.0, grid.points, RULE)
+        logrho, rho_score = gaussian_log_score(0.0, 1.0, grid.points)
+        fi = fp.fi_functional(logrho, rho_score - nu_score, grid)
+        kl = fp.kl_functional(logrho, _grid_normalized(lognu, grid), grid)
         assert fi.value == pytest.approx(FI0_WELL, abs=1e-4)
         assert kl.value == pytest.approx(KL0_WELL, abs=1e-6)
 
@@ -419,14 +431,13 @@ class TestOuTraceGaussian:
 class TestHeatDpiViaHandles:
     def test_log_concave_target_monotone_fi(self):
         # nu0 = N(0,4) is log-concave; FI rows along the heat flow must be
-        # non-increasing (handles route, not the closed form)
+        # non-increasing (grid functionals, not the closed form)
         ts = [0.0, 0.3, 1.0, 3.0]
         vals = []
         for t in ts:
             grid = EvalGrid(-50.0, 50.0, 4e-3)
-            rho = fp.gaussian_handle(1.0, 1.0 + t)
-            nu = fp.gaussian_handle(0.0, 4.0 + t)
-            vals.append(fp.fi_functional(rho, nu.score, grid).value)
+            fi, _ = functionals(1.0, 1.0 + t, 0.0, 4.0 + t, grid)
+            vals.append(fi.value)
         assert all(b <= a * (1 + 1e-9) for a, b in zip(vals, vals[1:]))
 
 

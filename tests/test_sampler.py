@@ -36,12 +36,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.validate_against(g)
 
-    def test_max_trials_floor_enforced(self):
-        g = fp.quadratic_potential(5, 1.0)
-        cfg = fp.SamplerConfig(eta=0.19, iters=10, seed=0, rgo_max_trials=5)
-        with pytest.raises(ValueError):
-            cfg.validate_against(g)
-
     def test_field_validation(self):
         with pytest.raises(ValueError):
             fp.SamplerConfig(eta=0.0, iters=10, seed=0)
@@ -88,7 +82,7 @@ class TestRgoSample:
     def test_minimizer_closed_form(self):
         d, alpha, eta = 3, 1.0, 0.25
         g = fp.quadratic_potential(d, alpha)
-        cfg = fp.SamplerConfig(eta=eta, iters=10, seed=0, rgo_tol=1e-12)
+        cfg = fp.SamplerConfig(eta=eta, iters=10, seed=0)
         y = np.array([0.5, -1.0, 2.0])
         rng = fp.chain_rng(3)
         # the accepted draw is centered at y/(1+alpha eta): check via many draws
@@ -123,7 +117,7 @@ class TestRgoSample:
         # d=1 draws against the known conditional normal at significance 1e-3
         alpha, eta = 1.0, 0.5
         g = fp.quadratic_potential(1, alpha)
-        cfg = fp.SamplerConfig(eta=eta, iters=10, seed=0, rgo_tol=1e-12)
+        cfg = fp.SamplerConfig(eta=eta, iters=10, seed=0)
         rng = fp.chain_rng(5)
         y = np.array([0.8])
         draws = np.array([fp.rgo_sample(g, y, eta, cfg, rng)[0][0] for _ in range(10_000)])
