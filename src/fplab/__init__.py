@@ -59,6 +59,7 @@ from .quadrature import (
     kl_functional,
     ou_trace_gaussian,
     perturbed_bound_check,
+    smoothed_well_logdensity,
 )
 from .sampler import (
     AcceptanceExponentError,

@@ -101,6 +101,7 @@ class RunDir:
         self.subcommand = subcommand
         self.params = params
         self.outputs: list[str] = []
+        self.health: dict = {}  # numerical-health figures, filled by the subcommand
         self.t0 = time.monotonic()
 
     def file(self, name: str) -> str:
@@ -116,6 +117,7 @@ class RunDir:
             "git_describe": _git_describe(),
             "seed": int(self.params.get("seed", 0)),
             "wall_time_ms": int(1000 * (time.monotonic() - self.t0)),
+            "health": self.health,
         }
         with open(os.path.join(self.path, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -141,7 +143,7 @@ def _merge(defaults: dict, config_path, flags: dict) -> dict:
 
 
 def _dominates(fi, bound) -> bool:
-    return bound is None or fi <= bound * (1.0 + _ENVELOPE_SLACK) + 1e-15
+    return bound is None or fi <= bound * (1.0 + _ENVELOPE_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,6 @@ _COUNTER_DEFAULTS = {
     "t_min": 1e-3,
     "t_max": 50.0,
     "t_points": 60,
-    "gh_order": 128,
     "grid_step": 1e-3,
     "no_plot": False,
 }
@@ -250,10 +251,14 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
         float(params["t_min"]), float(params["t_max"]), int(params["t_points"])
     )
     trace = quadrature.perturbed_bound_check(
-        m_big, halfwidth, t_grid,
-        order=int(params["gh_order"]), step=float(params["grid_step"]),
-        threads=_thread_count(),
+        m_big, halfwidth, t_grid, step=float(params["grid_step"]), threads=_thread_count(),
     )
+    run.health = {
+        "smoothing": "closed-form",
+        "fi_rel_err_max": max(r.fi_err / abs(r.fi) for r in trace.rows),
+        "kl_rel_err_max": max(r.kl_err / abs(r.kl) for r in trace.rows),
+        "grid_points_max": max(r.points for r in trace.rows),
+    }
     code = EXIT_OK
     # absolute slack: the trace's quadrature noise, not the envelope's scale
     bad = [r for r in trace.rows if r.fi > r.bound + 1e-6]
@@ -517,7 +522,7 @@ def _build_parser() -> _Parser:
         ],
         "counterexample": [
             ("--M", float), ("--L", float), ("--t-min", float), ("--t-max", float),
-            ("--t-points", int), ("--gh-order", int), ("--grid-step", float),
+            ("--t-points", int), ("--grid-step", float),
         ],
         "sampler": [
             ("--d", int), ("--alpha", float), ("--L", float), ("--eta", str),

@@ -1,6 +1,7 @@
-"""1-D quadrature engine: Gauss-Hermite smoothing of a density, scores of
-the smoothed density, Fisher-information/KL functionals on uniform grids,
-and the trace producers for the non-monotonicity and gap constructions.
+"""1-D quadrature engine: Gaussian smoothing of a density (in closed form for
+the concave well, by Gauss-Hermite for any potential), scores of the
+smoothed density, Fisher-information/KL functionals on uniform grids, and
+the trace producers for the non-monotonicity and gap constructions.
 
 Numerical policy
 ----------------
@@ -10,6 +11,8 @@ Numerical policy
   shared max-exponent shift per evaluation point; scores come from the
   ratio of smoothed expectations (smoothing commutes with d/dx), never
   from numerically differentiating the log-density.
+* The concave-well trace uses the closed form; Gauss-Hermite, which
+  converges only algebraically across the well's kinks, is its oracle.
 * Integrals are composite Simpson on uniform grids with an odd point
   count; the reported error estimate is the classical |fine - coarse|/15
   comparison and is heuristic, not a rigorous bound.
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.special import dawsn, erf, erfcx, gammainc, log_ndtr
 
 from .gaussian import (
     OU,
@@ -49,6 +53,7 @@ __all__ = [
     "GapBoundError",
     "gauss_hermite",
     "convolved_logdensity",
+    "smoothed_well_logdensity",
     "fi_functional",
     "kl_functional",
     "counterexample_trace",
@@ -236,6 +241,142 @@ def convolved_logdensity(pot: ScalarPotential, t: float, x, rule: GaussHermiteRu
 
 
 # ---------------------------------------------------------------------------
+# Closed-form smoothing of the concave well
+#
+# The well potential is piecewise quadratic, so on each piece the smoothing
+# integrand exp(-g(y) - (x-y)^2/(2t)) is the exponential of a quadratic and
+# its integral has a closed form.  Each piece's mass is assembled in log
+# space, the well's factored at the maximum of its exponent, so no
+# exponential overflows.
+
+_SERIES_TAU = 0.1  # |c| w^2 below which the endpoint integral is expanded in c
+_SERIES_TERMS = 13  # 0.1^n / n! < 1e-19 for n >= 13
+_SMALL_KAPPA_TERMS = 21  # 1/21! < 2e-20
+
+
+def _unit_moments(m: int, kappa: np.ndarray) -> np.ndarray:
+    """G_j(kappa) = int_0^1 s^j exp(-kappa s) ds for j = 0..m-1, shape (m, n).
+
+    The power series sum_i (-kappa)^i / (i! (j+1+i)) for |kappa| < 1, the
+    regularized incomplete gamma function j! P(j+1, kappa) / kappa^(j+1)
+    otherwise.
+    """
+    out = np.empty((m, kappa.size))
+    small = np.abs(kappa) < 1.0
+    i = np.arange(_SMALL_KAPPA_TERMS)[:, None]
+    powers = (-kappa[small]) ** i / np.cumprod(np.r_[1.0, i[1:, 0]])[:, None]
+    kb = kappa[~small]
+    for j in range(m):
+        out[j, small] = (powers / (j + 1.0 + i)).sum(axis=0)
+        out[j, ~small] = gammainc(j + 1.0, kb) * np.exp(math.lgamma(j + 1.0) - (j + 1.0) * np.log(kb))
+    return out
+
+
+def _endpoint_integral(kappa: np.ndarray, gamma: float):
+    """(j, e): j = int_0^1 exp(-kappa s + gamma s^2) ds and e = the mean of s
+    under that weight, for exponents whose maximum over [0, 1] is at s = 0
+    (kappa >= max(0, gamma), up to rounding).
+
+    Small |gamma| expands exp(gamma s^2) in powers of gamma, which avoids the
+    division by gamma that the erfcx / Dawson forms below need for the mean.
+    """
+    if abs(gamma) <= _SERIES_TAU:
+        n = np.arange(_SERIES_TERMS)
+        coef = gamma**n / np.cumprod(np.r_[1.0, n[1:]])
+        g = _unit_moments(2 * _SERIES_TERMS, kappa)
+        j = coef @ g[0::2]
+        return j, (coef @ g[1::2]) / j
+    drop = kappa - gamma  # -exponent at s = 1, >= 0
+    root = math.sqrt(abs(gamma))
+    z1 = kappa / (2.0 * root)
+    if gamma < 0.0:
+        j = math.sqrt(math.pi) / (2.0 * root) * (erfcx(z1) - np.exp(-drop) * erfcx(z1 + root))
+    else:
+        j = (dawsn(z1) - np.exp(-drop) * dawsn(z1 - root)) / root
+    # int_0^1 (-kappa + 2 gamma s) e^f ds = e^f(1) - 1 gives the mean
+    return j, (kappa + np.expm1(-drop) / j) / (2.0 * gamma)
+
+
+def _outer_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
+    """Log-mass and mean of -g' of the smoothing integrand over y > L."""
+    ml, xr = m_big * halfwidth, x - halfwidth
+    z = (ml * t + xr) / math.sqrt(t * (1.0 + t))
+    logphi = log_ndtr(z)
+    logmass = (0.5 * ml * halfwidth + (ml * ml * t + 2.0 * ml * xr - xr * xr) / (2.0 * (1.0 + t))
+               - 0.5 * math.log1p(t) + logphi)
+    # y - L | piece ~ N(z s, s^2) truncated to y > L, with s^2 = t/(1+t)
+    mills = np.exp(-0.5 * z * z - logphi) / math.sqrt(2.0 * math.pi)
+    return logmass, ml - math.sqrt(t / (1.0 + t)) * (z + mills)
+
+
+def _well_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
+    """Log-mass and mean of -g' = M y of the smoothing integrand over |y| <= L.
+
+    The exponent M y^2/2 - (x-y)^2/(2t) has curvature 2c, c = (M - 1/t)/2.
+    When it is concave with its vertex mu = x/(1 - M t) inside the interval,
+    the piece is a Gaussian split at mu (erf terms); otherwise its maximum is
+    the endpoint sign(x) L and the integral runs inward from there.
+    """
+    M, L = m_big, halfwidth
+    logmass, mean_y = np.empty_like(x), np.empty_like(x)
+    slack = 1.0 - M * t
+    inside = (np.abs(x) <= L * slack) & (slack > 0.0)
+    if inside.any():
+        xi = x[inside]
+        mu = xi / slack
+        root_q = math.sqrt(slack / (2.0 * t))
+        a, b = (L + mu) * root_q, (L - mu) * root_q
+        mass = erf(a) + erf(b)
+        logmass[inside] = 0.5 * M * xi * mu - 0.5 * math.log(slack) + np.log(0.5 * mass)
+        mean_y[inside] = mu + (np.expm1(-a * a) - np.expm1(-b * b)) / (
+            math.sqrt(math.pi) * root_q * mass)
+    out = ~inside
+    if out.any():
+        xo = np.abs(x[out])
+        width = 2.0 * L
+        j, e = _endpoint_integral(width * (M * L + (xo - L) / t), 0.5 * (M - 1.0 / t) * width**2)
+        logmass[out] = (0.5 * M * L * L - (xo - L) ** 2 / (2.0 * t)
+                        - 0.5 * math.log(2.0 * math.pi * t) + np.log(width * j))
+        mean_y[out] = np.where(x[out] < 0.0, -1.0, 1.0) * (L - width * e)
+    return logmass, M * mean_y
+
+
+def smoothed_well_logdensity(m_big: float, halfwidth: float, t: float, x):
+    """Log-density and score of exp(-g) smoothed by N(0, t), g the concave well.
+
+    Returns (logval, score) under the contract of ``convolved_logdensity``
+    for ``counterexample_potential(m_big, halfwidth)``, in closed form:
+    logval = log E_Z[exp(-g(x - sqrt(t) Z))] is the log of a sum of three
+    Gaussian integrals, one per piece of g, and score is the ratio of
+    smoothed expectations of -g', a mass-weighted mix of truncated-Gaussian
+    means, never a numerical derivative.  At t = 0 both reduce to
+    (-g(x), -g'(x)) exactly.
+    """
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    pot = counterexample_potential(m_big, halfwidth)  # validates M, L >= 2
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if t == 0.0:
+        logval, score = -pot.value(x_arr), -pot.deriv1(x_arr)
+    else:
+        M, L = float(m_big), float(halfwidth)
+        log_r, s_r = _outer_piece(M, L, t, x_arr)
+        log_l, s_l = _outer_piece(M, L, t, -x_arr)
+        log_w, s_w = _well_piece(M, L, t, x_arr)
+        logs = np.stack([log_l, log_w, log_r])
+        top = logs.max(axis=0)
+        weights = np.exp(logs - top)
+        mass = weights.sum(axis=0)
+        logval = top + np.log(mass)
+        score = (weights * np.stack([-s_l, s_w, s_r])).sum(axis=0) / mass
+        if not (np.all(np.isfinite(logval)) and np.all(np.isfinite(score))):
+            raise QuadratureError("non-finite smoothed well density")
+    if np.ndim(x) == 0:
+        return float(logval[0]), float(score[0])
+    return logval, score
+
+
+# ---------------------------------------------------------------------------
 # Functionals
 #
 # Both take values on grid.points, so a smoothed density costs its caller one
@@ -288,6 +429,10 @@ class TraceRow(NamedTuple):
     fi: float
     kl: float
     bound: Optional[float]
+    # rows integrated on a grid: Simpson error estimates and the grid's size
+    fi_err: Optional[float] = None
+    kl_err: Optional[float] = None
+    points: Optional[int] = None
 
 
 _NOISE_FLOOR = -1e-9
@@ -342,7 +487,7 @@ def counterexample_trace(
     halfwidth: float,
     t_grid: Sequence[float],
     *,
-    order: int = 128,
+    order: Optional[int] = None,
     step: float = 1e-3,
     threads: Optional[int] = None,
 ) -> ChannelTrace:
@@ -351,23 +496,30 @@ def counterexample_trace(
     The start pair is N(0,1) against exp(-g) for the piecewise potential g;
     both evolve by Gaussian smoothing.  FI rises on an initial segment and
     falls later; KL is non-increasing throughout.
+
+    The smoothed density comes from ``smoothed_well_logdensity`` (closed
+    form) unless ``order`` is given, in which case the Gauss-Hermite rule of
+    that order computes it through ``convolved_logdensity``: the oracle.
     """
     t_vals = [float(t) for t in t_grid]
     if not t_vals or t_vals[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     pot = counterexample_potential(m_big, halfwidth)
-    rule = gauss_hermite(order)
+    rule = None if order is None else gauss_hermite(order)
 
     def row(t: float) -> TraceRow:
         grid = _smoothing_grid(t, halfwidth, step)
         grid.require_covers(0.0, math.sqrt(1.0 + t))
         pts = grid.points
-        lognu, nu_score = convolved_logdensity(pot, t, pts, rule)
+        if rule is None:
+            lognu, nu_score = smoothed_well_logdensity(m_big, halfwidth, t, pts)
+        else:
+            lognu, nu_score = convolved_logdensity(pot, t, pts, rule)
         v = 1.0 + t
         logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
-        fi = fi_functional(logrho, -pts / v - nu_score, grid).value
-        kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid).value
-        return TraceRow(t, fi, kl, None)
+        fi = fi_functional(logrho, -pts / v - nu_score, grid)
+        kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+        return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -400,7 +552,7 @@ def perturbed_bound_check(
     halfwidth: float,
     t_grid: Sequence[float],
     *,
-    order: int = 128,
+    order: Optional[int] = None,
     step: float = 1e-3,
     threads: Optional[int] = None,
 ) -> ChannelTrace:

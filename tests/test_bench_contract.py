@@ -37,12 +37,13 @@ def test_tracer_installs_and_restores(tmp_path):
     before = namespace()
     with tracer.installed():
         during = namespace()
-        code = cli.main([
-            "gaussian-rates", "--channel", "ou", "--points", "5", "--no-plot",
-            "--out-dir", str(tmp_path),
-        ])
+        codes = [cli.main([*argv, "--no-plot", "--out-dir", str(tmp_path)]) for argv in (
+            ("gaussian-rates", "--channel", "ou", "--points", "5"),
+            # the concave-well trace under the wrapped potential factory and row pool
+            ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
+        )]
     after = namespace()
-    assert code == cli.EXIT_OK
+    assert codes == [cli.EXIT_OK, cli.EXIT_OK]
     assert any(during[key] is not value for key, value in before.items())
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []

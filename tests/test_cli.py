@@ -7,7 +7,7 @@ import pytest
 
 import fplab as fp
 from fplab import quadrature
-from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, main
+from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
 from fplab.svgplot import plot_csv, read_csv_columns
 
 
@@ -85,12 +85,18 @@ class TestGaussianRates:
     def test_bad_channel_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "gaussian-rates", "--channel", "warp") == EXIT_USAGE
 
+    def test_envelope_check_is_relative_at_every_scale(self):
+        # an absolute slack would pass any fi below it, whatever the bound
+        assert not _dominates(2e-20, 1e-20)
+        assert _dominates(1e-20 * (1.0 + 1e-10), 1e-20)
+        assert _dominates(5.0, None)
+
 
 class TestCounterexample:
     def test_small_grid_run(self, tmp_path):
         code = run_cli(
             tmp_path, "counterexample", "--t-points", "8", "--t-max", "2",
-            "--gh-order", "64", "--grid-step", "4e-3", "--no-plot",
+            "--grid-step", "4e-3", "--no-plot",
         )
         assert code == EXIT_OK
         run_dir = only_run_dir(tmp_path, "counterexample")
@@ -110,14 +116,14 @@ class TestCounterexample:
         # write both tables from the single trace it computed
         factor = fp.HeatPerturbed.factor
         monkeypatch.setattr(fp.HeatPerturbed, "factor", lambda self, t: 0.5 * factor(self, t))
-        smooth = quadrature.convolved_logdensity
+        smooth = quadrature.smoothed_well_logdensity
         smoothed_at = []
 
-        def counted(pot, t, x, rule):
+        def counted(m_big, halfwidth, t, x):
             smoothed_at.append(t)
-            return smooth(pot, t, x, rule)
+            return smooth(m_big, halfwidth, t, x)
 
-        monkeypatch.setattr(quadrature, "convolved_logdensity", counted)
+        monkeypatch.setattr(quadrature, "smoothed_well_logdensity", counted)
         code = run_cli(
             tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
             "--t-points", "2", "--no-plot",
@@ -130,6 +136,18 @@ class TestCounterexample:
             assert os.path.getsize(os.path.join(run_dir, name)) > 0
         bound = read_csv_columns(os.path.join(run_dir, "bound.csv"))
         assert len(bound["t"]) == 3 and all(math.isfinite(b) for b in bound["bound"])
+
+    def test_manifest_reports_numerical_health(self, tmp_path):
+        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot")
+        assert code == EXIT_OK
+        run_dir = only_run_dir(tmp_path, "counterexample")
+        health = json.load(open(os.path.join(run_dir, "manifest.json")))["health"]
+        assert health["smoothing"] == "closed-form"
+        for key in ("fi_rel_err_max", "kl_rel_err_max"):
+            assert math.isfinite(health[key]) and 0.0 <= health[key] < 1e-6
+        sizes = [quadrature._smoothing_grid(t, 2.0, 1e-3).points.size
+                 for t in quadrature.default_time_grid(1e-3, 0.5, 4)]
+        assert health["grid_points_max"] == max(sizes)
 
 
 class TestSampler:
@@ -155,6 +173,7 @@ class TestSampler:
         assert manifest["subcommand"] == "sampler"
         assert manifest["seed"] == 7
         assert manifest["wall_time_ms"] >= 0
+        assert manifest["health"] == {}
         for p in manifest["output_paths"]:
             assert os.path.exists(p) and os.path.getsize(p) > 0
         config = json.load(open(os.path.join(run_dir, "config.json")))
@@ -262,12 +281,12 @@ class TestDriver:
         monkeypatch.setenv("FPLAB_THREADS", "2")
         code = run_cli(
             tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
-            "--gh-order", "64", "--grid-step", "4e-3", "--no-plot",
+            "--grid-step", "4e-3", "--no-plot",
         )
         assert code == EXIT_OK
         monkeypatch.setenv("FPLAB_THREADS", "zebra")
         code = run_cli(
             tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
-            "--gh-order", "64", "--grid-step", "4e-3", "--no-plot",
+            "--grid-step", "4e-3", "--no-plot",
         )
         assert code == EXIT_USAGE

@@ -216,6 +216,91 @@ class TestConvolvedLogdensity:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
+def well_reference(m_big, halfwidth, t, x):
+    """(log E_Z[exp(-g(x - sqrt(t) Z))], score) by 40-digit mpmath quadrature."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        M, L, t, x = mp.mpf(m_big), mp.mpf(halfwidth), mp.mpf(t), mp.mpf(x)
+
+        def g_and_slope(y):
+            if abs(y) <= L:
+                return -M * y**2 / 2, -M * y
+            if y > L:
+                return (y - L) ** 2 / 2 - M * L * (y - L) - M * L**2 / 2, y - (M + 1) * L
+            return (y + L) ** 2 / 2 + M * L * (y + L) - M * L**2 / 2, y + (M + 1) * L
+
+        def exponent(y):
+            return -g_and_slope(y)[0] - (x - y) ** 2 / (2 * t)
+
+        breaks = sorted({-L, L, x})
+        # mp.quad's tolerance is absolute: scale the integrand's peak to ~1
+        shift = max(exponent(y) for y in breaks + [mp.mpf(0)])
+
+        def mass_and_moment(y):  # real part e^{...}, imaginary part -g' e^{...}
+            g, slope = g_and_slope(y)
+            w = mp.exp(-g - (x - y) ** 2 / (2 * t) - shift)
+            return mp.mpc(w, -slope * w)
+
+        z = mp.quad(mass_and_moment, [-mp.inf] + breaks + [mp.inf])
+        return float(mp.log(z.real) + shift - mp.log(2 * mp.pi * t) / 2), float(z.imag / z.real)
+
+
+def _near_inverse_m(m_big):
+    t0 = 1.0 / m_big
+    ulp = 2.0**-52
+    return [t0] + [t0 * (1.0 + s * d) for d in (4 * ulp, 1e-9, 1e-6) for s in (-1.0, 1.0)]
+
+
+class TestSmoothedWellClosedForm:
+    @pytest.mark.parametrize("m_big, halfwidth, t", [
+        (m, l, t) for m, l in ((2.0, 2.0), (3.0, 2.0), (2.5, 3.0))
+        for t in [1e-3, 0.1, 1.0, 50.0] + _near_inverse_m(m)
+    ])
+    def test_against_mpmath_quadrature(self, m_big, halfwidth, t):
+        # t = 1/M is where the well's exponent turns from concave to convex;
+        # the closed form must not lose accuracy within ulps of it
+        end = fp.quadrature._smoothing_grid(t, halfwidth, 1e-3).hi
+        xs = np.array([0.0, halfwidth, end])
+        logval, score = fp.smoothed_well_logdensity(m_big, halfwidth, t, np.r_[xs, -xs])
+        ref = [well_reference(m_big, halfwidth, t, x) for x in xs]
+        n = xs.size
+        for i, (ref_log, ref_score) in enumerate(ref):
+            ref_diff = ref_log - ref[0][0]
+            for j, sign in ((i, 1.0), (i + n, -1.0)):  # even density, odd score
+                assert abs(logval[j] - logval[0] - ref_diff) <= 1e-10 * max(1.0, abs(ref_diff))
+                assert abs(score[j] - sign * ref_score) <= 1e-10 * max(1.0, abs(ref_score))
+
+    def test_zero_time_is_the_potential_bit_for_bit(self):
+        pot = fp.counterexample_potential(2, 2)
+        xs = np.linspace(-25.0, 25.0, 2001)
+        logval, score = fp.smoothed_well_logdensity(2, 2, 0.0, xs)
+        gh_logval, gh_score = fp.convolved_logdensity(pot, 0.0, xs, RULE)
+        assert np.array_equal(logval, gh_logval) and np.array_equal(score, gh_score)
+        assert np.array_equal(logval, -pot.value(xs)) and np.array_equal(score, -pot.deriv1(xs))
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 5.0])
+    def test_gauss_hermite_converges_to_it(self, t):
+        # GH converges only algebraically across the kinks at +-L: doubling
+        # the order twice must shrink its distance to the closed form
+        xs = np.linspace(-6.0, 6.0, 25)
+        logval, score = fp.smoothed_well_logdensity(2, 2, t, xs)
+        pot = fp.counterexample_potential(2, 2)
+        errs = []
+        for order in (128, 512):
+            gh_logval, gh_score = fp.convolved_logdensity(pot, t, xs, fp.gauss_hermite(order))
+            errs.append(max(np.max(np.abs((gh_logval - gh_logval[12]) - (logval - logval[12]))),
+                            np.max(np.abs(gh_score - score))))
+        assert errs[1] < errs[0] <= 2e-3
+
+    def test_scalar_input_and_validation(self):
+        logval, score = fp.smoothed_well_logdensity(2, 2, 0.5, 1.0)
+        assert isinstance(logval, float) and isinstance(score, float)
+        with pytest.raises(ValueError):
+            fp.smoothed_well_logdensity(2, 2, -0.5, 1.0)
+        with pytest.raises(ValueError):
+            fp.smoothed_well_logdensity(1.5, 2, 0.5, 1.0)
+
+
 # frozen from the closed form via erf/erfc and confirmed by mpmath quadrature
 FI0_WELL = 8.2848323307269073
 KL0_WELL = 11.210462017876480
