@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "SmoothPotential",
@@ -172,7 +172,7 @@ class SpikeSpec:
 def spike_spec(eps: float, fi_floor: float) -> SpikeSpec:
     if not (0.0 < eps < 1.0 < fi_floor):
         raise ValueError("need 0 < eps < 1 < fi_floor")
-    a = float(ndtri((1.0 + eps) / 2.0))
+    a = NormalDist().inv_cdf((1.0 + eps) / 2.0)
     m_big = max(1.0 / a, math.sqrt(math.e * fi_floor / eps))
     k_count = max(0, math.ceil((a * m_big - 1.0) / 2.0 - 1e-12))
     width = a / (2 * k_count + 1)

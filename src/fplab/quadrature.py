@@ -18,6 +18,9 @@ Numerical policy
   comparison and is heuristic, not a rigorous bound.
 * Grids must cover >= 8 standard deviations of every density they
   integrate; the trace producers grow their grids with t accordingly.
+* The closed-form trace's grids put the well's kinks on the boundaries of
+  coarse Simpson panels (``well_grid``); the Gauss-Hermite oracle smears
+  them over its nodes, so its grids stay dense and unaligned.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import dawsn, erf, erfcx, gammainc, log_ndtr
 
 from .gaussian import (
     OU,
@@ -62,6 +64,7 @@ __all__ = [
     "gap_check",
     "ou_trace_gaussian",
     "default_time_grid",
+    "well_grid",
 ]
 
 _CHUNK = 16384  # grid points per Gauss-Hermite block, caps temporaries at ~16 MB
@@ -261,6 +264,8 @@ def _unit_moments(m: int, kappa: np.ndarray) -> np.ndarray:
     regularized incomplete gamma function j! P(j+1, kappa) / kappa^(j+1)
     otherwise.
     """
+    from scipy.special import gammainc
+
     out = np.empty((m, kappa.size))
     small = np.abs(kappa) < 1.0
     i = np.arange(_SMALL_KAPPA_TERMS)[:, None]
@@ -280,6 +285,8 @@ def _endpoint_integral(kappa: np.ndarray, gamma: float):
     Small |gamma| expands exp(gamma s^2) in powers of gamma, which avoids the
     division by gamma that the erfcx / Dawson forms below need for the mean.
     """
+    from scipy.special import dawsn, erfcx
+
     if abs(gamma) <= _SERIES_TAU:
         n = np.arange(_SERIES_TERMS)
         coef = gamma**n / np.cumprod(np.r_[1.0, n[1:]])
@@ -299,6 +306,8 @@ def _endpoint_integral(kappa: np.ndarray, gamma: float):
 
 def _outer_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
     """Log-mass and mean of -g' of the smoothing integrand over y > L."""
+    from scipy.special import log_ndtr
+
     ml, xr = m_big * halfwidth, x - halfwidth
     z = (ml * t + xr) / math.sqrt(t * (1.0 + t))
     logphi = log_ndtr(z)
@@ -317,6 +326,8 @@ def _well_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
     the piece is a Gaussian split at mu (erf terms); otherwise its maximum is
     the endpoint sign(x) L and the integral runs inward from there.
     """
+    from scipy.special import erf
+
     M, L = m_big, halfwidth
     logmass, mean_y = np.empty_like(x), np.empty_like(x)
     slack = 1.0 - M * t
@@ -473,13 +484,48 @@ def default_time_grid(t_min: float = 1e-3, t_max: float = 50.0, points: int = 60
     return np.concatenate([[0.0], np.geomspace(t_min, t_max, points)])
 
 
-def _smoothing_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
+def _grid_half(t: float, halfwidth: float) -> float:
     # rho_t = N(0, 1+t) needs 8 sd; the smoothed potential density has
-    # comparable scale plus its well of half-width L.  Every length scale
-    # grows like sqrt(1+t), so the step scales with it: points per standard
-    # deviation, hence relative Simpson accuracy, stay constant in t.
-    half = max(20.0, 8.5 * math.sqrt(1.0 + t) + halfwidth + 10.0)
+    # comparable scale plus its well of half-width L.
+    return max(20.0, 8.5 * math.sqrt(1.0 + t) + halfwidth + 10.0)
+
+
+def _smoothing_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
+    # The Gauss-Hermite oracle's grid.  Its smoothed density has a kink at
+    # every node shift +-L + sqrt(t) z_i, so no grid can align with them;
+    # every length scale grows like sqrt(1+t), so the step scales with it.
+    half = _grid_half(t, halfwidth)
     return EvalGrid(-half, half, step * math.sqrt(1.0 + t))
+
+
+def well_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
+    """The Simpson grid of the closed-form concave-well trace at time t.
+
+    The smoothed density is analytic except near the kinks at +-L, which
+    smoothing rounds off over a width sqrt(t); elsewhere it varies on the
+    scale sqrt(1+t) of rho_t.  The spacing follows both,
+    h = step * min(10 sqrt(1+t), max(1, 250 sqrt(t))), which is ``step``
+    itself for t <= 1.6e-5, and is then shrunk until +-L fall on nodes whose
+    index is a multiple of 4: no Simpson panel, fine or coarse, straddles a
+    kink.  The ends move out to the next such node beyond ``_grid_half``.
+    h is linear in ``step``; the realized spacing lies in (h/2, h], up to
+    rounding to a whole number of steps.
+
+    Once h reaches L/2, sqrt(1+t) is at least L/(20 step) (50 L at the default
+    step): the kinks are smoothed flat, and aligning them would cap the
+    spacing at L/2 while the grid keeps widening, so those rows take h on an
+    unaligned grid.
+    """
+    h = step * min(10.0 * math.sqrt(1.0 + t), max(1.0, 250.0 * math.sqrt(t)))
+    target = _grid_half(t, halfwidth)
+    if 2.0 * h >= halfwidth:
+        return EvalGrid(-target, target, h)
+    # the 1e-9 keeps a quotient that is an integer up to rounding from
+    # gaining a spurious extra panel
+    inner = math.ceil(halfwidth / (2.0 * h) - 1e-9)  # 4 * inner intervals on [-L, L]
+    outer = math.ceil((target - halfwidth) * inner / (2.0 * halfwidth) - 1e-9)
+    half = halfwidth * (inner + 2 * outer) / inner  # L + 4 * outer intervals
+    return EvalGrid(-half, half, half / (2 * inner + 4 * outer))
 
 
 def counterexample_trace(
@@ -508,7 +554,7 @@ def counterexample_trace(
     rule = None if order is None else gauss_hermite(order)
 
     def row(t: float) -> TraceRow:
-        grid = _smoothing_grid(t, halfwidth, step)
+        grid = (well_grid if rule is None else _smoothing_grid)(t, halfwidth, step)
         grid.require_covers(0.0, math.sqrt(1.0 + t))
         pts = grid.points
         if rule is None:

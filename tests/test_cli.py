@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,9 +147,51 @@ class TestCounterexample:
         assert health["smoothing"] == "closed-form"
         for key in ("fi_rel_err_max", "kl_rel_err_max"):
             assert math.isfinite(health[key]) and 0.0 <= health[key] < 1e-6
-        sizes = [quadrature._smoothing_grid(t, 2.0, 1e-3).points.size
+        sizes = [quadrature.well_grid(t, 2.0, 1e-3).points.size
                  for t in quadrature.default_time_grid(1e-3, 0.5, 4)]
         assert health["grid_points_max"] == max(sizes)
+        assert health["grid_points_total"] == sum(sizes)
+
+    @pytest.mark.parametrize("args", [
+        ("--grid-step", "-1"), ("--grid-step", "0"), ("--grid-step", "0.5"),
+        ("--t-min", "0"), ("--t-min", "-1"), ("--t-min", "1", "--t-max", "0.1"),
+        ("--t-points", "-1"),
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
+        assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_envelope_check_is_relative(self, tmp_path, monkeypatch, capsys):
+        # fi(0) = bound(0) (1 + 1e-8): below any absolute slack of 1e-6, but
+        # ten times the relative one
+        factor = fp.HeatPerturbed.factor
+        monkeypatch.setattr(fp.HeatPerturbed, "factor",
+                            lambda self, t: factor(self, t) / (1.0 + 1e-8))
+        code = run_cli(
+            tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
+            "--t-points", "2", "--no-plot",
+        )
+        assert code == EXIT_CERT
+        assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
+
+    def test_kl_check_is_relative(self, tmp_path, monkeypatch, capsys):
+        # a rise of 1e-9 on a KL of 1e-6 is 1e-3 relative: a failure at any
+        # scale, though below an absolute slack of 1e-8
+        bounded = quadrature.perturbed_bound_check
+
+        def risen(*args, **kwargs):
+            trace = bounded(*args, **kwargs)
+            kls = (1e-6, 1e-6 + 1e-9, 1e-7)
+            return fp.ChannelTrace(rows=tuple(
+                r._replace(kl=kl) for r, kl in zip(trace.rows, kls)))
+
+        monkeypatch.setattr(quadrature, "perturbed_bound_check", risen)
+        code = run_cli(
+            tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
+            "--t-points", "2", "--no-plot",
+        )
+        assert code == EXIT_CERT
+        assert "FAIL kl monotonicity between t=0.0 and t=0.01" in capsys.readouterr().out
 
 
 class TestSampler:
@@ -276,6 +320,27 @@ class TestDriver:
         plot_csv(os.path.join(run_dir, "density.csv"), replot, "x",
                  ["nu", "rho_unnormalized"], title="spiked density vs N(0,1)")
         assert replot.read_bytes() == open(svg, "rb").read()
+
+    def test_light_subcommands_do_not_import_scipy_special(self, tmp_path):
+        # scipy.special is most of the import cost of fplab; only the
+        # concave-well smoothing and Gauss-Hermite rules need it
+        script = (
+            "import contextlib, io, sys\n"
+            "from fplab.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "runs = [('gaussian-rates', '--channel', 'heat'), ('gap',), ('proxgrad',),\n"
+            "        ('sampler', '--iters', '200')]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main([*argv, '--no-plot', '--out-dir', out]) for argv in runs]\n"
+            "print(codes, 'scipy.special' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(fp.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[0] == "[0, 0, 0, 0] False"
 
     def test_threads_env_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPLAB_THREADS", "2")

@@ -259,7 +259,7 @@ class TestSmoothedWellClosedForm:
     def test_against_mpmath_quadrature(self, m_big, halfwidth, t):
         # t = 1/M is where the well's exponent turns from concave to convex;
         # the closed form must not lose accuracy within ulps of it
-        end = fp.quadrature._smoothing_grid(t, halfwidth, 1e-3).hi
+        end = fp.quadrature.well_grid(t, halfwidth, 1e-3).hi
         xs = np.array([0.0, halfwidth, end])
         logval, score = fp.smoothed_well_logdensity(m_big, halfwidth, t, np.r_[xs, -xs])
         ref = [well_reference(m_big, halfwidth, t, x) for x in xs]
@@ -534,6 +534,76 @@ class TestTraceRefinement:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.fi == pytest.approx(rb.fi, rel=1e-6)
             assert ra.kl == pytest.approx(rb.kl, rel=1e-6)
+
+
+def _parent_rule_grid(t, halfwidth, step):
+    """The step * sqrt(1+t) grid that the Gauss-Hermite route keeps."""
+    half = max(20.0, 8.5 * math.sqrt(1.0 + t) + halfwidth + 10.0)
+    return EvalGrid(-half, half, step * math.sqrt(1.0 + t))
+
+
+class TestWellGrid:
+    @pytest.mark.parametrize("step", [1e-3, 4e-3])
+    @pytest.mark.parametrize("halfwidth", [2.0, 2.3, 3.0])
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 50.0])
+    def test_kinks_on_panel_boundaries(self, t, halfwidth, step):
+        # a node index that is 0 mod 4 starts a coarse Simpson panel, so
+        # neither the fine nor the coarse rule straddles +-L
+        grid = fp.quadrature.well_grid(t, halfwidth, step)
+        assert (grid.points.size - 1) % 4 == 0
+        for kink in (-halfwidth, halfwidth):
+            i = int(np.argmin(np.abs(grid.points - kink)))
+            assert abs(grid.points[i] - kink) <= 1e-12 and i % 4 == 0
+        grid.require_covers(0.0, math.sqrt(1.0 + t))
+
+    def test_zero_time_grid_is_the_parent_rule(self):
+        for halfwidth in (2.0, 3.0):
+            ours = fp.quadrature.well_grid(0.0, halfwidth, 1e-3).points
+            assert np.array_equal(ours, _parent_rule_grid(0.0, halfwidth, 1e-3).points)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-6, 1e-5, 1e-3, 0.5, 50.0, 1e4, 1e8])
+    def test_spacing_follows_the_rule(self, t):
+        # h is linear in step, so halving --grid-step halves it; the realized
+        # spacing is h shrunk to put the kinks on nodes (by less than 2x), or
+        # h rounded to a whole number of at least 200 steps
+        for step in (1e-3, 2e-3, 4e-3):
+            h = step * min(10.0 * math.sqrt(1.0 + t), max(1.0, 250.0 * math.sqrt(t)))
+            dx = fp.quadrature.well_grid(t, 2.3, step).dx
+            assert 0.5 * h < dx <= h * (1.0 + 0.5 / 200)
+
+    def test_point_count_stays_bounded_at_late_times(self):
+        # past sqrt(t) >> L the spacing keeps growing with the grid's width
+        for t in (1e4, 1e8, 1e12):
+            assert fp.quadrature.well_grid(t, 2.0, 1e-3).points.size <= 2000
+
+    def test_default_trace_point_budget(self):
+        total = sum(fp.quadrature.well_grid(t, 2.0, 1e-3).points.size
+                    for t in fp.default_time_grid())
+        assert total <= 300_000
+
+    def test_gauss_hermite_route_keeps_the_parent_rule(self):
+        ts = [0.0, 0.05, 0.5]
+        trace = fp.counterexample_trace(2, 2.3, ts, order=64, step=4e-3, threads=2)
+        assert [r.points for r in trace.rows] == [
+            _parent_rule_grid(t, 2.3, 4e-3).points.size for t in ts]
+        for t in ts:
+            assert np.array_equal(fp.quadrature._smoothing_grid(t, 2.3, 4e-3).points,
+                                  _parent_rule_grid(t, 2.3, 4e-3).points)
+
+    def test_matches_an_eighth_step_reference(self):
+        # t where the smoothed kink is sharp (t < 1e-3), at the ladder's
+        # start, at the concave/convex switch t = 1/M, and late.  Sharp-kink
+        # rows carry the O(h^2) error of a kink narrower than the spacing;
+        # the rest are analytic between nodes
+        for m_big, halfwidth in ((2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)):
+            ts = sorted([0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 0.1, 1.0 / m_big,
+                         1.0, 10.0, 50.0])
+            a = fp.counterexample_trace(m_big, halfwidth, ts, threads=2)
+            b = fp.counterexample_trace(m_big, halfwidth, ts, step=1e-3 / 8, threads=2)
+            for ra, rb in zip(a.rows, b.rows):
+                tol = 3e-8 if 0.0 < ra.t < 1e-3 else 1e-10
+                assert abs(ra.fi - rb.fi) <= tol * rb.fi, (m_big, halfwidth, ra.t)
+                assert abs(ra.kl - rb.kl) <= tol * rb.kl, (m_big, halfwidth, ra.t)
 
 
 class TestChannelTraceContainer:
