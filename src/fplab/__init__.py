@@ -22,6 +22,7 @@ from .gaussian import (
     fi_time_derivative,
     fisher_information,
     iteration_count,
+    kl_curve,
     kl_divergence,
     kl_time_derivative,
     proximal_chain,

@@ -18,6 +18,7 @@ caps the worker pool used for independent trace rows.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -60,15 +61,18 @@ def _thread_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+@functools.cache
 def _git_describe() -> str:
+    """``git describe`` of the checkout this package runs from, once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -83,11 +87,44 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
+def _row_template(kinds) -> str | None:
+    """The %-template that formats a row of these cell types as ``_fmt`` would.
+
+    None when some cell has no fixed format (bool, None, str, ...).
+    """
+    fmts = []
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)):
+            return None
+        if issubclass(kind, (int, np.integer)):
+            fmts.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            fmts.append("%.17g")
+        else:
+            return None
+    return ",".join(fmts)
+
+
 def write_table(path, params: dict, header, rows) -> None:
+    """Parameter echo, header and one line per row; cells formatted by ``_fmt``.
+
+    Rows whose cell types match the first row's go through one %-template,
+    which prints the same bytes as ``_fmt`` cell by cell.
+    """
     lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))]
     lines.append(",".join(header))
+    kinds = template = None
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        if kinds is None:
+            # lists, not tuples: a tuple per row would park ~2000 freed
+            # tuples on the interpreter's free list for each row length
+            kinds = list(map(type, row))
+            template = _row_template(kinds)
+        if template is not None and list(map(type, row)) == kinds:
+            lines.append(template % row)
+        else:
+            lines.append(",".join(map(_fmt, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -143,6 +180,39 @@ def _merge(defaults: dict, config_path, flags: dict) -> dict:
     return params
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _number(params: dict, name: str) -> float:
+    """params[name] as a finite float, or a usage error naming its flag."""
+    try:
+        value = float(params[name])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{_flag(name)} must be a number") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"{_flag(name)} must be finite")
+    return value
+
+
+def _positive(params: dict, name: str) -> float:
+    value = _number(params, name)
+    if not value > 0.0:
+        raise UsageError(f"{_flag(name)} must be positive")
+    return value
+
+
+def _count(params: dict, name: str, least: int = 0) -> int:
+    """params[name] as an integer >= least, or a usage error naming its flag."""
+    try:
+        value = int(params[name])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{_flag(name)} must be an integer") from exc
+    if value < least:
+        raise UsageError(f"{_flag(name)} must be at least {least}")
+    return value
+
+
 def _dominates(fi, bound) -> bool:
     return bound is None or fi <= bound * (1.0 + _ENVELOPE_SLACK)
 
@@ -172,16 +242,12 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
     channel = params["channel"]
     if channel not in ("heat", "ou", "prox"):
         raise UsageError("--channel must be heat, ou, or prox")
-    alpha = float(params["alpha"])
-    if alpha <= 0.0:
-        raise UsageError("--alpha must be positive")
+    alpha = _positive(params, "alpha")
     rows = []
     if channel == "prox":
-        eta = float(params["eta"])
-        if eta <= 0.0:
-            raise UsageError("--eta must be positive")
-        k_max = int(params["k"])
-        p0 = ga.IsoGaussian([float(params["m0"])], float(params["var0"]))
+        eta = _positive(params, "eta")
+        k_max = _count(params, "k")
+        p0 = ga.IsoGaussian([_number(params, "m0")], _positive(params, "var0"))
         target = ga.IsoGaussian([0.0], 1.0 / alpha)
         env = ga.ProxRate(alpha=alpha, eta=eta)
         fi0 = ga.fisher_information(p0, target)
@@ -190,21 +256,18 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
             kl = ga.kl_divergence(p, target)
             rows.append((k, fi, kl, env.factor(k) * fi0 if fi0 > 0 else None))
     else:
-        m = float(params["m"])
+        m = _number(params, "m")
+        t_max, points = _positive(params, "t_max"), _count(params, "points", 1)
         if channel == "heat":
-            s = float(params["s"])
-            if s <= 0.0:
-                raise UsageError("--s must be positive")
+            s = _positive(params, "s")
             p0 = ga.IsoGaussian([m], s)
             q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
             chan = ga.Heat()
-            beta = 1.0 / s if params["beta"] is None else float(params["beta"])
+            beta = 1.0 / s if params["beta"] is None else _positive(params, "beta")
             env = ga.HeatSLCPoincare(alpha, beta) if m == 0.0 else ga.HeatSLC(alpha)
         else:
-            gamma = float(params["gamma"])
-            if gamma <= 0.0:
-                raise UsageError("--gamma must be positive")
-            beta = 1.0 if params["beta"] is None else float(params["beta"])
+            gamma = _positive(params, "gamma")
+            beta = 1.0 if params["beta"] is None else _positive(params, "beta")
             p0 = ga.IsoGaussian([m], 1.0 / beta)
             q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
             chan = ga.OU(gamma=gamma)
@@ -212,10 +275,10 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
                 ga.OuSLCPoincare(alpha, beta, gamma) if m == 0.0 else ga.OuSLC(alpha, gamma)
             )
         fi0 = ga.fisher_information(p0, q0)
-        ts = np.linspace(0.0, float(params["t_max"]), int(params["points"]))
-        for t, fi in zip(ts, ga.fi_curve(p0, q0, chan, ts)):
-            kl = ga.kl_divergence(ga.evolve(p0, chan, t), ga.evolve(q0, chan, t))
-            rows.append((float(t), float(fi), kl, env.factor(t) * fi0 if fi0 > 0 else None))
+        ts = np.linspace(0.0, t_max, points)
+        fis, kls = ga.fi_curve(p0, q0, chan, ts), ga.kl_curve(p0, q0, chan, ts)
+        for t, fi, kl in zip(ts.tolist(), fis.tolist(), kls.tolist()):
+            rows.append((t, fi, kl, env.factor(t) * fi0 if fi0 > 0 else None))
     csv_path = run.file("trace.csv")
     write_table(csv_path, params, ["t", "fi", "kl", "bound"], rows)
     if not params["no_plot"]:
@@ -249,14 +312,9 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
     if m_big < 2.0 or halfwidth < 2.0:
         raise UsageError("need --M >= 2 and --L >= 2")
     t_min, t_max = float(params["t_min"]), float(params["t_max"])
-    t_points = int(params["t_points"])
     if not 0.0 < t_min < t_max < math.inf:
         raise UsageError("need 0 < --t-min < --t-max < inf")
-    if t_points < 0:
-        raise UsageError("--t-points must be nonnegative")
-    step = float(params["grid_step"])
-    if not 0.0 < step < math.inf:
-        raise UsageError("--grid-step must be positive")
+    t_points, step = _count(params, "t_points"), _positive(params, "grid_step")
     t_grid = quadrature.default_time_grid(t_min, t_max, t_points)
     for t in t_grid:
         try:
@@ -332,19 +390,22 @@ _SAMPLER_DEFAULTS = {
 
 
 def cmd_sampler(params: dict, run: RunDir) -> int:
-    d = int(params["d"])
-    alpha, L = float(params["alpha"]), float(params["L"])
-    if d < 1 or alpha <= 0.0 or L <= 0.0:
-        raise UsageError("need d >= 1 and positive --alpha/--L")
+    d = _count(params, "d", 1)
+    alpha, L = _positive(params, "alpha"), _positive(params, "L")
     if alpha != L:
         raise UsageError("the quadratic target has a single curvature: pass --alpha == --L")
     # max(d, 2): at d = 1 the step 1/(d L) would give eta L = 1, outside (0, 1)
-    eta = 1.0 / (max(d, 2) * L) if params["eta"] == "auto" else float(params["eta"])
+    eta = 1.0 / (max(d, 2) * L) if params["eta"] == "auto" else _positive(params, "eta")
     if not 0.0 < eta * L < 1.0:
         raise UsageError("need 0 < eta * L < 1 for rejection sampling")
-    iters = int(params["iters"])
-    seed = int(params["seed"])
-    burn_in = params["burn_in"] if params["burn_in"] is None else int(params["burn_in"])
+    iters = _count(params, "iters", 1)
+    seed = _count(params, "seed")
+    if seed >= 2**64:
+        raise UsageError("--seed must fit in 64 unsigned bits")
+    burn_in = None if params["burn_in"] is None else _count(params, "burn_in")
+    if burn_in is not None and burn_in >= iters:
+        raise UsageError("--burn-in must be below --iters")
+    every = _count(params, "record_every", 1) if params["record_every"] else max(1, iters // 1000)
     cfg = sampler.SamplerConfig(eta=eta, iters=iters, seed=seed, burn_in=burn_in)
     target = potentials.quadratic_potential(d, alpha)
     # stream 1 seeds the stationary start; stream 0 drives the chain itself
@@ -376,7 +437,6 @@ def cmd_sampler(params: dict, run: RunDir) -> int:
     if not (mean_ok and var_ok and trials_ok):
         code = EXIT_CERT
 
-    every = params["record_every"] or max(1, iters // 1000)
     counts = np.arange(1, n + 1)[:, None]
     cum_mean = np.cumsum(out.samples, axis=0) / counts
     cum_sq = np.cumsum(out.samples**2, axis=0)
@@ -413,12 +473,16 @@ _GAP_DEFAULTS = {
 
 
 def cmd_gap(params: dict, run: RunDir) -> int:
-    eps, fi_floor = float(params["eps"]), float(params["fi_floor"])
+    eps, fi_floor = _number(params, "eps"), _number(params, "fi_floor")
     if not (0.0 < eps < 1.0 < fi_floor):
         raise UsageError("need 0 < --eps < 1 < --fi-floor")
+    step = _positive(params, "grid_step")
     spec = potentials.spike_spec(eps, fi_floor)
     half = spec.a + 12.0
-    grid = quadrature.EvalGrid(-half, half, float(params["grid_step"]))
+    try:
+        grid = quadrature.EvalGrid(-half, half, step)
+    except ValueError as exc:  # only the grid's own validation can raise here
+        raise UsageError(f"--grid-step {step:g}: {exc}") from exc
     code = EXIT_OK
     try:
         r_inf, fi = quadrature.gap_check(spec, grid)
@@ -458,11 +522,11 @@ _PROXGRAD_DEFAULTS = {
 
 
 def cmd_proxgrad(params: dict, run: RunDir) -> int:
-    eta = float(params["eta"])
-    if eta <= 0.0:
-        raise UsageError("--eta must be positive")
-    k_max = int(params["k"])
-    t_end, dt = float(params["t_end"]), float(params["dt"])
+    eta, dt = _positive(params, "eta"), _positive(params, "dt")
+    k_max = _count(params, "k")
+    t_end = _number(params, "t_end")
+    if t_end < 0.0:
+        raise UsageError("--t-end must be nonnegative")
     code = EXIT_OK
 
     quad = potentials.quadratic_potential(1, 1.0)
@@ -525,7 +589,9 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI's parser, built once per process; each parse gets a fresh namespace."""
     parser = _Parser(prog="fplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand")
     specs = {

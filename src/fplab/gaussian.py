@@ -38,6 +38,7 @@ __all__ = [
     "fisher_information",
     "evolve",
     "fi_curve",
+    "kl_curve",
     "proximal_step",
     "proximal_chain",
     "fi_time_derivative",
@@ -70,14 +71,29 @@ class IsoGaussian:
         return self.mean.size
 
 
+# Each channel maps a law N(m, v I) to N(m_t, v_t I).  Besides the one-law
+# ``evolve``, it gives on a whole array of times the variance v_t of a law that
+# starts at v (``variance``) and the factor by which the squared distance of two
+# means and the difference of two variances contract (``contraction``).  ``c``
+# is the Fokker-Planck diffusion coefficient and ``drift`` the OU rate; the
+# discrete proximal step has neither.
+
+
 @dataclass(frozen=True)
 class Heat:
     """Brownian smoothing: time t convolves with N(0, t I)."""
 
-    c = 1.0  # Fokker-Planck diffusion coefficient
+    c = 1.0
+    drift = 0.0
 
     def evolve(self, g: IsoGaussian, t: float) -> IsoGaussian:
         return IsoGaussian(g.mean, g.var + t)
+
+    def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
+        return var + ts
+
+    def contraction(self, ts: np.ndarray) -> np.ndarray:
+        return np.ones_like(ts)
 
 
 @dataclass(frozen=True)
@@ -91,10 +107,21 @@ class OU:
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
 
+    @property
+    def drift(self) -> float:
+        return self.gamma
+
     def evolve(self, g: IsoGaussian, t: float) -> IsoGaussian:
         decay = math.exp(-self.gamma * t)
         var = decay**2 * g.var + (1.0 - decay**2) / self.gamma
         return IsoGaussian(decay * g.mean, var)
+
+    def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
+        rate = -2.0 * self.gamma * ts
+        return np.exp(rate) * var - np.expm1(rate) / self.gamma
+
+    def contraction(self, ts: np.ndarray) -> np.ndarray:
+        return np.exp(-2.0 * self.gamma * ts)
 
 
 @dataclass(frozen=True)
@@ -106,6 +133,7 @@ class ProximalForward:
     """
 
     eta: float
+    c = None  # a discrete step: no Fokker-Planck generator
 
     def __post_init__(self):
         if not self.eta > 0.0:
@@ -113,6 +141,12 @@ class ProximalForward:
 
     def evolve(self, g: IsoGaussian, t: float) -> IsoGaussian:
         return IsoGaussian(g.mean, g.var + self.eta)
+
+    def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
+        return np.full_like(ts, var + self.eta)
+
+    def contraction(self, ts: np.ndarray) -> np.ndarray:
+        return np.ones_like(ts)
 
 
 Channel = Union[Heat, OU, ProximalForward]
@@ -125,36 +159,60 @@ def evolve(g: IsoGaussian, channel: Channel, t: float) -> IsoGaussian:
     return channel.evolve(g, t)
 
 
+def _transported(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts):
+    """(vp, vq, shift2, dv) on ts: the evolved variances, and the squared mean
+    distance and variance difference, taken at t = 0 and contracted."""
+    _check_dims(p0, q0)
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0.0):
+        raise ValueError("times must be nonnegative")
+    shrink = channel.contraction(ts)
+    shift2 = shrink * float(np.dot(p0.mean - q0.mean, p0.mean - q0.mean))
+    dv = shrink * (p0.var - q0.var)
+    return channel.variance(p0.var, ts), channel.variance(q0.var, ts), shift2, dv
+
+
 def fi_curve(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts) -> np.ndarray:
     """Fisher information t -> FI(p_t || q_t) in cancellation-free form.
 
     Equivalent to mapping evolve + fisher_information over ts, but the
-    evolved mean/variance differences are taken at t = 0 and transported
+    mean/variance differences are taken at t = 0 and transported
     multiplicatively (they contract as e^{-gamma t} and e^{-2 gamma t}
     along OU, and are constant along the heat flow), so the curve stays
     accurate to a few ulp even where the differences underflow the
     rounding of the evolved variances themselves.
     """
-    _check_dims(p0, q0)
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0.0):
-        raise ValueError("times must be nonnegative")
-    shift2 = float(np.dot(p0.mean - q0.mean, p0.mean - q0.mean))
-    dv = p0.var - q0.var
-    if isinstance(channel, Heat):
-        mean_decay2 = np.ones_like(ts)
-        var_decay2 = np.ones_like(ts)
-    elif isinstance(channel, OU):
-        mean_decay2 = np.exp(-2.0 * channel.gamma * ts)
-        var_decay2 = mean_decay2**2
-    elif isinstance(channel, ProximalForward):
-        mean_decay2 = np.ones_like(ts)
-        var_decay2 = np.ones_like(ts)
-    else:
-        raise ValueError(f"unsupported channel: {channel!r}")
-    vp = np.array([channel.evolve(p0, t).var for t in ts])
-    vq = np.array([channel.evolve(q0, t).var for t in ts])
-    return mean_decay2 * shift2 / vq**2 + var_decay2 * p0.dim * dv * dv / (vp * vq**2)
+    vp, vq, shift2, dv = _transported(p0, q0, channel, ts)
+    return shift2 / vq**2 + p0.dim * dv * dv / (vp * vq**2)
+
+
+# u - log1p(u) by its series sum_{k>=2} (-u)^k / k while |u| < _SERIES_CUT,
+# where the subtraction would cancel: the first dropped term is at most 1.1e-17
+# of the sum, and beyond the cut the direct form loses at most ~2e-15 relative.
+_SERIES_CUT = 0.1
+_SERIES_TERMS = 17
+
+
+def _u_minus_log1p(u: np.ndarray) -> np.ndarray:
+    out = u - np.log1p(u)
+    small = np.abs(u) < _SERIES_CUT
+    w = -u[small]
+    acc = np.full_like(w, 1.0 / _SERIES_TERMS)
+    for k in range(_SERIES_TERMS - 1, 1, -1):  # Horner in w
+        acc = 1.0 / k + w * acc
+    out[small] = w * w * acc
+    return out
+
+
+def kl_curve(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts) -> np.ndarray:
+    """KL divergence t -> KL(p_t || q_t) in cancellation-free form.
+
+    KL = d/2 (u - log(1 + u)) + |m_p - m_q|^2 / (2 v_q) with u = r - 1 =
+    (v_p - v_q)/v_q; u is transported from t = 0 like fi_curve's variance
+    difference, and u - log(1 + u) is summed as a series where it is small.
+    """
+    vp, vq, shift2, dv = _transported(p0, q0, channel, ts)
+    return 0.5 * p0.dim * _u_minus_log1p(dv / vq) + shift2 / (2.0 * vq)
 
 
 # ---------------------------------------------------------------------------
@@ -351,29 +409,32 @@ def fi_time_derivative(p: IsoGaussian, q: IsoGaussian, channel: Channel) -> floa
     Gaussians, where the log-ratio Hessian is the constant matrix
     (1/vq - 1/vp) I:
 
-        heat:   -d (1/vq - 1/vp)^2 - (2/vq) FI(p, q)
-        OU(g):  -2 d (1/vq - 1/vp)^2 - 2 (2/vq - g) FI(p, q)
+        -c d (1/vq - 1/vp)^2 - c (2/vq - drift) FI(p, q),
+
+    i.e. heat (c = 1, drift 0): -d (1/vq - 1/vp)^2 - (2/vq) FI(p, q), and
+    OU(g) (c = 2, drift g): -2 d (1/vq - 1/vp)^2 - 2 (2/vq - g) FI(p, q).
 
     The weighted term can outweigh the (always nonpositive) Hessian term
     only when its weight is negative, i.e. vq > 2/g for OU; that is the
     only route to a positive derivative, and it additionally needs the
     mean-shift part of FI to dominate the variance part.
     """
+    c = _generator(channel)
     _check_dims(p, q)
     hess = (1.0 / q.var - 1.0 / p.var) ** 2 * p.dim
     fi = fisher_information(p, q)
-    if isinstance(channel, Heat):
-        return -hess - (2.0 / q.var) * fi
-    if isinstance(channel, OU):
-        return -2.0 * hess - 2.0 * (2.0 / q.var - channel.gamma) * fi
-    raise ValueError(f"unsupported channel for time derivative: {channel!r}")
+    return -c * hess - c * (2.0 / q.var - channel.drift) * fi
 
 
 def kl_time_derivative(p: IsoGaussian, q: IsoGaussian, channel: Channel) -> float:
     """d/dt KL(p_t || q_t) = -(c/2) FI(p_t || q_t) along a shared channel."""
-    if not isinstance(channel, (Heat, OU)):
+    return -0.5 * _generator(channel) * fisher_information(p, q)
+
+
+def _generator(channel: Channel) -> float:
+    if channel.c is None:
         raise ValueError(f"unsupported channel for time derivative: {channel!r}")
-    return -0.5 * channel.c * fisher_information(p, q)
+    return channel.c
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,9 @@ from .gaussian import (
     HeatPerturbed,
     IsoGaussian,
     OuSLC,
-    evolve,
     fi_curve,
     fisher_information,
-    kl_divergence,
+    kl_curve,
 )
 from .potentials import ScalarPotential, SpikeSpec, counterexample_potential, spike_potential
 
@@ -670,12 +669,10 @@ def ou_trace_gaussian(
     channel = OU(gamma=gamma)
     env = OuSLC(alpha=alpha, gamma=gamma)
     fi0 = fisher_information(p0, q0)
-    t_vals = [float(t) for t in t_grid]
-    fis = fi_curve(p0, q0, channel, t_vals)
-    rows = []
-    for t, fi in zip(t_vals, fis):
-        pt, qt = evolve(p0, channel, t), evolve(q0, channel, t)
-        kl = kl_divergence(pt, qt)
-        bound = env.factor(t) * fi0 if fi0 > 0.0 else None
-        rows.append(TraceRow(t, float(fi), kl, bound))
+    ts = np.asarray(t_grid, dtype=float)
+    fis, kls = fi_curve(p0, q0, channel, ts), kl_curve(p0, q0, channel, ts)
+    rows = [
+        TraceRow(t, fi, kl, env.factor(t) * fi0 if fi0 > 0.0 else None)
+        for t, fi, kl in zip(ts.tolist(), fis.tolist(), kls.tolist())
+    ]
     return ChannelTrace(rows=tuple(rows))

@@ -19,15 +19,22 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 def read_csv_columns(path) -> dict:
     """Parse a trace CSV (leading # comments, header row, float cells).
 
-    Empty cells become NaN so optional columns stay aligned.
+    Empty cells become NaN so optional columns stay aligned.  Each line
+    goes straight into the column lists as it is read.
     """
+    cols, lists = {}, None
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    cols = {name: [] for name in header}
-    for ln in lines[1:]:
-        for name, cell in zip(header, ln.split(",")):
-            cols[name].append(float(cell) if cell else math.nan)
+        for raw in fh:
+            line = raw.strip()
+            if not line or raw.startswith("#"):
+                continue
+            if lists is None:
+                header = line.split(",")
+                cols = {name: [] for name in header}
+                lists = [cols[name] for name in header]
+                continue
+            for col, cell in zip(lists, line.split(",")):
+                col.append(float(cell) if cell else math.nan)
     return cols
 
 
@@ -58,11 +65,11 @@ def render_line_chart(
     ylabel: str = "",
     logy: bool = False,
 ) -> str:
-    series = []
-    for y in ys:
-        pts = [(a, b) for a, b in zip(x, y) if math.isfinite(a) and math.isfinite(b)
-               and (not logy or b > 0.0)]
-        series.append(pts)
+    isfinite = math.isfinite
+    series = [
+        [(a, b) for a, b in zip(x, y) if isfinite(a) and isfinite(b) and (b > 0.0 or not logy)]
+        for y in ys
+    ]
     flat_x = [a for pts in series for a, _ in pts]
     flat_y = [b for pts in series for _, b in pts]
     if not flat_x:
@@ -79,13 +86,7 @@ def render_line_chart(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     pw, ph = _WIDTH - _ML - _MR, _HEIGHT - _MT - _MB
-
-    def sx(v):
-        return _ML + pw * (v - x_lo) / (x_hi - x_lo)
-
-    def sy(v):
-        vv = math.log10(v) if logy else v
-        return _MT + ph * (1.0 - (vv - y_lo) / (y_hi - y_lo))
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -96,11 +97,11 @@ def render_line_chart(
     if title:
         parts.append(f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle">{title}</text>')
     for tv in _ticks(x_lo, x_hi):
-        xx = sx(tv)
+        xx = _ML + pw * (tv - x_lo) / x_span
         parts.append(f'<line x1="{xx:.2f}" y1="{_MT + ph}" x2="{xx:.2f}" y2="{_MT + ph + 5}" stroke="#333"/>')
         parts.append(f'<text x="{xx:.2f}" y="{_MT + ph + 18}" text-anchor="middle">{tv:.4g}</text>')
     for tv in _ticks(y_lo, y_hi):
-        yy = _MT + ph * (1.0 - (tv - y_lo) / (y_hi - y_lo))
+        yy = _MT + ph * (1.0 - (tv - y_lo) / y_span)
         label = f"1e{tv:.3g}" if logy else f"{tv:.4g}"
         parts.append(f'<line x1="{_ML - 5}" y1="{yy:.2f}" x2="{_ML}" y2="{yy:.2f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{yy + 4:.2f}" text-anchor="end">{label}</text>')
@@ -115,7 +116,12 @@ def render_line_chart(
         if not pts:
             continue
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in pts)
+        if logy:
+            pts = [(a, math.log10(b)) for a, b in pts]
+        coords = " ".join([
+            "%.2f,%.2f" % (_ML + pw * (a - x_lo) / x_span, _MT + ph * (1.0 - (b - y_lo) / y_span))
+            for a, b in pts
+        ])
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
         parts.append(
             f'<text x="{_WIDTH - _MR - 6}" y="{_MT + 16 + 16 * i}" text-anchor="end" '

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import fplab as fp
-from fplab import quadrature
-from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
+from fplab import cli, quadrature
+from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, _fmt, main, write_table
 from fplab.svgplot import plot_csv, read_csv_columns
 
 
@@ -73,6 +74,25 @@ class TestGaussianRates:
                 vq = dec2 * 10 + (1 - dec2)
                 exact = (vp - vq) ** 2 / (vp * vq**2)
                 worst = max(worst, float(abs((fi - exact) / exact)))
+        assert worst <= 1e-12
+
+    def test_ou_kl_column_matches_closed_form(self, tmp_path):
+        # to t = 40 the evolved variances agree to ~1e-35: KL = u^2/2 + ...
+        # with u = vp/vq - 1, which evolve + kl_divergence rounds to noise
+        mp = pytest.importorskip("mpmath")
+        code = run_cli(
+            tmp_path, "gaussian-rates", "--channel", "ou", "--gamma", "1",
+            "--alpha", "0.1", "--beta", "100", "--m", "0", "--t-max", "40", "--no-plot",
+        )
+        assert code == EXIT_OK
+        cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
+        worst = 0.0
+        with mp.workdps(50):
+            for t, kl in zip(cols["t"], cols["kl"]):
+                dec2 = mp.exp(-2 * mp.mpf(t))
+                r = (dec2 / 100 + (1 - dec2)) / (dec2 * 10 + (1 - dec2))
+                exact = (r - 1 - mp.log(r)) / 2
+                worst = max(worst, float(abs((kl - exact) / exact)))
         assert worst <= 1e-12
 
     def test_overdeclared_poincare_constant_fails_cert(self, tmp_path):
@@ -306,19 +326,103 @@ class TestDriver:
         cfg.write_text(json.dumps({"epsilon": 0.3}))
         assert main(["gap", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("args", [
+        ("gap", "--grid-step", "0"), ("gap", "--grid-step", "1"),
+        ("gaussian-rates", "--channel", "heat", "--t-max", "-1"),
+        ("gaussian-rates", "--channel", "heat", "--points", "0"),
+        ("sampler", "--iters", "0"), ("sampler", "--iters", "10", "--burn-in", "20"),
+        ("proxgrad", "--dt", "0"), ("proxgrad", "--k", "-1"),
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
+        assert run_cli(tmp_path, *args, "--no-plot") == EXIT_USAGE
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_parser_reuse_does_not_leak_values(self, tmp_path):
+        assert run_cli(tmp_path / "a", "gap", "--eps", "0.6", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path / "b", "gap", "--no-plot") == EXIT_OK
+        with open(os.path.join(only_run_dir(tmp_path / "b", "gap"), "gap.csv")) as fh:
+            echo = fh.readline().split()
+        assert "eps=0.5" in echo
+
+    def test_git_describe_runs_once_in_the_package_checkout(self, tmp_path, monkeypatch):
+        # a run started inside another repository still describes fplab's
+        # checkout, and a second run in the same process does not ask again
+        if shutil.which("git") is None:
+            pytest.skip("git not installed")
+        package_dir = os.path.dirname(os.path.abspath(cli.__file__))
+        expect = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=package_dir,
+                                capture_output=True, text=True)
+        expect = expect.stdout.strip() if expect.returncode == 0 else "unknown"
+        other = tmp_path / "other"
+        other.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+               "-C", str(other)]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "x"], check=True)
+        monkeypatch.chdir(other)
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(cmd, *args, **kwargs):
+            calls.append((cmd, kwargs.get("cwd")))
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        cli._git_describe.cache_clear()
+        try:
+            for sub in ("a", "b"):
+                assert run_cli(tmp_path / sub, "proxgrad", "--k", "2", "--no-plot") == EXIT_OK
+        finally:
+            cli._git_describe.cache_clear()
+        assert calls == [(["git", "describe", "--always", "--dirty"], package_dir)]
+        for sub in ("a", "b"):
+            with open(os.path.join(only_run_dir(tmp_path / sub, "proxgrad"), "manifest.json")) as fh:
+                assert json.load(fh)["git_describe"] == expect
+
+    def test_write_table_matches_per_cell_format(self, tmp_path):
+        # the first row sets the template; later rows of other types, and
+        # rows with cells that have no template, fall back to _fmt cell by cell
+        rows = [
+            (3, np.int64(-7), 0.1, np.float64(1.0 / 3.0), -0.0, math.nan, math.inf, 1e-300),
+            (4, np.int64(2**40), -math.inf, np.float64(5e-324), 1e300, 2.5, 0.0, -1e-300),
+            (5.0, 6, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
+            (True, np.bool_(False), None, "x", 1, 2.0, np.float32(0.1), np.int8(-3)),
+            [7, np.int64(8), 0.25, np.float64(0.5), -0.0, math.nan, -math.inf, 1e-300],
+        ]
+        params = {"b": 1.5, "a": None, "flag": True, "n": np.int64(3), "s": "heat"}
+        path = tmp_path / "t.csv"
+        write_table(path, params, [f"c{i}" for i in range(8)], rows)
+        expect = ["# a= b=1.5 flag=True n=3 s=heat", ",".join(f"c{i}" for i in range(8))]
+        expect += [",".join(_fmt(v) for v in row) for row in rows]
+        assert path.read_text() == "\n".join(expect) + "\n"
+
     def test_no_plot_suppresses_svg(self, tmp_path):
         run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10", "--no-plot")
         run_dir = only_run_dir(tmp_path, "gap")
         assert not any(name.endswith(".svg") for name in os.listdir(run_dir))
 
-    def test_plots_regenerate_from_csv_alone(self, tmp_path):
-        run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10")
-        run_dir = only_run_dir(tmp_path, "gap")
-        svg = os.path.join(run_dir, "plot.svg")
+    # (argv, csv, svg, plot_csv arguments as the subcommand passes them)
+    @pytest.mark.parametrize("argv, csv, svg, x_col, y_cols, title, logy", [
+        (("gap", "--eps", "0.5", "--fi-floor", "10"), "density.csv", "plot.svg", "x",
+         ["nu", "rho_unnormalized"], "spiked density vs N(0,1)", False),
+        (("gaussian-rates", "--channel", "heat"), "trace.csv", "plot.svg", "t",
+         ["fi", "bound"], "heat channel", True),
+        (("sampler", "--iters", "2000"), "run.csv", "plot.svg", "k",
+         ["mean_1", "var_1"], "running moments", False),
+        (("proxgrad",), "proxgrad_quartic.csv", "proxgrad_quartic.svg", "k",
+         ["grad_sq_norm"], "proximal gradient, quartic", True),
+        (("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
+         "bound.csv", "bound.svg", "t", ["fi", "bound"], "fi vs perturbed envelope", True),
+    ], ids=["gap", "gaussian-rates", "sampler", "proxgrad", "counterexample"])
+    def test_plots_regenerate_from_csv_alone(self, tmp_path, argv, csv, svg, x_col, y_cols,
+                                             title, logy):
+        assert run_cli(tmp_path, *argv) == EXIT_OK
+        run_dir = only_run_dir(tmp_path, argv[0])
+        svg = os.path.join(run_dir, svg)
         assert os.path.getsize(svg) > 0
         replot = tmp_path / "replot.svg"
-        plot_csv(os.path.join(run_dir, "density.csv"), replot, "x",
-                 ["nu", "rho_unnormalized"], title="spiked density vs N(0,1)")
+        plot_csv(os.path.join(run_dir, csv), replot, x_col, y_cols, title=title, logy=logy)
         assert replot.read_bytes() == open(svg, "rb").read()
 
     def test_light_subcommands_do_not_import_scipy_special(self, tmp_path):

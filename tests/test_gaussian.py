@@ -264,10 +264,11 @@ class TestFiCurve:
         p = fp.IsoGaussian([1.2, -0.3], 2.1)
         q = fp.IsoGaussian([0.0, 0.0], 0.9)
         ts = np.linspace(0.0, 3.0, 13)
-        curve = fp.fi_curve(p, q, channel, ts)
-        for t, fi in zip(ts, curve):
-            direct = fp.fisher_information(fp.evolve(p, channel, t), fp.evolve(q, channel, t))
-            assert fi == pytest.approx(direct, rel=1e-12)
+        fis, kls = fp.fi_curve(p, q, channel, ts), fp.kl_curve(p, q, channel, ts)
+        for t, fi, kl in zip(ts, fis, kls):
+            pt, qt = fp.evolve(p, channel, t), fp.evolve(q, channel, t)
+            assert fi == pytest.approx(fp.fisher_information(pt, qt), rel=1e-12)
+            assert kl == pytest.approx(fp.kl_divergence(pt, qt), rel=1e-12)
 
     def test_stable_where_subtraction_route_is_noise(self):
         # near-equal variances along OU: the transported difference keeps
@@ -287,6 +288,83 @@ class TestFiCurve:
         p = fp.IsoGaussian([0.0], 1.0)
         with pytest.raises(ValueError):
             fp.fi_curve(p, p, fp.Heat(), [-1.0])
+        with pytest.raises(ValueError):
+            fp.kl_curve(p, p, fp.Heat(), [0.0, -1.0])
+
+
+def exact_fi_kl(mp, p, q, channel, t):
+    """50-digit FI and KL of p_t against q_t from the channel's solution map."""
+    with mp.workdps(50):
+        t = mp.mpf(float(t))
+        vp, vq = mp.mpf(p.var), mp.mpf(q.var)
+        if isinstance(channel, fp.OU):
+            gamma = mp.mpf(channel.gamma)
+            dec2 = mp.exp(-2 * gamma * t)
+            vp, vq = dec2 * vp + (1 - dec2) / gamma, dec2 * vq + (1 - dec2) / gamma
+        else:
+            step = t if isinstance(channel, fp.Heat) else mp.mpf(channel.eta)
+            dec2 = mp.mpf(1)
+            vp, vq = vp + step, vq + step
+        shift2 = dec2 * sum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(p.mean, q.mean))
+        r = vp / vq
+        fi = shift2 / vq**2 + p.dim * (vp - vq) ** 2 / (vp * vq**2)
+        kl = p.dim * (r - 1 - mp.log(r)) / 2 + shift2 / (2 * vq)
+        return fi, kl
+
+
+def max_rel_err(mp, values, exact):
+    with mp.workdps(50):
+        return max(float(abs((mp.mpf(float(v)) - e) / e)) if e else abs(float(v))
+                   for v, e in zip(values, exact))
+
+
+# (p0, q0, channel, ts): the README's OU case to t = 40, where the evolved
+# variances agree to ~1e-35; variance ratios 1 + 1e-9 and 1 + 1e-12 (tiny u
+# from t = 0 on); a mean shift; the heat flow to t = 1e6; the proximal step
+CURVE_CASES = {
+    "ou-narrow-rho": (([0.0], 0.01), ([0.0], 10.0), fp.OU(1.0), np.linspace(0.0, 40.0, 201)),
+    "ou-tiny-u": (([0.0], 1.0 + 1e-12), ([0.0], 1.0), fp.OU(1.0), np.linspace(0.0, 20.0, 41)),
+    "ou-shifted-2d": (([0.5, -1.0], 3.0), ([0.0, 0.0], 2.0), fp.OU(0.7), np.linspace(0.0, 8.0, 33)),
+    "heat": (([0.0], 2.0), ([0.0], 1.0), fp.Heat(), np.linspace(0.0, 10.0, 201)),
+    "heat-tiny-u": (([0.0], 1.0), ([0.0], 1.0 + 1e-9), fp.Heat(), np.linspace(0.0, 10.0, 41)),
+    "heat-shifted-long": (([-0.5], 0.8), ([0.0], 1.3), fp.Heat(),
+                          np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 40)])),
+    "prox-forward": (([0.3], 1.5), ([0.0], 0.7), fp.ProximalForward(0.4), np.linspace(0.0, 3.0, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+def test_fi_and_kl_curves_match_50_digit_closed_form(case):
+    mp = pytest.importorskip("mpmath")
+    (mp0, vp), (mq0, vq), channel, ts = CURVE_CASES[case]
+    p, q = fp.IsoGaussian(mp0, vp), fp.IsoGaussian(mq0, vq)
+    exact = [exact_fi_kl(mp, p, q, channel, t) for t in ts]
+    assert max_rel_err(mp, fp.fi_curve(p, q, channel, ts), [e[0] for e in exact]) <= 1e-12
+    assert max_rel_err(mp, fp.kl_curve(p, q, channel, ts), [e[1] for e in exact]) <= 1e-12
+
+
+class TestKlCurve:
+    def test_series_and_direct_form_meet_at_the_cut(self):
+        # u - log1p(u) on both sides of |u| = 0.1, and deep in each regime
+        mp = pytest.importorskip("mpmath")
+        from fplab.gaussian import _u_minus_log1p
+
+        u = np.array([-0.9, -0.1 - 1e-12, -0.1, -0.1 + 1e-12, -1e-3, -1e-150, 0.0, 1e-300,
+                      1e-8, 0.05, 0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.5, 3.0, 1e6])
+        got = _u_minus_log1p(u)
+        for ui, gi in zip(u, got):
+            if ui == 0.0:
+                assert gi == 0.0
+                continue
+            # the subtraction cancels ~ -log10|u| digits: carry that many more
+            with mp.workdps(50 + max(0, int(-math.log10(abs(ui))))):
+                exact = mp.mpf(ui) - mp.log1p(mp.mpf(ui))
+                # u^2/2 underflows below |u| ~ 1.5e-154
+                assert float(abs(mp.mpf(gi) - exact)) <= max(1e-15 * float(exact), 1e-323), ui
+
+    def test_identical_pair_is_zero(self):
+        p = fp.IsoGaussian([0.4], 2.0)
+        assert np.all(fp.kl_curve(p, p, fp.OU(1.0), [0.0, 1.0, 30.0]) == 0.0)
 
 
 class TestContractionDomination:

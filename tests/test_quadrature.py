@@ -487,6 +487,22 @@ class TestOuTraceGaussian:
         fi = trace.column("fi")
         assert np.all(np.diff(fi) < 0.0)
 
+    def test_kl_column_cancellation_free(self):
+        # both columns come from the transported-difference curves: at t = 40
+        # the evolved variances agree to ~1e-35, yet KL keeps full accuracy
+        mp = pytest.importorskip("mpmath")
+        p0 = fp.IsoGaussian([0.0], 0.01)
+        q0 = fp.IsoGaussian([0.0], 10.0)
+        trace = fp.ou_trace_gaussian(p0, q0, 1.0, np.linspace(0.0, 40.0, 81))
+        with mp.workdps(50):
+            for r in trace.rows:
+                dec2 = mp.exp(-2 * mp.mpf(r.t))
+                vp, vq = dec2 / 100 + (1 - dec2), dec2 * 10 + (1 - dec2)
+                fi = (vp - vq) ** 2 / (vp * vq**2)
+                kl = (vp / vq - 1 - mp.log(vp / vq)) / 2
+                assert abs((r.fi - fi) / fi) <= 1e-12
+                assert abs((r.kl - kl) / kl) <= 1e-12
+
     def test_quartic_decay_scale_converges(self):
         # the scale settles like (gamma/alpha) e^{-2 gamma t}, so the 1e-4
         # band opens up from t ~ 7 for these precisions
