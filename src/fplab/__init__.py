@@ -15,6 +15,7 @@ from .gaussian import (
     OU,
     OuSLC,
     OuSLCPoincare,
+    Proximal,
     ProximalForward,
     ProxRate,
     evolve,

@@ -11,8 +11,7 @@ the CSVs) under ``<out-dir>/<subcommand>-<timestamp>/`` together with a
 
 Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  The JSON file maps flag names (dashes as underscores)
-to values, e.g. ``{"alpha": 0.5, "iters": 10000}``.  ``FPLAB_THREADS``
-caps the worker pool used for independent trace rows.
+to values, e.g. ``{"alpha": 0.5, "iters": 10000}``.
 """
 
 from __future__ import annotations
@@ -49,16 +48,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse's own failures to exit 64
         raise UsageError(message)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("FPLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"FPLAB_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
 
 
 @functools.cache
@@ -243,25 +232,19 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
     if channel not in ("heat", "ou", "prox"):
         raise UsageError("--channel must be heat, ou, or prox")
     alpha = _positive(params, "alpha")
-    rows = []
+    q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
     if channel == "prox":
         eta = _positive(params, "eta")
-        k_max = _count(params, "k")
+        ts = np.arange(_count(params, "k") + 1)  # integer k: the t column prints as %d
         p0 = ga.IsoGaussian([_number(params, "m0")], _positive(params, "var0"))
-        target = ga.IsoGaussian([0.0], 1.0 / alpha)
+        chan = ga.Proximal(alpha, eta)
         env = ga.ProxRate(alpha=alpha, eta=eta)
-        fi0 = ga.fisher_information(p0, target)
-        for k, p in enumerate(ga.proximal_chain(p0, alpha, eta, k_max)):
-            fi = ga.fisher_information(p, target)
-            kl = ga.kl_divergence(p, target)
-            rows.append((k, fi, kl, env.factor(k) * fi0 if fi0 > 0 else None))
     else:
         m = _number(params, "m")
-        t_max, points = _positive(params, "t_max"), _count(params, "points", 1)
+        ts = np.linspace(0.0, _positive(params, "t_max"), _count(params, "points", 1))
         if channel == "heat":
             s = _positive(params, "s")
             p0 = ga.IsoGaussian([m], s)
-            q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
             chan = ga.Heat()
             beta = 1.0 / s if params["beta"] is None else _positive(params, "beta")
             env = ga.HeatSLCPoincare(alpha, beta) if m == 0.0 else ga.HeatSLC(alpha)
@@ -269,16 +252,14 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
             gamma = _positive(params, "gamma")
             beta = 1.0 if params["beta"] is None else _positive(params, "beta")
             p0 = ga.IsoGaussian([m], 1.0 / beta)
-            q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
             chan = ga.OU(gamma=gamma)
             env = (
                 ga.OuSLCPoincare(alpha, beta, gamma) if m == 0.0 else ga.OuSLC(alpha, gamma)
             )
-        fi0 = ga.fisher_information(p0, q0)
-        ts = np.linspace(0.0, t_max, points)
-        fis, kls = ga.fi_curve(p0, q0, chan, ts), ga.kl_curve(p0, q0, chan, ts)
-        for t, fi, kl in zip(ts.tolist(), fis.tolist(), kls.tolist()):
-            rows.append((t, fi, kl, env.factor(t) * fi0 if fi0 > 0 else None))
+    fi0 = ga.fisher_information(p0, q0)
+    fis, kls = ga.fi_curve(p0, q0, chan, ts), ga.kl_curve(p0, q0, chan, ts)
+    rows = [(t, fi, kl, env.factor(t) * fi0 if fi0 > 0 else None)
+            for t, fi, kl in zip(ts.tolist(), fis.tolist(), kls.tolist())]
     csv_path = run.file("trace.csv")
     write_table(csv_path, params, ["t", "fi", "kl", "bound"], rows)
     if not params["no_plot"]:
@@ -321,15 +302,14 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
             quadrature.well_grid(t, halfwidth, step)
         except ValueError as exc:  # only the grid's own validation can raise here
             raise UsageError(f"--grid-step {step:g} is too coarse at t={t:g}: {exc}") from exc
-    trace = quadrature.perturbed_bound_check(
-        m_big, halfwidth, t_grid, step=step, threads=_thread_count(),
-    )
+    trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid, step=step)
     run.health = {
         "smoothing": "closed-form",
         "fi_rel_err_max": max(r.fi_err / abs(r.fi) for r in trace.rows),
         "kl_rel_err_max": max(r.kl_err / abs(r.kl) for r in trace.rows),
         "grid_points_max": max(r.points for r in trace.rows),
         "grid_points_total": sum(r.points for r in trace.rows),
+        "smoothing_points_total": sum(r.smoothed_points for r in trace.rows),
     }
     code = EXIT_OK
     bad = [r for r in trace.rows if not _dominates(r.fi, r.bound)]

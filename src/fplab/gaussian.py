@@ -2,7 +2,7 @@
 
 Everything in this module is exact arithmetic: KL divergence and relative
 Fisher information between isotropic Gaussians, the solution maps of the
-heat and Ornstein-Uhlenbeck semigroups, the one-iteration law of the
+heat and Ornstein-Uhlenbeck semigroups, the k-iteration law of the
 proximal sampling recursion for a centered Gaussian target, the
 multiplicative contraction envelopes for each channel, and the
 time-derivative identities that the test suite cross-checks against
@@ -26,6 +26,7 @@ __all__ = [
     "IsoGaussian",
     "Heat",
     "OU",
+    "Proximal",
     "ProximalForward",
     "Channel",
     "HeatSLC",
@@ -76,7 +77,7 @@ class IsoGaussian:
 # starts at v (``variance``) and the factor by which the squared distance of two
 # means and the difference of two variances contract (``contraction``).  ``c``
 # is the Fokker-Planck diffusion coefficient and ``drift`` the OU rate; the
-# discrete proximal step has neither.
+# discrete proximal channels have neither.
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,34 @@ class OU:
 
 
 @dataclass(frozen=True)
+class Proximal:
+    """The proximal recursion toward N(0, I/alpha); time is the iteration count k.
+
+    With s = 1 + alpha eta, k steps of ``proximal_step`` map N(m, v I) to
+    N(s^-k m, (1/alpha + (v - 1/alpha) s^-2k) I).  s^-2k is taken as
+    exp(-2k log1p(alpha eta)): the power of the rounded s would multiply its
+    rounding error by 2k.
+    """
+
+    alpha: float
+    eta: float
+    c = None  # a discrete recursion: no Fokker-Planck generator
+
+    def __post_init__(self):
+        _require_positive(alpha=self.alpha, eta=self.eta)
+
+    def evolve(self, g: IsoGaussian, k: float) -> IsoGaussian:
+        return IsoGaussian(g.mean * math.sqrt(float(self.contraction(k))),
+                           float(self.variance(g.var, k)))
+
+    def variance(self, var: float, ks: np.ndarray) -> np.ndarray:
+        return 1.0 / self.alpha + (var - 1.0 / self.alpha) * self.contraction(ks)
+
+    def contraction(self, ks: np.ndarray) -> np.ndarray:
+        return np.exp(-2.0 * np.asarray(ks, dtype=float) * math.log1p(self.alpha * self.eta))
+
+
+@dataclass(frozen=True)
 class ProximalForward:
     """Forward half of one proximal-sampler iteration: add N(0, eta I).
 
@@ -149,7 +178,7 @@ class ProximalForward:
         return np.ones_like(ts)
 
 
-Channel = Union[Heat, OU, ProximalForward]
+Channel = Union[Heat, OU, Proximal, ProximalForward]
 
 
 def evolve(g: IsoGaussian, channel: Channel, t: float) -> IsoGaussian:

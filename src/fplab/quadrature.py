@@ -13,6 +13,15 @@ Numerical policy
   from numerically differentiating the log-density.
 * The concave-well trace uses the closed form; Gauss-Hermite, which
   converges only algebraically across the well's kinks, is its oracle.
+  The smoothed well is even and its score odd, and its grids are symmetric
+  about 0 up to rounding, so the closed form is evaluated on the
+  nonnegative half of each grid and mirrored; the oracle evaluates every
+  point.
+* Closed-form trace rows are a few thousand points of numpy work each, too
+  little for a thread pool to gain on: pool threads contend for the
+  interpreter lock, and one thread ran the default trace faster than two.
+  ``threads=`` pools the rows of the Gauss-Hermite oracle, which are
+  heavier.
 * Integrals are composite Simpson on uniform grids with an odd point
   count; the reported error estimate is the classical |fine - coarse|/15
   comparison and is heuristic, not a rigorous bound.
@@ -439,10 +448,12 @@ class TraceRow(NamedTuple):
     fi: float
     kl: float
     bound: Optional[float]
-    # rows integrated on a grid: Simpson error estimates and the grid's size
+    # rows integrated on a grid: Simpson error estimates, the grid's size and
+    # the number of points at which the smoothed density was evaluated
     fi_err: Optional[float] = None
     kl_err: Optional[float] = None
     points: Optional[int] = None
+    smoothed_points: Optional[int] = None
 
 
 _NOISE_FLOOR = -1e-9
@@ -545,6 +556,7 @@ def counterexample_trace(
     The smoothed density comes from ``smoothed_well_logdensity`` (closed
     form) unless ``order`` is given, in which case the Gauss-Hermite rule of
     that order computes it through ``convolved_logdensity``: the oracle.
+    ``threads`` > 1 runs the rows on a thread pool of that size.
     """
     t_vals = [float(t) for t in t_grid]
     if not t_vals or t_vals[0] != 0.0:
@@ -557,14 +569,20 @@ def counterexample_trace(
         grid.require_covers(0.0, math.sqrt(1.0 + t))
         pts = grid.points
         if rule is None:
-            lognu, nu_score = smoothed_well_logdensity(m_big, halfwidth, t, pts)
+            # the grid is symmetric about 0, the smoothed density even and its
+            # score odd: evaluate on the nonnegative half and mirror it
+            half = -pts[(pts.size - 1) // 2::-1]
+            lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
+            lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
+            evaluated = half.size
         else:
             lognu, nu_score = convolved_logdensity(pot, t, pts, rule)
+            evaluated = pts.size
         v = 1.0 + t
         logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
         fi = fi_functional(logrho, -pts / v - nu_score, grid)
         kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
-        return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size)
+        return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

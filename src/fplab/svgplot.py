@@ -16,24 +16,28 @@ _ML, _MR, _MT, _MB = 80, 20, 30, 50  # margins
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def read_csv_columns(path) -> dict:
+def read_csv_columns(path, columns: Optional[Sequence[str]] = None) -> dict:
     """Parse a trace CSV (leading # comments, header row, float cells).
 
-    Empty cells become NaN so optional columns stay aligned.  Each line
-    goes straight into the column lists as it is read.
+    Only the named ``columns`` that the header has are parsed, or every
+    column when ``columns`` is None.  Empty cells become NaN so optional
+    columns stay aligned.  Each line goes straight into the column lists as
+    it is read.
     """
-    cols, lists = {}, None
+    cols, picked = {}, None
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or raw.startswith("#"):
                 continue
-            if lists is None:
+            if picked is None:
                 header = line.split(",")
-                cols = {name: [] for name in header}
-                lists = [cols[name] for name in header]
+                cols = {name: [] for name in header if columns is None or name in columns}
+                picked = [(i, cols[name]) for i, name in enumerate(header) if name in cols]
                 continue
-            for col, cell in zip(lists, line.split(",")):
+            cells = line.split(",")
+            for i, col in picked:
+                cell = cells[i]
                 col.append(float(cell) if cell else math.nan)
     return cols
 
@@ -140,7 +144,7 @@ def plot_csv(
     logy: bool = False,
     ylabel: Optional[str] = None,
 ) -> None:
-    cols = read_csv_columns(csv_path)
+    cols = read_csv_columns(csv_path, [x_col, *y_cols])
     x = cols[x_col]
     ys = [cols[c] for c in y_cols if c in cols]
     labels = [c for c in y_cols if c in cols]

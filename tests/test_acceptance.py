@@ -12,7 +12,6 @@ carries the measured numbers.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -20,10 +19,6 @@ import pytest
 from scipy import integrate
 
 import fplab as fp
-
-
-def _threads():
-    return min(8, os.cpu_count() or 1)
 
 
 class _Timer:
@@ -152,7 +147,7 @@ def test_criterion_4_counterexample():
     non-increasing, and the perturbed envelope dominates every row."""
     with _Timer(120.0) as tm:
         t_grid = np.union1d(fp.default_time_grid(), [0.05, 0.1])
-        trace = fp.perturbed_bound_check(2, 2, t_grid, threads=_threads())
+        trace = fp.perturbed_bound_check(2, 2, t_grid)
 
         fi = trace.column("fi")
         ts = trace.column("t")
@@ -382,7 +377,7 @@ def test_criterion_10_quadrature_oracle():
 
         # smoothed-density route: the closed form the CLI runs, at its default
         # step, must stay within 1e-6 relative of Gauss-Hermite-256 at half the step
-        a = fp.counterexample_trace(2, 2, [0.0, 0.5], threads=2)
+        a = fp.counterexample_trace(2, 2, [0.0, 0.5])
         b = fp.counterexample_trace(2, 2, [0.0, 0.5], order=256, step=5e-4, threads=2)
         for ra, rb in zip(a.rows, b.rows):
             worst_refine = max(

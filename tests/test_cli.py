@@ -36,6 +36,28 @@ class TestGaussianRates:
         expect = 0.25 ** np.arange(51)
         assert np.max(np.abs(fi - expect) / expect) <= 1e-12
 
+    @pytest.mark.parametrize("m0", ["0", "0.5"])
+    def test_prox_columns_match_50_digit_closed_form(self, tmp_path, m0):
+        # by k = 2000 the variance sits 5e-18 above 1/alpha: FI and KL must
+        # come from the transported difference, never from subtracting 1/alpha
+        mp = pytest.importorskip("mpmath")
+        code = run_cli(
+            tmp_path, "gaussian-rates", "--channel", "prox", "--alpha", "1", "--eta", "0.01",
+            "--m0", m0, "--var0", "2", "--k", "2000", "--no-plot",
+        )
+        assert code == EXIT_OK
+        cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
+        with mp.workdps(50):
+            s = 1 + mp.mpf(0.01)  # alpha = 1
+            for k in (0, 1, 50, 500, 1000, 1500, 2000):
+                assert cols["t"][k] == k
+                shift2 = (mp.mpf(float(m0)) / s**k) ** 2
+                dv = (2 - mp.mpf(1)) / s ** (2 * k)  # vp - vq, with vq = 1/alpha = 1
+                fi = shift2 + dv**2 / (1 + dv)
+                kl = (dv - mp.log1p(dv)) / 2 + shift2 / 2
+                assert abs(cols["fi"][k] - fi) <= 1e-12 * fi, k
+                assert abs(cols["kl"][k] - kl) <= 1e-12 * kl, k
+
     def test_heat_centered_cubic_decay(self, tmp_path):
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "heat", "--alpha", "1",
@@ -171,6 +193,8 @@ class TestCounterexample:
                  for t in quadrature.default_time_grid(1e-3, 0.5, 4)]
         assert health["grid_points_max"] == max(sizes)
         assert health["grid_points_total"] == sum(sizes)
+        # the smoothed well is evaluated on the nonnegative half of each grid
+        assert health["smoothing_points_total"] == sum((n + 1) // 2 for n in sizes)
 
     @pytest.mark.parametrize("args", [
         ("--grid-step", "-1"), ("--grid-step", "0"), ("--grid-step", "0.5"),
@@ -446,16 +470,16 @@ class TestDriver:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n")[0] == "[0, 0, 0, 0] False"
 
-    def test_threads_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPLAB_THREADS", "2")
+    def test_counterexample_builds_no_thread_pool(self, tmp_path, monkeypatch):
+        # its rows run on the calling thread, whatever the environment holds
+        monkeypatch.setenv("FPLAB_THREADS", "8")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("counterexample built a thread pool")
+
+        monkeypatch.setattr(quadrature, "ThreadPoolExecutor", no_pool)
         code = run_cli(
             tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
             "--grid-step", "4e-3", "--no-plot",
         )
         assert code == EXIT_OK
-        monkeypatch.setenv("FPLAB_THREADS", "zebra")
-        code = run_cli(
-            tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
-            "--grid-step", "4e-3", "--no-plot",
-        )
-        assert code == EXIT_USAGE

@@ -103,6 +103,14 @@ class TestChannels:
             g = fp.evolve(p, fp.ProximalForward(0.5), t)
             assert g.var == 2.5 and g.mean[0] == 1.0
 
+    def test_proximal_is_the_step_recursion(self):
+        p = fp.IsoGaussian([1.5, -0.4], 2.5)
+        chan = fp.Proximal(0.7, 0.3)
+        for k, step in enumerate(fp.proximal_chain(p, 0.7, 0.3, 20)):
+            g = fp.evolve(p, chan, k)
+            assert np.allclose(g.mean, step.mean, rtol=1e-13, atol=0.0)
+            assert g.var == pytest.approx(step.var, rel=1e-13)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             fp.evolve(fp.IsoGaussian([0.0], 1.0), fp.Heat(), -0.1)
@@ -112,6 +120,10 @@ class TestChannels:
             fp.OU(0.0)
         with pytest.raises(ValueError):
             fp.ProximalForward(-1.0)
+        with pytest.raises(ValueError):
+            fp.Proximal(0.0, 1.0)
+        with pytest.raises(ValueError):
+            fp.Proximal(1.0, -1.0)
 
 
 class TestProximalStep:
@@ -257,8 +269,8 @@ def test_de_bruijn_and_fi_derivative_match_finite_differences(channel):
 
 class TestFiCurve:
     @pytest.mark.parametrize(
-        "channel", [fp.Heat(), fp.OU(1.3), fp.ProximalForward(0.4)],
-        ids=["heat", "ou", "prox-forward"],
+        "channel", [fp.Heat(), fp.OU(1.3), fp.ProximalForward(0.4), fp.Proximal(0.8, 0.5)],
+        ids=["heat", "ou", "prox-forward", "prox"],
     )
     def test_matches_pointwise_route_at_moderate_times(self, channel):
         p = fp.IsoGaussian([1.2, -0.3], 2.1)

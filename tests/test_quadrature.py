@@ -259,16 +259,16 @@ class TestSmoothedWellClosedForm:
     def test_against_mpmath_quadrature(self, m_big, halfwidth, t):
         # t = 1/M is where the well's exponent turns from concave to convex;
         # the closed form must not lose accuracy within ulps of it
+        # -x is referenced on its own: the trace mirrors the density from the
+        # nonnegative half of its grid, which needs it even and its score odd
         end = fp.quadrature.well_grid(t, halfwidth, 1e-3).hi
-        xs = np.array([0.0, halfwidth, end])
-        logval, score = fp.smoothed_well_logdensity(m_big, halfwidth, t, np.r_[xs, -xs])
+        xs = np.array([0.0, halfwidth, end, -halfwidth, -end])
+        logval, score = fp.smoothed_well_logdensity(m_big, halfwidth, t, xs)
         ref = [well_reference(m_big, halfwidth, t, x) for x in xs]
-        n = xs.size
-        for i, (ref_log, ref_score) in enumerate(ref):
+        for j, (ref_log, ref_score) in enumerate(ref):
             ref_diff = ref_log - ref[0][0]
-            for j, sign in ((i, 1.0), (i + n, -1.0)):  # even density, odd score
-                assert abs(logval[j] - logval[0] - ref_diff) <= 1e-10 * max(1.0, abs(ref_diff))
-                assert abs(score[j] - sign * ref_score) <= 1e-10 * max(1.0, abs(ref_score))
+            assert abs(logval[j] - logval[0] - ref_diff) <= 1e-10 * max(1.0, abs(ref_diff))
+            assert abs(score[j] - ref_score) <= 1e-10 * max(1.0, abs(ref_score))
 
     def test_zero_time_is_the_potential_bit_for_bit(self):
         pot = fp.counterexample_potential(2, 2)
@@ -316,7 +316,7 @@ class TestCounterexampleAnchors:
         assert oracle == pytest.approx(FI0_WELL, abs=1e-12)
 
     def test_trace_anchors_and_shape(self):
-        trace = fp.counterexample_trace(2, 2, [0.0, 0.05, 0.1], threads=2)
+        trace = fp.counterexample_trace(2, 2, [0.0, 0.05, 0.1])
         fi = trace.column("fi")
         assert fi[0] == pytest.approx(FI0_WELL, abs=1e-4)
         assert trace.rows[0].kl == pytest.approx(KL0_WELL, abs=1e-6)
@@ -342,7 +342,7 @@ class TestCounterexampleAnchors:
         # fi climbs over an initial segment (peak near t ~ 0.35) and decays
         # afterwards: first differences start positive and end negative
         t_grid = fp.default_time_grid(1e-2, 10.0, 24)
-        trace = fp.counterexample_trace(2, 2, t_grid, threads=2)
+        trace = fp.counterexample_trace(2, 2, t_grid)
         diffs = np.diff(trace.column("fi"))
         assert diffs[0] > 0.0 and diffs[-1] < 0.0
         peak = int(np.argmax(trace.column("fi")))
@@ -385,7 +385,7 @@ class TestInitialSlope:
         assert slope > max(0.0, (m_big - 2.0) * (m_big + 1.0) ** 2)
 
     def test_matches_trace_finite_difference(self):
-        trace = fp.counterexample_trace(2, 2, [0.0, 0.005, 0.01], threads=2)
+        trace = fp.counterexample_trace(2, 2, [0.0, 0.005, 0.01])
         f0, f1, f2 = [r.fi for r in trace.rows]
         slope_fd = 2.0 * (f1 - f0) / 0.005 - (f2 - f0) / 0.01  # Richardson
         assert slope_fd == pytest.approx(fp.counterexample_initial_slope(2, 2), rel=1e-2)
@@ -398,7 +398,7 @@ class TestInitialSlope:
 class TestPerturbedBound:
     def test_bound_attached_and_dominating(self):
         t_grid = [0.0, 0.05, 0.5, 2.0, 10.0]
-        trace = fp.perturbed_bound_check(2, 2, t_grid, threads=2)
+        trace = fp.perturbed_bound_check(2, 2, t_grid)
         assert trace.rows[0].bound == pytest.approx(trace.rows[0].fi, rel=1e-12)
         for r in trace.rows:
             assert r.bound is not None and r.fi <= r.bound + 1e-6
@@ -406,7 +406,7 @@ class TestPerturbedBound:
     def test_violation_raises(self):
         # a fake tiny Lipschitz constant produces an envelope below the curve
         t_grid = [0.0, 0.05, 0.1]
-        rows = fp.counterexample_trace(2, 2, t_grid, threads=2).rows
+        rows = fp.counterexample_trace(2, 2, t_grid).rows
         env = fp.HeatPerturbed(alpha=1.0, lip=1e-6)
         fi0 = rows[0].fi
         assert any(r.fi > env.factor(r.t) * fi0 + 1e-6 for r in rows)
@@ -567,6 +567,8 @@ class TestWellGrid:
         # neither the fine nor the coarse rule straddles +-L
         grid = fp.quadrature.well_grid(t, halfwidth, step)
         assert (grid.points.size - 1) % 4 == 0
+        # symmetric about 0, up to rounding: the trace mirrors its half
+        assert np.max(np.abs(grid.points + grid.points[::-1])) <= 1e-13 * grid.hi
         for kink in (-halfwidth, halfwidth):
             i = int(np.argmin(np.abs(grid.points - kink)))
             assert abs(grid.points[i] - kink) <= 1e-12 and i % 4 == 0
@@ -614,12 +616,38 @@ class TestWellGrid:
         for m_big, halfwidth in ((2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)):
             ts = sorted([0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 0.1, 1.0 / m_big,
                          1.0, 10.0, 50.0])
-            a = fp.counterexample_trace(m_big, halfwidth, ts, threads=2)
-            b = fp.counterexample_trace(m_big, halfwidth, ts, step=1e-3 / 8, threads=2)
+            a = fp.counterexample_trace(m_big, halfwidth, ts)
+            b = fp.counterexample_trace(m_big, halfwidth, ts, step=1e-3 / 8)
             for ra, rb in zip(a.rows, b.rows):
                 tol = 3e-8 if 0.0 < ra.t < 1e-3 else 1e-10
                 assert abs(ra.fi - rb.fi) <= tol * rb.fi, (m_big, halfwidth, ra.t)
                 assert abs(ra.kl - rb.kl) <= tol * rb.kl, (m_big, halfwidth, ra.t)
+
+
+def _full_grid_row(m_big, halfwidth, t):
+    """(fi, kl) of a closed-form trace row with the smoothed well evaluated at
+    every grid point: the oracle of the trace's half-grid mirror."""
+    grid = fp.quadrature.well_grid(t, halfwidth, 1e-3)
+    pts = grid.points
+    lognu, nu_score = fp.smoothed_well_logdensity(m_big, halfwidth, t, pts)
+    v = 1.0 + t
+    logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
+    fi = fp.fi_functional(logrho, -pts / v - nu_score, grid)
+    kl = fp.kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+    return fi.value, kl.value
+
+
+class TestMirroredTrace:
+    @pytest.mark.parametrize("m_big, halfwidth", [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)])
+    def test_matches_full_grid_evaluation(self, m_big, halfwidth):
+        # t = 1/M and its neighbours take the well piece's series path
+        t0 = 1.0 / m_big
+        ts = sorted([0.0, 1e-7, 1e-3, t0 * (1.0 - 1e-9), t0, t0 * (1.0 + 1e-9), 50.0])
+        for r in fp.counterexample_trace(m_big, halfwidth, ts).rows:
+            fi, kl = _full_grid_row(m_big, halfwidth, r.t)
+            assert abs(r.fi - fi) <= 1e-13 * fi, r.t
+            assert abs(r.kl - kl) <= 1e-13 * kl, r.t
+            assert r.smoothed_points == (r.points + 1) // 2
 
 
 class TestChannelTraceContainer:
@@ -650,3 +678,7 @@ class TestChannelTraceContainer:
         # 17 significant digits round-trip float64 exactly
         assert cols["fi"][0] == 1.0 / 3.0 and cols["kl"][0] == 2.0 / 7.0
         assert math.isnan(cols["bound"][1])
+        # a column filter parses only the named columns the header has
+        picked = read_csv_columns(path, ["bound", "t", "absent"])
+        assert list(picked) == ["t", "bound"] and picked["t"] == cols["t"]
+        assert picked["bound"][0] == 1.0 and math.isnan(picked["bound"][1])
