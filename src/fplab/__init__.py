@@ -16,7 +16,6 @@ from .gaussian import (
     OuSLC,
     OuSLCPoincare,
     Proximal,
-    ProximalForward,
     ProxRate,
     evolve,
     fi_curve,
@@ -59,7 +58,6 @@ from .quadrature import (
     gap_check,
     gauss_hermite,
     kl_functional,
-    ou_trace_gaussian,
     perturbed_bound_check,
     smoothed_well_logdensity,
 )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gaussian as ga
 from . import optim, potentials, quadrature, sampler
-from .svgplot import plot_csv
+from .svgplot import plot_csv, write_table
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -64,58 +64,6 @@ def _git_describe() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return "" if v is None else str(v)
-
-
-def _row_template(kinds) -> str | None:
-    """The %-template that formats a row of these cell types as ``_fmt`` would.
-
-    None when some cell has no fixed format (bool, None, str, ...).
-    """
-    fmts = []
-    for kind in kinds:
-        if issubclass(kind, (bool, np.bool_)):
-            return None
-        if issubclass(kind, (int, np.integer)):
-            fmts.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            fmts.append("%.17g")
-        else:
-            return None
-    return ",".join(fmts)
-
-
-def write_table(path, params: dict, header, rows) -> None:
-    """Parameter echo, header and one line per row; cells formatted by ``_fmt``.
-
-    Rows whose cell types match the first row's go through one %-template,
-    which prints the same bytes as ``_fmt`` cell by cell.
-    """
-    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))]
-    lines.append(",".join(header))
-    kinds = template = None
-    for row in rows:
-        row = tuple(row)
-        if kinds is None:
-            # lists, not tuples: a tuple per row would park ~2000 freed
-            # tuples on the interpreter's free list for each row length
-            kinds = list(map(type, row))
-            template = _row_template(kinds)
-        if template is not None and list(map(type, row)) == kinds:
-            lines.append(template % row)
-        else:
-            lines.append(",".join(map(_fmt, row)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 class RunDir:

@@ -2,7 +2,8 @@
 
 Everything in this module is exact arithmetic: KL divergence and relative
 Fisher information between isotropic Gaussians, the solution maps of the
-heat and Ornstein-Uhlenbeck semigroups, the k-iteration law of the
+heat and Ornstein-Uhlenbeck semigroups (the forward half of a proximal
+sampler step is the heat channel at t = eta), the k-iteration law of the
 proximal sampling recursion for a centered Gaussian target, the
 multiplicative contraction envelopes for each channel, and the
 time-derivative identities that the test suite cross-checks against
@@ -27,7 +28,6 @@ __all__ = [
     "Heat",
     "OU",
     "Proximal",
-    "ProximalForward",
     "Channel",
     "HeatSLC",
     "HeatSLCPoincare",
@@ -72,12 +72,13 @@ class IsoGaussian:
         return self.mean.size
 
 
-# Each channel maps a law N(m, v I) to N(m_t, v_t I).  Besides the one-law
-# ``evolve``, it gives on a whole array of times the variance v_t of a law that
-# starts at v (``variance``) and the factor by which the squared distance of two
-# means and the difference of two variances contract (``contraction``).  ``c``
+# Each channel maps a law N(m, v I) to N(m_t, v_t I).  It gives on a whole
+# array of times the variance v_t of a law that starts at v (``variance``) and
+# the factor by which the squared distance of two means and the difference of
+# two variances contract (``contraction``).  Every contraction is exponential
+# in t, so a mean contracts by its square root, the contraction at t/2.  ``c``
 # is the Fokker-Planck diffusion coefficient and ``drift`` the OU rate; the
-# discrete proximal channels have neither.
+# discrete proximal channel has neither.
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,6 @@ class Heat:
 
     c = 1.0
     drift = 0.0
-
-    def evolve(self, g: IsoGaussian, t: float) -> IsoGaussian:
-        return IsoGaussian(g.mean, g.var + t)
 
     def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
         return var + ts
@@ -105,17 +103,11 @@ class OU:
     c = 2.0
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+        _require_positive(gamma=self.gamma)
 
     @property
     def drift(self) -> float:
         return self.gamma
-
-    def evolve(self, g: IsoGaussian, t: float) -> IsoGaussian:
-        decay = math.exp(-self.gamma * t)
-        var = decay**2 * g.var + (1.0 - decay**2) / self.gamma
-        return IsoGaussian(decay * g.mean, var)
 
     def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
         rate = -2.0 * self.gamma * ts
@@ -130,9 +122,7 @@ class Proximal:
     """The proximal recursion toward N(0, I/alpha); time is the iteration count k.
 
     With s = 1 + alpha eta, k steps of ``proximal_step`` map N(m, v I) to
-    N(s^-k m, (1/alpha + (v - 1/alpha) s^-2k) I).  s^-2k is taken as
-    exp(-2k log1p(alpha eta)): the power of the rounded s would multiply its
-    rounding error by 2k.
+    N(s^-k m, (1/alpha + (v - 1/alpha) s^-2k) I).
     """
 
     alpha: float
@@ -142,63 +132,51 @@ class Proximal:
     def __post_init__(self):
         _require_positive(alpha=self.alpha, eta=self.eta)
 
-    def evolve(self, g: IsoGaussian, k: float) -> IsoGaussian:
-        return IsoGaussian(g.mean * math.sqrt(float(self.contraction(k))),
-                           float(self.variance(g.var, k)))
-
     def variance(self, var: float, ks: np.ndarray) -> np.ndarray:
-        return 1.0 / self.alpha + (var - 1.0 / self.alpha) * self.contraction(ks)
+        rate = _prox_rate(self.alpha, self.eta, ks)
+        if var < 1.0 / self.alpha:  # v s^-2k + (1 - s^-2k)/alpha: the form below would cancel
+            return np.exp(rate) * var - np.expm1(rate) / self.alpha
+        return 1.0 / self.alpha + (var - 1.0 / self.alpha) * np.exp(rate)
 
     def contraction(self, ks: np.ndarray) -> np.ndarray:
-        return np.exp(-2.0 * np.asarray(ks, dtype=float) * math.log1p(self.alpha * self.eta))
+        return np.exp(_prox_rate(self.alpha, self.eta, ks))
 
 
-@dataclass(frozen=True)
-class ProximalForward:
-    """Forward half of one proximal-sampler iteration: add N(0, eta I).
-
-    The map is a single discrete step; the time argument of ``evolve`` is
-    ignored (kept for interface symmetry with the continuous channels).
-    """
-
-    eta: float
-    c = None  # a discrete step: no Fokker-Planck generator
-
-    def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
-
-    def evolve(self, g: IsoGaussian, t: float) -> IsoGaussian:
-        return IsoGaussian(g.mean, g.var + self.eta)
-
-    def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
-        return np.full_like(ts, var + self.eta)
-
-    def contraction(self, ts: np.ndarray) -> np.ndarray:
-        return np.ones_like(ts)
+def _prox_rate(alpha: float, eta: float, ks):
+    """log s^-2k = -2k log1p(alpha eta), s = 1 + alpha eta: a power of the
+    rounded s would multiply its rounding error by 2k."""
+    return -2.0 * np.asarray(ks, dtype=float) * math.log1p(alpha * eta)
 
 
-Channel = Union[Heat, OU, Proximal, ProximalForward]
+Channel = Union[Heat, OU, Proximal]
+_TINY = np.finfo(float).tiny  # the least normal double
 
 
 def evolve(g: IsoGaussian, channel: Channel, t: float) -> IsoGaussian:
-    """Push an isotropic Gaussian through a channel for time t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    return channel.evolve(g, t)
+    """Push an isotropic Gaussian through a channel for time t >= 0: N(m, v I)
+    goes to N(contraction(t/2) m, variance(v, t) I)."""
+    t = _check_time(t)
+    return IsoGaussian(g.mean * float(channel.contraction(t / 2.0)),
+                       float(channel.variance(g.var, t)))
 
 
 def _transported(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts):
-    """(vp, vq, shift2, dv) on ts: the evolved variances, and the squared mean
-    distance and variance difference, taken at t = 0 and contracted."""
+    """(vp, vq, shift2, dv, e) on ts: the evolved variances, and the squared
+    mean distance and variance difference, taken at t = 0 and contracted, over
+    2^e.  e is 0 unless the contraction underflows the normal doubles; there it
+    is the square of the mean's factor, taken as mant^2 2^e to keep its digits.
+    """
     _check_dims(p0, q0)
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise ValueError("times must be nonnegative")
     shrink = channel.contraction(ts)
+    mant, e = np.frexp(channel.contraction(ts / 2.0))
+    low = shrink < _TINY
+    shrink, e = np.where(low, mant * mant, shrink), np.where(low, 2 * e, 0)
     shift2 = shrink * float(np.dot(p0.mean - q0.mean, p0.mean - q0.mean))
     dv = shrink * (p0.var - q0.var)
-    return channel.variance(p0.var, ts), channel.variance(q0.var, ts), shift2, dv
+    return channel.variance(p0.var, ts), channel.variance(q0.var, ts), shift2, dv, e
 
 
 def fi_curve(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts) -> np.ndarray:
@@ -209,21 +187,26 @@ def fi_curve(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts) -> np.ndarr
     multiplicatively (they contract as e^{-gamma t} and e^{-2 gamma t}
     along OU, and are constant along the heat flow), so the curve stays
     accurate to a few ulp even where the differences underflow the
-    rounding of the evolved variances themselves.
+    rounding of the evolved variances themselves.  dv^2 is formed from the
+    mantissa of dv, so it does not underflow where FI is a normal double.
     """
-    vp, vq, shift2, dv = _transported(p0, q0, channel, ts)
-    return shift2 / vq**2 + p0.dim * dv * dv / (vp * vq**2)
+    vp, vq, shift2, dv, e = _transported(p0, q0, channel, ts)
+    mant, k = np.frexp(dv)
+    return (np.ldexp(shift2 / vq**2, e)
+            + np.ldexp(p0.dim * mant * mant / (vp * vq**2), 2 * (k + e)))
 
 
-# u - log1p(u) by its series sum_{k>=2} (-u)^k / k while |u| < _SERIES_CUT,
-# where the subtraction would cancel: the first dropped term is at most 1.1e-17
-# of the sum, and beyond the cut the direct form loses at most ~2e-15 relative.
+# u - log1p(u), u = ratio - 1: the series sum_{k>=2} (-u)^k / k while |u| <
+# _SERIES_CUT, where the subtraction would cancel (the first dropped term is at
+# most 1.1e-17 of the sum); beyond the cut the direct form, within ~2e-15, with
+# log(ratio) below u = -1/2, where 1 + u keeps fewer digits than the ratio.
 _SERIES_CUT = 0.1
 _SERIES_TERMS = 17
 
 
-def _u_minus_log1p(u: np.ndarray) -> np.ndarray:
-    out = u - np.log1p(u)
+def _u_minus_log1p(u: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    u = np.atleast_1d(u)
+    out = u - np.where(u < -0.5, np.log(ratio), np.log1p(u))
     small = np.abs(u) < _SERIES_CUT
     w = -u[small]
     acc = np.full_like(w, 1.0 / _SERIES_TERMS)
@@ -240,8 +223,9 @@ def kl_curve(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts) -> np.ndarr
     (v_p - v_q)/v_q; u is transported from t = 0 like fi_curve's variance
     difference, and u - log(1 + u) is summed as a series where it is small.
     """
-    vp, vq, shift2, dv = _transported(p0, q0, channel, ts)
-    return 0.5 * p0.dim * _u_minus_log1p(dv / vq) + shift2 / (2.0 * vq)
+    vp, vq, shift2, dv, e = _transported(p0, q0, channel, ts)
+    u = np.ldexp(dv / vq, e)
+    return 0.5 * p0.dim * _u_minus_log1p(u, vp / vq) + np.ldexp(shift2 / (2.0 * vq), e)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +238,12 @@ def _check_dims(p: IsoGaussian, q: IsoGaussian) -> None:
 
 
 def kl_divergence(p: IsoGaussian, q: IsoGaussian) -> float:
-    """KL(p || q) = d/2 (r - 1 - ln r) + |mp - mq|^2 / (2 vq), r = vp/vq."""
+    """KL(p || q) = d/2 (u - log(1 + u)) + |mp - mq|^2 / (2 vq), u = (vp - vq)/vq,
+    with u - log(1 + u) summed as ``kl_curve`` sums it."""
     _check_dims(p, q)
-    r = p.var / q.var
     shift = float(np.dot(p.mean - q.mean, p.mean - q.mean))
-    return 0.5 * p.dim * (r - 1.0 - math.log(r)) + shift / (2.0 * q.var)
+    u = (p.var - q.var) / q.var
+    return 0.5 * p.dim * float(_u_minus_log1p(u, p.var / q.var)[0]) + shift / (2.0 * q.var)
 
 
 def fisher_information(p: IsoGaussian, q: IsoGaussian) -> float:
@@ -286,10 +271,7 @@ def proximal_step(p: IsoGaussian, alpha: float, eta: float) -> IsoGaussian:
     N(m, v I) to N(m/(1+alpha eta), ((v - 1/alpha)/(1+alpha eta)^2 + 1/alpha) I).
     N(0, I/alpha) is an exact fixed point.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    _require_positive(alpha=alpha, eta=eta)
     shrink = 1.0 + alpha * eta
     var = (p.var - 1.0 / alpha) / shrink**2 + 1.0 / alpha
     return IsoGaussian(p.mean / shrink, var)
@@ -423,8 +405,7 @@ class ProxRate:
         _require_positive(alpha=self.alpha, eta=self.eta)
 
     def factor(self, k: float) -> float:
-        k = _check_time(k)
-        return (1.0 + self.alpha * self.eta) ** (-2.0 * k)
+        return float(np.exp(_prox_rate(self.alpha, self.eta, _check_time(k))))
 
 
 # ---------------------------------------------------------------------------

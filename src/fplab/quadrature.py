@@ -41,16 +41,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .gaussian import (
-    OU,
-    HeatPerturbed,
-    IsoGaussian,
-    OuSLC,
-    fi_curve,
-    fisher_information,
-    kl_curve,
-)
+from .gaussian import HeatPerturbed
 from .potentials import ScalarPotential, SpikeSpec, counterexample_potential, spike_potential
+from .svgplot import write_table
 
 __all__ = [
     "GaussHermiteRule",
@@ -70,7 +63,6 @@ __all__ = [
     "counterexample_initial_slope",
     "perturbed_bound_check",
     "gap_check",
-    "ou_trace_gaussian",
     "default_time_grid",
     "well_grid",
 ]
@@ -476,17 +468,10 @@ class ChannelTrace:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
-    def write_csv(self, path, params: Optional[dict] = None) -> None:
-        lines = []
-        if params:
-            echo = " ".join(f"{k}={v}" for k, v in params.items())
-            lines.append(f"# {echo}")
-        lines.append("t,fi,kl,bound")
-        for r in self.rows:
-            bound = "" if r.bound is None else f"{r.bound:.17g}"
-            lines.append(f"{r.t:.17g},{r.fi:.17g},{r.kl:.17g},{bound}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    def write_csv(self, path, params: dict) -> None:
+        """The t, fi, kl and bound columns under the echo of ``params``."""
+        write_table(path, params, ["t", "fi", "kl", "bound"],
+                    [(r.t, r.fi, r.kl, r.bound) for r in self.rows])
 
 
 def default_time_grid(t_min: float = 1e-3, t_max: float = 50.0, points: int = 60) -> np.ndarray:
@@ -660,37 +645,3 @@ def gap_check(spec: SpikeSpec, grid: EvalGrid):
     if fi < spec.fi_floor - 1e-6:
         raise GapBoundError(f"fi={fi!r} below floor={spec.fi_floor}", r_inf, fi)
     return r_inf, fi
-
-
-# ---------------------------------------------------------------------------
-# Closed-form OU trace
-
-
-def ou_trace_gaussian(
-    p0: IsoGaussian,
-    q0: IsoGaussian,
-    gamma: float,
-    t_grid: Sequence[float],
-    *,
-    alpha: Optional[float] = None,
-) -> ChannelTrace:
-    """FI/KL along the OU semigroup for a Gaussian pair, in closed form.
-
-    ``alpha`` is the declared strong-log-concavity modulus of q0 (default:
-    its exact precision 1/var); the attached bound column is the
-    matching OU envelope times fi(0), omitted when fi(0) = 0.
-    """
-    if alpha is None:
-        alpha = 1.0 / q0.var
-    if q0.var > 1.0 / alpha + 1e-12:
-        raise ValueError("declared alpha exceeds the actual log-concavity of q0")
-    channel = OU(gamma=gamma)
-    env = OuSLC(alpha=alpha, gamma=gamma)
-    fi0 = fisher_information(p0, q0)
-    ts = np.asarray(t_grid, dtype=float)
-    fis, kls = fi_curve(p0, q0, channel, ts), kl_curve(p0, q0, channel, ts)
-    rows = [
-        TraceRow(t, fi, kl, env.factor(t) * fi0 if fi0 > 0.0 else None)
-        for t, fi, kl in zip(ts.tolist(), fis.tolist(), kls.tolist())
-    ]
-    return ChannelTrace(rows=tuple(rows))

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import IsoGaussian, ProxRate, fisher_information, proximal_chain
+from .gaussian import IsoGaussian, Proximal, ProxRate, fi_curve, fisher_information
 from .potentials import SmoothPotential, minimize, prox_objective
 
 __all__ = [
@@ -97,10 +97,6 @@ class SamplerConfig:
         """Rejection-loop cap max(100, 50 * ceil(kappa^(d/2))): five times the
         floor 10 * ceil(kappa^(d/2)), so genuine stalls stay detectable."""
         return max(100, 50 * math.ceil(expected_trials_bound(self.eta, g.smoothness, g.dim)))
-
-    def validate_against(self, g: SmoothPotential) -> None:
-        if not self.eta * g.smoothness < 1.0:
-            raise ValueError("rejection sampling needs eta * smoothness < 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +184,6 @@ def run_chain(
     Deterministic given (cfg.seed, chain).  Samples are recorded after
     burn-in; trial counts are recorded for every iteration.
     """
-    cfg.validate_against(g)
     rng = chain_rng(cfg.seed, chain)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.size != g.dim:
@@ -213,17 +208,13 @@ def run_chain(
 def fi_certificate_gaussian(cfg: SamplerConfig, alpha: float, p0: IsoGaussian, k: int):
     """(fi_k, bound_k) for the closed-form Gaussian chain to N(0, I/alpha).
 
-    fi_k is the exact relative Fisher information of the k-th iterate law;
+    fi_k is the exact relative Fisher information of the k-th iterate law, by
+    ``fi_curve`` along ``Proximal`` as ``gaussian-rates --channel prox`` has it;
     bound_k = fi_0 / (1 + alpha eta)^(2k).  fi_k <= bound_k for all k, and
     fi_k (1+alpha eta)^(2k) converges to alpha^2 |m_0|^2 when m_0 != 0.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    channel = Proximal(alpha, cfg.eta)  # validates alpha before 1/alpha; fi_curve validates k
     target = IsoGaussian(np.zeros(p0.dim), 1.0 / alpha)
-    chain = proximal_chain(p0, alpha, cfg.eta, k)
-    fi_k = fisher_information(chain[-1], target)
-    fi_0 = fisher_information(p0, target)
-    bound_k = ProxRate(alpha=alpha, eta=cfg.eta).factor(k) * fi_0
+    fi_k = float(fi_curve(p0, target, channel, [k])[0])
+    bound_k = ProxRate(alpha=alpha, eta=cfg.eta).factor(k) * fisher_information(p0, target)
     return fi_k, bound_k

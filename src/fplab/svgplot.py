@@ -1,5 +1,6 @@
-"""Minimal SVG line charts, emitted as raw path elements.
+"""CSV tables and the SVG line charts drawn from them.
 
+``write_table`` writes every CSV and ``read_csv_columns`` parses it back.
 Charts are rendered from parsed CSV content only, so any plot can be
 regenerated offline from its CSV without rerunning the computation.
 """
@@ -9,11 +10,66 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-__all__ = ["read_csv_columns", "render_line_chart", "plot_csv"]
+import numpy as np
+
+__all__ = ["write_table", "read_csv_columns", "render_line_chart", "plot_csv"]
 
 _WIDTH, _HEIGHT = 720, 460
 _ML, _MR, _MT, _MB = 80, 20, 30, 50  # margins
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+
+def _fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    return "" if v is None else str(v)
+
+
+def _row_template(kinds) -> str | None:
+    """The %-template that formats a row of these cell types as ``_fmt`` would.
+
+    None when some cell has no fixed format (bool, None, str, ...).
+    """
+    fmts = []
+    for kind in kinds:
+        if issubclass(kind, (bool, np.bool_)):
+            return None
+        if issubclass(kind, (int, np.integer)):
+            fmts.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            fmts.append("%.17g")
+        else:
+            return None
+    return ",".join(fmts)
+
+
+def write_table(path, params: dict, header, rows) -> None:
+    """The ``# `` echo of ``params`` in sorted key order, the header, then one
+    line per row; every cell is formatted by ``_fmt``.
+
+    Rows whose cell types match the first row's go through one %-template,
+    which prints the same bytes as ``_fmt`` cell by cell.
+    """
+    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))]
+    lines.append(",".join(header))
+    kinds = template = None
+    for row in rows:
+        row = tuple(row)
+        if kinds is None:
+            # lists, not tuples: a tuple per row would park ~2000 freed
+            # tuples on the interpreter's free list for each row length
+            kinds = list(map(type, row))
+            template = _row_template(kinds)
+        if template is not None and list(map(type, row)) == kinds:
+            lines.append(template % row)
+        else:
+            lines.append(",".join(map(_fmt, row)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv_columns(path, columns: Optional[Sequence[str]] = None) -> dict:

@@ -10,8 +10,8 @@ import pytest
 
 import fplab as fp
 from fplab import cli, quadrature
-from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, _fmt, main, write_table
-from fplab.svgplot import plot_csv, read_csv_columns
+from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
+from fplab.svgplot import _fmt, plot_csv, read_csv_columns, write_table
 
 
 def run_cli(tmp_path, *args):
@@ -35,6 +35,8 @@ class TestGaussianRates:
         fi = np.array(cols["fi"])
         expect = 0.25 ** np.arange(51)
         assert np.max(np.abs(fi - expect) / expect) <= 1e-12
+        # var0 = 1/alpha: fi is fi(0) s^-2k, which the envelope computes the same way
+        assert cols["fi"] == cols["bound"]
 
     @pytest.mark.parametrize("m0", ["0", "0.5"])
     def test_prox_columns_match_50_digit_closed_form(self, tmp_path, m0):
@@ -420,6 +422,43 @@ class TestDriver:
         expect = ["# a= b=1.5 flag=True n=3 s=heat", ",".join(f"c{i}" for i in range(8))]
         expect += [",".join(_fmt(v) for v in row) for row in rows]
         assert path.read_text() == "\n".join(expect) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("gaussian-rates", "--channel", "heat", "--points", "5"),
+        ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
+        ("sampler", "--iters", "200"),
+        ("gap",),
+        ("proxgrad", "--k", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_every_csv_has_one_format(self, tmp_path, argv):
+        # the echo of the parameters in sorted key order, each value as _fmt
+        # prints it (the sampler's echo adds the step it resolved and the
+        # start's norm), the header, then cells that read_csv_columns parses
+        # back to the same text
+        assert run_cli(tmp_path, *argv, "--no-plot") == EXIT_OK
+        run_dir = only_run_dir(tmp_path, argv[0])
+        with open(os.path.join(run_dir, "manifest.json")) as fh:
+            params = json.load(fh)["parameters"]
+        resolved = {"eta", "x0_norm"} if argv[0] == "sampler" else set()
+        paths = [p for p in os.listdir(run_dir) if p.endswith(".csv")]
+        assert paths
+        for name in paths:
+            path = os.path.join(run_dir, name)
+            lines = open(path).read().splitlines()
+            assert lines[0].startswith("# "), name
+            echo = [tok.split("=", 1) for tok in lines[0][2:].split(" ")]
+            keys = [k for k, _ in echo]
+            assert keys == sorted(keys) and set(keys) == set(params) | resolved, name
+            for k, v in echo:
+                assert v == (_fmt(float(v)) if k in resolved else _fmt(params[k])), (name, k)
+            header = lines[1].split(",")
+            cols = read_csv_columns(path)
+            assert list(cols) == header, name
+            for i, line in enumerate(lines[2:]):
+                for cell, col in zip(line.split(","), header, strict=True):
+                    back = cols[col][i]
+                    assert (cell == "" and math.isnan(back)) or _fmt(back) == cell, (name, i, col)
+            assert all(len(c) == len(lines) - 2 for c in cols.values()), name
 
     def test_no_plot_suppresses_svg(self, tmp_path):
         run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10", "--no-plot")

@@ -48,6 +48,16 @@ class TestDivergences:
         p, q = make_pair(1.0, 1.0, 0.0, 1.0)
         assert fp.kl_divergence(p, q) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("ratio", [1.0 + 1e-9, 1.0 - 1e-6])
+    def test_kl_near_equal_variances_matches_50_digits(self, ratio):
+        # r - 1 - log(r) cancels here, to 1.6e-8 and 4.4e-11 relative
+        mp = pytest.importorskip("mpmath")
+        p, q = make_pair(0.0, 1.3 * ratio, 0.0, 1.3, d=2)
+        with mp.workdps(50):
+            r = mp.mpf(p.var) / mp.mpf(q.var)
+            exact = r - 1 - mp.log(r)  # d/2 = 1
+            assert abs((fp.kl_divergence(p, q) - exact) / exact) <= 1e-12
+
     def test_fi_identity(self):
         p, q = make_pair(0.7, 1.3, 0.7, 1.3)
         assert fp.fisher_information(p, q) == 0.0
@@ -97,12 +107,6 @@ class TestChannels:
         assert g.mean[0] == pytest.approx(1.5, abs=1e-14)
         assert g.var == pytest.approx(1.75, abs=1e-14)
 
-    def test_proximal_forward_ignores_time(self):
-        p = fp.IsoGaussian([1.0], 2.0)
-        for t in (0.0, 1.0, 9.0):
-            g = fp.evolve(p, fp.ProximalForward(0.5), t)
-            assert g.var == 2.5 and g.mean[0] == 1.0
-
     def test_proximal_is_the_step_recursion(self):
         p = fp.IsoGaussian([1.5, -0.4], 2.5)
         chan = fp.Proximal(0.7, 0.3)
@@ -118,8 +122,6 @@ class TestChannels:
     def test_bad_channel_params(self):
         with pytest.raises(ValueError):
             fp.OU(0.0)
-        with pytest.raises(ValueError):
-            fp.ProximalForward(-1.0)
         with pytest.raises(ValueError):
             fp.Proximal(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -166,6 +168,17 @@ class TestEnvelopes:
 
     def test_heat_slc_quarter(self):
         assert fp.HeatSLC(1.0).factor(1.0) == 0.25
+
+    @pytest.mark.parametrize("alpha, eta, k, bound", [(0.3, 0.07, 3000, 2e-13),
+                                                       (1.0, 1e-6, 10**6, 1e-12)])
+    def test_prox_rate_matches_50_digits(self, alpha, eta, k, bound):
+        # a power of the rounded 1 + alpha eta errs like k ulp: 5.5e-13 and
+        # 1.6e-10 at these points
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            exact = (1 + mp.mpf(alpha) * mp.mpf(eta)) ** (-2 * k)
+            assert abs((fp.ProxRate(alpha, eta).factor(k) - exact) / exact) <= bound
+        assert fp.ProxRate(alpha, eta).factor(k) == fp.Proximal(alpha, eta).contraction(k)
 
     def test_ou_alpha_equals_gamma(self):
         env = fp.OuSLC(1.3, 1.3)
@@ -234,9 +247,9 @@ class TestTimeDerivatives:
     def test_unsupported_channel(self):
         p, q = make_pair(0.0, 1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
-            fp.fi_time_derivative(p, q, fp.ProximalForward(0.5))
+            fp.fi_time_derivative(p, q, fp.Proximal(1.0, 0.5))
         with pytest.raises(ValueError):
-            fp.kl_time_derivative(p, q, fp.ProximalForward(0.5))
+            fp.kl_time_derivative(p, q, fp.Proximal(1.0, 0.5))
 
 
 def derivative_grid():
@@ -269,8 +282,7 @@ def test_de_bruijn_and_fi_derivative_match_finite_differences(channel):
 
 class TestFiCurve:
     @pytest.mark.parametrize(
-        "channel", [fp.Heat(), fp.OU(1.3), fp.ProximalForward(0.4), fp.Proximal(0.8, 0.5)],
-        ids=["heat", "ou", "prox-forward", "prox"],
+        "channel", [fp.Heat(), fp.OU(1.3), fp.Proximal(0.8, 0.5)], ids=["heat", "ou", "prox"],
     )
     def test_matches_pointwise_route_at_moderate_times(self, channel):
         p = fp.IsoGaussian([1.2, -0.3], 2.1)
@@ -314,9 +326,8 @@ def exact_fi_kl(mp, p, q, channel, t):
             dec2 = mp.exp(-2 * gamma * t)
             vp, vq = dec2 * vp + (1 - dec2) / gamma, dec2 * vq + (1 - dec2) / gamma
         else:
-            step = t if isinstance(channel, fp.Heat) else mp.mpf(channel.eta)
             dec2 = mp.mpf(1)
-            vp, vq = vp + step, vq + step
+            vp, vq = vp + t, vq + t
         shift2 = dec2 * sum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(p.mean, q.mean))
         r = vp / vq
         fi = shift2 / vq**2 + p.dim * (vp - vq) ** 2 / (vp * vq**2)
@@ -332,7 +343,7 @@ def max_rel_err(mp, values, exact):
 
 # (p0, q0, channel, ts): the README's OU case to t = 40, where the evolved
 # variances agree to ~1e-35; variance ratios 1 + 1e-9 and 1 + 1e-12 (tiny u
-# from t = 0 on); a mean shift; the heat flow to t = 1e6; the proximal step
+# from t = 0 on); a mean shift; the heat flow to t = 1e6
 CURVE_CASES = {
     "ou-narrow-rho": (([0.0], 0.01), ([0.0], 10.0), fp.OU(1.0), np.linspace(0.0, 40.0, 201)),
     "ou-tiny-u": (([0.0], 1.0 + 1e-12), ([0.0], 1.0), fp.OU(1.0), np.linspace(0.0, 20.0, 41)),
@@ -341,7 +352,6 @@ CURVE_CASES = {
     "heat-tiny-u": (([0.0], 1.0), ([0.0], 1.0 + 1e-9), fp.Heat(), np.linspace(0.0, 10.0, 41)),
     "heat-shifted-long": (([-0.5], 0.8), ([0.0], 1.3), fp.Heat(),
                           np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 40)])),
-    "prox-forward": (([0.3], 1.5), ([0.0], 0.7), fp.ProximalForward(0.4), np.linspace(0.0, 3.0, 7)),
 }
 
 
@@ -363,7 +373,7 @@ class TestKlCurve:
 
         u = np.array([-0.9, -0.1 - 1e-12, -0.1, -0.1 + 1e-12, -1e-3, -1e-150, 0.0, 1e-300,
                       1e-8, 0.05, 0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.5, 3.0, 1e6])
-        got = _u_minus_log1p(u)
+        got = _u_minus_log1p(u, 1.0 + u)
         for ui, gi in zip(u, got):
             if ui == 0.0:
                 assert gi == 0.0
@@ -377,6 +387,70 @@ class TestKlCurve:
     def test_identical_pair_is_zero(self):
         p = fp.IsoGaussian([0.4], 2.0)
         assert np.all(fp.kl_curve(p, p, fp.OU(1.0), [0.0, 1.0, 30.0]) == 0.0)
+
+
+class TestOuCurves:
+    """The OU rows of ``gaussian-rates --channel ou``: fi_curve, kl_curve and
+    the OuSLC envelope for centered and shifted Gaussian pairs."""
+
+    def test_identical_pair_flat_zero(self):
+        p = fp.IsoGaussian([0.0], 2.0)
+        ts = [0.0, 0.5, 1.0]
+        assert np.all(fp.fi_curve(p, p, fp.OU(1.0), ts) == 0.0)
+        assert np.all(fp.kl_curve(p, p, fp.OU(1.0), ts) == 0.0)
+        assert fp.fisher_information(p, p) == 0.0  # so the CLI writes no bound
+
+    def test_initial_rise_when_rho_flatter_than_threshold(self):
+        # rise at t=0 iff beta < gamma - 2 alpha (precisions); here 0.25 < 0.8
+        p0 = fp.IsoGaussian([0.0], 1.0 / 0.25)
+        q0 = fp.IsoGaussian([0.0], 1.0 / 0.1)
+        fi = fp.fi_curve(p0, q0, fp.OU(1.0), np.linspace(0.0, 6.0, 200))
+        assert fi[1] > fi[0]
+        assert fi[-1] < fi.max()  # eventual decay after the hump
+
+    def test_narrow_rho_case_is_monotone_decreasing(self):
+        # precisions (beta, alpha) = (100, 0.1): the Hessian term dominates
+        # and FI decreases from t = 0 on
+        p0 = fp.IsoGaussian([0.0], 0.01)
+        q0 = fp.IsoGaussian([0.0], 10.0)
+        fi = fp.fi_curve(p0, q0, fp.OU(1.0), np.linspace(0.0, 6.0, 200))
+        assert np.all(np.diff(fi) < 0.0)
+
+    def test_kl_column_cancellation_free(self):
+        # both columns come from the transported-difference curves: at t = 40
+        # the evolved variances agree to ~1e-35, yet KL keeps full accuracy
+        mp = pytest.importorskip("mpmath")
+        p0 = fp.IsoGaussian([0.0], 0.01)
+        q0 = fp.IsoGaussian([0.0], 10.0)
+        ts = np.linspace(0.0, 40.0, 81)
+        fis, kls = fp.fi_curve(p0, q0, fp.OU(1.0), ts), fp.kl_curve(p0, q0, fp.OU(1.0), ts)
+        with mp.workdps(50):
+            for t, fi_t, kl_t in zip(ts, fis, kls):
+                dec2 = mp.exp(-2 * mp.mpf(t))
+                vp, vq = dec2 / 100 + (1 - dec2), dec2 * 10 + (1 - dec2)
+                fi = (vp - vq) ** 2 / (vp * vq**2)
+                kl = (vp / vq - 1 - mp.log(vp / vq)) / 2
+                assert abs((fi_t - fi) / fi) <= 1e-12
+                assert abs((kl_t - kl) / kl) <= 1e-12
+
+    def test_quartic_decay_scale_converges(self):
+        # the scale settles like (gamma/alpha) e^{-2 gamma t}, so the 1e-4
+        # band opens up from t ~ 7 for these precisions
+        gamma, beta, alpha = 1.0, 0.25, 0.1
+        p0 = fp.IsoGaussian([0.0], 1.0 / beta)
+        q0 = fp.IsoGaussian([0.0], 1.0 / alpha)
+        ts = np.linspace(7.0, 12.0, 20)
+        scaled = fp.fi_curve(p0, q0, fp.OU(gamma), ts) * np.exp(4.0 * gamma * ts)
+        limit = gamma**3 * (1.0 / beta - 1.0 / alpha) ** 2
+        assert np.all(np.abs(scaled / limit - 1.0) < 1e-4)
+
+    def test_bound_dominates(self):
+        p0 = fp.IsoGaussian([1.0], 3.0)
+        q0 = fp.IsoGaussian([0.0], 2.0)
+        ts = np.linspace(0.0, 8.0, 100)
+        env, fi0 = fp.OuSLC(alpha=1.0 / q0.var, gamma=0.7), fp.fisher_information(p0, q0)
+        for t, fi in zip(ts, fp.fi_curve(p0, q0, fp.OU(0.7), ts)):
+            assert fi <= env.factor(t) * fi0 * (1 + 1e-12)
 
 
 class TestContractionDomination:
@@ -454,9 +528,10 @@ class TestContractionDomination:
             alpha, eta = rng.uniform(0.2, 3.0), rng.uniform(0.1, 2.0)
             p = fp.IsoGaussian([rng.uniform(-3, 3)], rng.uniform(0.2, 4.0))
             q = fp.IsoGaussian([0.0], 1.0 / alpha)
-            chan = fp.ProximalForward(eta)
+            # the forward half of a proximal step is the heat channel at t = eta
             fi_before = fp.fisher_information(p, q)
-            fi_after = fp.fisher_information(fp.evolve(p, chan, 0.0), fp.evolve(q, chan, 0.0))
+            pt, qt = fp.evolve(p, fp.Heat(), eta), fp.evolve(q, fp.Heat(), eta)
+            fi_after = fp.fisher_information(pt, qt)
             assert fi_after <= fi_before / (1.0 + alpha * eta) ** 2 * (1 + 1e-12)
 
 

@@ -462,73 +462,6 @@ class TestGapCheck:
             fp.gap_check(doctored, grid)
 
 
-class TestOuTraceGaussian:
-    def test_identical_pair_flat_zero(self):
-        p = fp.IsoGaussian([0.0], 2.0)
-        trace = fp.ou_trace_gaussian(p, p, 1.0, [0.0, 0.5, 1.0])
-        assert np.all(trace.column("fi") == 0.0)
-        assert all(r.bound is None for r in trace.rows)
-
-    def test_initial_rise_when_rho_flatter_than_threshold(self):
-        # rise at t=0 iff beta < gamma - 2 alpha (precisions); here 0.25 < 0.8
-        p0 = fp.IsoGaussian([0.0], 1.0 / 0.25)
-        q0 = fp.IsoGaussian([0.0], 1.0 / 0.1)
-        trace = fp.ou_trace_gaussian(p0, q0, 1.0, np.linspace(0.0, 6.0, 200))
-        fi = trace.column("fi")
-        assert fi[1] > fi[0]
-        assert fi[-1] < fi.max()  # eventual decay after the hump
-
-    def test_narrow_rho_case_is_monotone_decreasing(self):
-        # precisions (beta, alpha) = (100, 0.1): the Hessian term dominates
-        # and FI decreases from t = 0 on
-        p0 = fp.IsoGaussian([0.0], 0.01)
-        q0 = fp.IsoGaussian([0.0], 10.0)
-        trace = fp.ou_trace_gaussian(p0, q0, 1.0, np.linspace(0.0, 6.0, 200))
-        fi = trace.column("fi")
-        assert np.all(np.diff(fi) < 0.0)
-
-    def test_kl_column_cancellation_free(self):
-        # both columns come from the transported-difference curves: at t = 40
-        # the evolved variances agree to ~1e-35, yet KL keeps full accuracy
-        mp = pytest.importorskip("mpmath")
-        p0 = fp.IsoGaussian([0.0], 0.01)
-        q0 = fp.IsoGaussian([0.0], 10.0)
-        trace = fp.ou_trace_gaussian(p0, q0, 1.0, np.linspace(0.0, 40.0, 81))
-        with mp.workdps(50):
-            for r in trace.rows:
-                dec2 = mp.exp(-2 * mp.mpf(r.t))
-                vp, vq = dec2 / 100 + (1 - dec2), dec2 * 10 + (1 - dec2)
-                fi = (vp - vq) ** 2 / (vp * vq**2)
-                kl = (vp / vq - 1 - mp.log(vp / vq)) / 2
-                assert abs((r.fi - fi) / fi) <= 1e-12
-                assert abs((r.kl - kl) / kl) <= 1e-12
-
-    def test_quartic_decay_scale_converges(self):
-        # the scale settles like (gamma/alpha) e^{-2 gamma t}, so the 1e-4
-        # band opens up from t ~ 7 for these precisions
-        gamma, beta, alpha = 1.0, 0.25, 0.1
-        p0 = fp.IsoGaussian([0.0], 1.0 / beta)
-        q0 = fp.IsoGaussian([0.0], 1.0 / alpha)
-        ts = np.linspace(7.0, 12.0, 20)
-        trace = fp.ou_trace_gaussian(p0, q0, gamma, ts)
-        scaled = trace.column("fi") * np.exp(4.0 * gamma * ts)
-        limit = gamma**3 * (1.0 / beta - 1.0 / alpha) ** 2
-        assert np.all(np.abs(scaled / limit - 1.0) < 1e-4)
-
-    def test_bound_dominates(self):
-        p0 = fp.IsoGaussian([1.0], 3.0)
-        q0 = fp.IsoGaussian([0.0], 2.0)
-        trace = fp.ou_trace_gaussian(p0, q0, 0.7, np.linspace(0.0, 8.0, 100))
-        for r in trace.rows:
-            assert r.fi <= r.bound * (1 + 1e-12)
-
-    def test_alpha_declaration_validated(self):
-        p0 = fp.IsoGaussian([0.0], 1.0)
-        q0 = fp.IsoGaussian([0.0], 2.0)
-        with pytest.raises(ValueError):
-            fp.ou_trace_gaussian(p0, q0, 1.0, [0.0, 1.0], alpha=1.0)
-
-
 class TestHeatDpiViaHandles:
     def test_log_concave_target_monotone_fi(self):
         # nu0 = N(0,4) is log-concave; FI rows along the heat flow must be

@@ -33,8 +33,8 @@ class TestConfig:
     def test_step_size_validity_checked(self):
         g = fp.quadratic_potential(2, 1.0)
         cfg = fp.SamplerConfig(eta=1.5, iters=10, seed=0)
-        with pytest.raises(ValueError):
-            cfg.validate_against(g)
+        with pytest.raises(ValueError, match="eta \\* smoothness < 1"):
+            fp.run_chain(g, np.zeros(2), cfg)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
