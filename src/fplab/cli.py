@@ -101,53 +101,39 @@ class RunDir:
             raise RuntimeError(f"declared outputs missing or empty: {missing}")
 
 
-def _merge(defaults: dict, config_path, flags: dict) -> dict:
-    params = dict(defaults)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {config_path!r}: {exc}") from exc
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        params.update(loaded)
-    params.update({k: v for k, v in flags.items() if v is not None})
-    return params
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _number(params: dict, name: str) -> float:
-    """params[name] as a finite float, or a usage error naming its flag."""
+def _number(flag: str, value) -> float:
+    """value as a finite float, or a usage error naming its flag."""
     try:
-        value = float(params[name])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{_flag(name)} must be a number") from exc
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{flag} must be a number") from exc
     if not math.isfinite(value):
-        raise UsageError(f"{_flag(name)} must be finite")
+        raise UsageError(f"{flag} must be finite")
     return value
 
 
-def _positive(params: dict, name: str) -> float:
-    value = _number(params, name)
+def _positive(flag: str, value) -> float:
+    value = _number(flag, value)
     if not value > 0.0:
-        raise UsageError(f"{_flag(name)} must be positive")
+        raise UsageError(f"{flag} must be positive")
     return value
 
 
-def _count(params: dict, name: str, least: int = 0) -> int:
-    """params[name] as an integer >= least, or a usage error naming its flag."""
-    try:
-        value = int(params[name])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{_flag(name)} must be an integer") from exc
-    if value < least:
-        raise UsageError(f"{_flag(name)} must be at least {least}")
-    return value
+def _count(least: int):
+    """The check of an integer flag whose least valid value is ``least``."""
+    def check(flag: str, value) -> int:
+        try:
+            value = int(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"{flag} must be an integer") from exc
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}")
+        return value
+    return check
 
 
 def _dominates(fi, bound) -> bool:
@@ -158,47 +144,29 @@ def _dominates(fi, bound) -> bool:
 # gaussian-rates
 
 
-_GAUSSIAN_DEFAULTS = {
-    "channel": None,
-    "alpha": 1.0,
-    "gamma": 1.0,
-    "beta": None,
-    "s": 2.0,
-    "m": 0.0,
-    "m0": 1.0,
-    "var0": 1.0,
-    "eta": 1.0,
-    "k": 50,
-    "t_max": 10.0,
-    "points": 201,
-    "no_plot": False,
-}
-
-
 def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
-    channel = params["channel"]
+    channel, alpha, beta = params["channel"], params["alpha"], params["beta"]
     if channel not in ("heat", "ou", "prox"):
         raise UsageError("--channel must be heat, ou, or prox")
-    alpha = _positive(params, "alpha")
     q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
     if channel == "prox":
-        eta = _positive(params, "eta")
-        ts = np.arange(_count(params, "k") + 1)  # integer k: the t column prints as %d
-        p0 = ga.IsoGaussian([_number(params, "m0")], _positive(params, "var0"))
+        eta = params["eta"]
+        ts = np.arange(params["k"] + 1)  # integer k: the t column prints as %d
+        p0 = ga.IsoGaussian([params["m0"]], params["var0"])
         chan = ga.Proximal(alpha, eta)
         env = ga.ProxRate(alpha=alpha, eta=eta)
     else:
-        m = _number(params, "m")
-        ts = np.linspace(0.0, _positive(params, "t_max"), _count(params, "points", 1))
+        m = params["m"]
+        ts = np.linspace(0.0, params["t_max"], params["points"])
         if channel == "heat":
-            s = _positive(params, "s")
+            s = params["s"]
             p0 = ga.IsoGaussian([m], s)
             chan = ga.Heat()
-            beta = 1.0 / s if params["beta"] is None else _positive(params, "beta")
+            beta = 1.0 / s if beta is None else beta
             env = ga.HeatSLCPoincare(alpha, beta) if m == 0.0 else ga.HeatSLC(alpha)
         else:
-            gamma = _positive(params, "gamma")
-            beta = 1.0 if params["beta"] is None else _positive(params, "beta")
+            gamma = params["gamma"]
+            beta = 1.0 if beta is None else beta
             p0 = ga.IsoGaussian([m], 1.0 / beta)
             chan = ga.OU(gamma=gamma)
             env = (
@@ -225,26 +193,13 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
 # counterexample
 
 
-_COUNTER_DEFAULTS = {
-    "M": 2.0,
-    "L": 2.0,
-    "t_min": 1e-3,
-    "t_max": 50.0,
-    "t_points": 60,
-    "grid_step": 1e-3,
-    "no_plot": False,
-}
-
-
 def cmd_counterexample(params: dict, run: RunDir) -> int:
-    m_big, halfwidth = float(params["M"]), float(params["L"])
+    m_big, halfwidth, step = params["M"], params["L"], params["grid_step"]
     if m_big < 2.0 or halfwidth < 2.0:
         raise UsageError("need --M >= 2 and --L >= 2")
-    t_min, t_max = float(params["t_min"]), float(params["t_max"])
-    if not 0.0 < t_min < t_max < math.inf:
-        raise UsageError("need 0 < --t-min < --t-max < inf")
-    t_points, step = _count(params, "t_points"), _positive(params, "grid_step")
-    t_grid = quadrature.default_time_grid(t_min, t_max, t_points)
+    if not 0.0 < params["t_min"] < params["t_max"]:
+        raise UsageError("need 0 < --t-min < --t-max")
+    t_grid = quadrature.default_time_grid(params["t_min"], params["t_max"], params["t_points"])
     for t in t_grid:
         try:
             quadrature.well_grid(t, halfwidth, step)
@@ -304,37 +259,22 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
 # sampler
 
 
-_SAMPLER_DEFAULTS = {
-    "d": 5,
-    "alpha": 1.0,
-    "L": 1.0,
-    "eta": "auto",
-    "iters": 20000,
-    "seed": 7,
-    "burn_in": None,
-    "record_every": None,
-    "no_plot": False,
-}
-
-
 def cmd_sampler(params: dict, run: RunDir) -> int:
-    d = _count(params, "d", 1)
-    alpha, L = _positive(params, "alpha"), _positive(params, "L")
+    d, alpha, L = params["d"], params["alpha"], params["L"]
     if alpha != L:
         raise UsageError("the quadratic target has a single curvature: pass --alpha == --L")
     # max(d, 2): at d = 1 the step 1/(d L) would give eta L = 1, outside (0, 1)
-    eta = 1.0 / (max(d, 2) * L) if params["eta"] == "auto" else _positive(params, "eta")
+    eta = 1.0 / (max(d, 2) * L) if params["eta"] == "auto" else _positive("--eta", params["eta"])
     if not 0.0 < eta * L < 1.0:
         raise UsageError("need 0 < eta * L < 1 for rejection sampling")
-    iters = _count(params, "iters", 1)
-    seed = _count(params, "seed")
+    iters, seed = params["iters"], params["seed"]
     if seed >= 2**64:
         raise UsageError("--seed must fit in 64 unsigned bits")
-    burn_in = None if params["burn_in"] is None else _count(params, "burn_in")
-    if burn_in is not None and burn_in >= iters:
-        raise UsageError("--burn-in must be below --iters")
-    every = _count(params, "record_every", 1) if params["record_every"] else max(1, iters // 1000)
-    cfg = sampler.SamplerConfig(eta=eta, iters=iters, seed=seed, burn_in=burn_in)
+    burn = iters // 4 if params["burn_in"] is None else params["burn_in"]
+    if iters - burn < 2:  # the variance check needs two kept samples
+        raise UsageError("need --iters - --burn-in >= 2 (--burn-in defaults to --iters // 4)")
+    every = max(1, iters // 1000) if params["record_every"] is None else params["record_every"]
+    cfg = sampler.SamplerConfig(eta=eta, iters=iters, seed=seed, burn_in=burn)
     target = potentials.quadratic_potential(d, alpha)
     # stream 1 seeds the stationary start; stream 0 drives the chain itself
     x0 = sampler.chain_rng(seed, 1).standard_normal(d) / math.sqrt(alpha)
@@ -370,7 +310,6 @@ def cmd_sampler(params: dict, run: RunDir) -> int:
     cum_sq = np.cumsum(out.samples**2, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         cum_var = (cum_sq - counts * cum_mean**2) / np.maximum(counts - 1, 1)
-    burn = cfg.resolved_burn_in()
     rows = []
     for i in range(0, n, every):
         k = burn + i
@@ -392,19 +331,10 @@ def cmd_sampler(params: dict, run: RunDir) -> int:
 # gap
 
 
-_GAP_DEFAULTS = {
-    "eps": 0.5,
-    "fi_floor": 10.0,
-    "grid_step": 2e-4,
-    "no_plot": False,
-}
-
-
 def cmd_gap(params: dict, run: RunDir) -> int:
-    eps, fi_floor = _number(params, "eps"), _number(params, "fi_floor")
+    eps, fi_floor, step = params["eps"], params["fi_floor"], params["grid_step"]
     if not (0.0 < eps < 1.0 < fi_floor):
         raise UsageError("need 0 < --eps < 1 < --fi-floor")
-    step = _positive(params, "grid_step")
     spec = potentials.spike_spec(eps, fi_floor)
     half = spec.a + 12.0
     try:
@@ -440,19 +370,8 @@ def cmd_gap(params: dict, run: RunDir) -> int:
 # proxgrad
 
 
-_PROXGRAD_DEFAULTS = {
-    "eta": 1.0,
-    "k": 25,
-    "t_end": 5.0,
-    "dt": 0.01,
-    "no_plot": False,
-}
-
-
 def cmd_proxgrad(params: dict, run: RunDir) -> int:
-    eta, dt = _positive(params, "eta"), _positive(params, "dt")
-    k_max = _count(params, "k")
-    t_end = _number(params, "t_end")
+    eta, dt, k_max, t_end = params["eta"], params["dt"], params["k"], params["t_end"]
     if t_end < 0.0:
         raise UsageError("--t-end must be nonnegative")
     code = EXIT_OK
@@ -508,12 +427,33 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
 # driver
 
 
-_SUBCOMMANDS = {
-    "gaussian-rates": (_GAUSSIAN_DEFAULTS, cmd_gaussian_rates),
-    "counterexample": (_COUNTER_DEFAULTS, cmd_counterexample),
-    "sampler": (_SAMPLER_DEFAULTS, cmd_sampler),
-    "gap": (_GAP_DEFAULTS, cmd_gap),
-    "proxgrad": (_PROXGRAD_DEFAULTS, cmd_proxgrad),
+# Each subcommand's function and flags: per flag (dashes as underscores) the
+# check its value passes before the command runs, or None where the command
+# reads the value itself, and its default.  The parser, the defaults and the
+# keys a --config file may set all come from this table.
+_COMMANDS = {
+    "gaussian-rates": (cmd_gaussian_rates, {
+        "channel": (None, None), "alpha": (_positive, 1.0), "gamma": (_positive, 1.0),
+        "beta": (_positive, None), "s": (_positive, 2.0), "m": (_number, 0.0),
+        "m0": (_number, 1.0), "var0": (_positive, 1.0), "eta": (_positive, 1.0),
+        "k": (_count(0), 50), "t_max": (_positive, 10.0), "points": (_count(1), 201),
+    }),
+    "counterexample": (cmd_counterexample, {
+        "M": (_number, 2.0), "L": (_number, 2.0), "t_min": (_number, 1e-3),
+        "t_max": (_number, 50.0), "t_points": (_count(0), 60), "grid_step": (_positive, 1e-3),
+    }),
+    "sampler": (cmd_sampler, {
+        "d": (_count(1), 5), "alpha": (_positive, 1.0), "L": (_positive, 1.0),
+        "eta": (None, "auto"), "iters": (_count(1), 20000), "seed": (_count(0), 7),
+        "burn_in": (_count(0), None), "record_every": (_count(1), None),
+    }),
+    "gap": (cmd_gap, {
+        "eps": (_number, 0.5), "fi_floor": (_number, 10.0), "grid_step": (_positive, 2e-4),
+    }),
+    "proxgrad": (cmd_proxgrad, {
+        "eta": (_positive, 1.0), "k": (_count(0), 25), "t_end": (_number, 5.0),
+        "dt": (_positive, 0.01),
+    }),
 }
 
 
@@ -522,44 +462,47 @@ def _build_parser() -> _Parser:
     """The CLI's parser, built once per process; each parse gets a fresh namespace."""
     parser = _Parser(prog="fplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand")
-    specs = {
-        "gaussian-rates": [
-            ("--channel", str), ("--alpha", float), ("--gamma", float), ("--beta", float),
-            ("--s", float), ("--m", float), ("--m0", float), ("--var0", float),
-            ("--eta", float), ("--k", int), ("--t-max", float), ("--points", int),
-        ],
-        "counterexample": [
-            ("--M", float), ("--L", float), ("--t-min", float), ("--t-max", float),
-            ("--t-points", int), ("--grid-step", float),
-        ],
-        "sampler": [
-            ("--d", int), ("--alpha", float), ("--L", float), ("--eta", str),
-            ("--iters", int), ("--seed", int), ("--burn-in", int), ("--record-every", int),
-        ],
-        "gap": [("--eps", float), ("--fi-floor", float), ("--grid-step", float)],
-        "proxgrad": [("--eta", float), ("--k", int), ("--t-end", float), ("--dt", float)],
-    }
-    for name, opts in specs.items():
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, typ in opts:
-            p.add_argument(flag, type=typ, default=None)
-        p.add_argument("--no-plot", action="store_const", const=True, default=None)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out-dir", type=str, default="./out")
+        for flag in flags:
+            p.add_argument(_flag(flag))
+        p.add_argument("--no-plot", action="store_const", const=True)
+        p.add_argument("--config")
+        p.add_argument("--out-dir", default="./out")
     return parser
+
+
+def _params(flags: dict, args: argparse.Namespace) -> dict:
+    """Defaults < ``--config`` file < command line, each value that is not
+    None passed once through its flag's check."""
+    params = {name: default for name, (_, default) in flags.items()} | {"no_plot": False}
+    config_path = args.config
+    if config_path:
+        try:
+            with open(config_path) as fh:
+                loaded = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {config_path!r}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config {config_path!r} must hold a JSON object")
+        unknown = set(loaded) - set(params)
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        params.update(loaded)
+    params.update({k: v for k, v in vars(args).items() if k in params and v is not None})
+    for name, (check, _) in flags.items():
+        if check is not None and params[name] is not None:
+            params[name] = check(_flag(name), params[name])
+    return params
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if not args.subcommand:
-            raise UsageError("a subcommand is required (one of: " + ", ".join(_SUBCOMMANDS) + ")")
-        defaults, fn = _SUBCOMMANDS[args.subcommand]
-        flags = {
-            k: v for k, v in vars(args).items()
-            if k not in ("subcommand", "config", "out_dir")
-        }
-        params = _merge(defaults, args.config, flags)
+            raise UsageError("a subcommand is required (one of: " + ", ".join(_COMMANDS) + ")")
+        fn, flags = _COMMANDS[args.subcommand]
+        params = _params(flags, args)
         run = RunDir(args.out_dir, args.subcommand, params)
         code = fn(params, run)
         run.finish()

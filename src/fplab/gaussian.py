@@ -187,13 +187,14 @@ def fi_curve(p0: IsoGaussian, q0: IsoGaussian, channel: Channel, ts) -> np.ndarr
     multiplicatively (they contract as e^{-gamma t} and e^{-2 gamma t}
     along OU, and are constant along the heat flow), so the curve stays
     accurate to a few ulp even where the differences underflow the
-    rounding of the evolved variances themselves.  dv^2 is formed from the
-    mantissa of dv, so it does not underflow where FI is a normal double.
+    rounding of the evolved variances themselves.  (dv / vq)^2 is formed from
+    the mantissa of dv / vq: dividing before squaring keeps it finite at large
+    variances, and the mantissa keeps it from underflowing where FI is normal.
     """
     vp, vq, shift2, dv, e = _transported(p0, q0, channel, ts)
-    mant, k = np.frexp(dv)
-    return (np.ldexp(shift2 / vq**2, e)
-            + np.ldexp(p0.dim * mant * mant / (vp * vq**2), 2 * (k + e)))
+    mant, k = np.frexp(dv / vq)
+    return (np.ldexp(shift2 / vq / vq, e)
+            + np.ldexp(p0.dim * mant * mant / vp, 2 * (k + e)))
 
 
 # u - log1p(u), u = ratio - 1: the series sum_{k>=2} (-u)^k / k while |u| <
@@ -252,12 +253,11 @@ def fisher_information(p: IsoGaussian, q: IsoGaussian) -> float:
     For isotropic Gaussians the score difference is affine and the
     expectation is exact:
 
-        FI = |mp - mq|^2 / vq^2 + d (vp - vq)^2 / (vp vq^2).
+        FI = |mp - mq|^2 / vq^2 + d (vp - vq)^2 / (vp vq^2),
+
+    formed as ``fi_curve`` forms it at t = 0.
     """
-    _check_dims(p, q)
-    shift = float(np.dot(p.mean - q.mean, p.mean - q.mean))
-    dv = p.var - q.var
-    return shift / q.var**2 + p.dim * dv * dv / (p.var * q.var**2)
+    return float(fi_curve(p, q, Heat(), [0.0])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -596,13 +596,7 @@ def counterexample_initial_slope(m_big: float, halfwidth: float) -> float:
 
 
 def perturbed_bound_check(
-    m_big: float,
-    halfwidth: float,
-    t_grid: Sequence[float],
-    *,
-    order: Optional[int] = None,
-    step: float = 1e-3,
-    threads: Optional[int] = None,
+    m_big: float, halfwidth: float, t_grid: Sequence[float], *, step: float = 1e-3
 ) -> ChannelTrace:
     """Counterexample trace with the perturbed heat-flow envelope attached.
 
@@ -612,9 +606,7 @@ def perturbed_bound_check(
     the quadrature or the envelope transcription is at fault, and judging
     that is the caller's job, so the trace is always complete.
     """
-    trace = counterexample_trace(
-        m_big, halfwidth, t_grid, order=order, step=step, threads=threads
-    )
+    trace = counterexample_trace(m_big, halfwidth, t_grid, step=step)
     env = HeatPerturbed(alpha=1.0, lip=(m_big + 1.0) * halfwidth)
     fi0 = trace.rows[0].fi
     return ChannelTrace(rows=tuple(r._replace(bound=env.factor(r.t) * fi0) for r in trace.rows))

@@ -3,7 +3,8 @@
 ``gaussian-rates`` accepts: rates, variances and steps from 1e-6 to 1e6,
 means up to 1e6 in size, t up to 1e6 and k up to 10^4, including times at
 which the curves fall below 1e-300 and variance ratios within 1e-3 of the
-0.1 cut of ``kl_curve``'s series.
+0.1 cut of ``kl_curve``'s series; explicit examples reach variances of
+1e150 and 1e300.
 
 The bound is 1e-12 relative wherever the exact value is a normal double.
 """
@@ -128,6 +129,9 @@ def test_evolve_matches_closed_form(case, m, v):
          vq=2e-3, d=1)
 # vp / vq = 1e-6: 1 + u, u = (vp - vq) / vq, keeps only 10 of its digits
 @example(case=(fp.Heat(), [0.0]), mp_=0.0, mq=0.0, vp=1e-3, vq=1e3, d=1)
+# variances past 1e154, where vq^2 and vp vq^2 overflow though FI is normal
+@example(case=(fp.Heat(), [0.0, 1e6]), mp_=1e6, mq=0.0, vp=2e150, vq=1e150, d=2)
+@example(case=(fp.OU(1e-3), [0.0, 1.0]), mp_=0.0, mq=0.0, vp=2e300, vq=1e300, d=1)
 def test_fi_and_kl_curves_match_closed_form(case, mp_, mq, vp, vq, d):
     chan, ts = case
     p, q = pair(mp_, vp, mq, vq, d)

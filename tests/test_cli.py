@@ -352,12 +352,27 @@ class TestDriver:
         cfg.write_text(json.dumps({"epsilon": 0.3}))
         assert main(["gap", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("sub, text", [
+        ("counterexample", '{"M": "two"}'), ("sampler", '{"iters": Infinity}'), ("gap", "5"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, sub, text, capsys):
+        # a config value passes the check of its flag, as the same text on
+        # the command line would
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main([sub, "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "usage error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ("gap", "--grid-step", "0"), ("gap", "--grid-step", "1"),
         ("gaussian-rates", "--channel", "heat", "--t-max", "-1"),
         ("gaussian-rates", "--channel", "heat", "--points", "0"),
         ("sampler", "--iters", "0"), ("sampler", "--iters", "10", "--burn-in", "20"),
         ("proxgrad", "--dt", "0"), ("proxgrad", "--k", "-1"),
+        ("counterexample", "--M", "nan"), ("counterexample", "--L", "inf"),
+        ("sampler", "--record-every", "0"), ("sampler", "--iters", "1"),
+        ("sampler", "--iters", "4", "--burn-in", "3"),
+        ("gaussian-rates", "--channel", "heat", "--eta", "-1"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, *args, "--no-plot") == EXIT_USAGE
