@@ -1,8 +1,10 @@
 """Batch front door: one subcommand per certified artifact.
 
-Each subcommand writes CSV traces (and SVG line plots derived purely from
-the CSVs) under ``<out-dir>/<subcommand>-<timestamp>/`` together with a
-``manifest.json``, prints a pass/fail certificate summary, and exits with:
+Each subcommand holds its tables as columns and writes them as CSV traces
+(and SVG line plots drawn from the same columns, which ``plot_csv``
+regenerates byte for byte from the CSV alone) under
+``<out-dir>/<subcommand>-<timestamp>/`` together with a ``manifest.json``,
+prints a pass/fail certificate summary, and exits with:
 
     0   success, every certificate holds
     2   a certificate failed (offending row printed)
@@ -39,6 +41,11 @@ EXIT_USAGE = 64
 
 _ENVELOPE_SLACK = 1e-9  # relative; Gaussian curves meet their envelopes with equality
 _KL_SLACK = 1e-8  # relative rise between trace rows that counts as quadrature noise
+_T_MIN_FLOOR = 1e-300  # counterexample's least --t-min
+_T_MAX_CAP = 1e6  # counterexample's largest --t-max
+_MAX_STEPS = 10**6  # proxgrad's largest step count, of either run
+_ETA_CAP = 1e100  # proxgrad's largest --eta
+_SPIKE_STEPS = 4  # gap's least grid steps per spike half-period
 
 
 class UsageError(Exception):
@@ -136,7 +143,9 @@ def _count(least: int):
     return check
 
 
-def _dominates(fi, bound) -> bool:
+def _dominates(fi, bound):
+    """fi below bound up to the relative slack, elementwise on arrays; a
+    missing bound (None) dominates."""
     return bound is None or fi <= bound * (1.0 + _ENVELOPE_SLACK)
 
 
@@ -148,6 +157,9 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
     channel, alpha, beta = params["channel"], params["alpha"], params["beta"]
     if channel not in ("heat", "ou", "prox"):
         raise UsageError("--channel must be heat, ou, or prox")
+    for flag in ("alpha", "beta"):  # precisions: each variance 1/value must be finite
+        if params[flag] is not None and not math.isfinite(1.0 / params[flag]):
+            raise UsageError(f"--{flag} {params[flag]!r} is too small: 1/{flag} overflows")
     q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
     if channel == "prox":
         eta = params["eta"]
@@ -174,18 +186,26 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
             )
     fi0 = ga.fisher_information(p0, q0)
     fis, kls = ga.fi_curve(p0, q0, chan, ts), ga.kl_curve(p0, q0, chan, ts)
-    rows = [(t, fi, kl, env.factor(t) * fi0 if fi0 > 0 else None)
-            for t, fi, kl in zip(ts.tolist(), fis.tolist(), kls.tolist())]
-    csv_path = run.file("trace.csv")
-    write_table(csv_path, params, ["t", "fi", "kl", "bound"], rows)
+    # the envelope is scalar in t; None (an empty cell) when fi0 = 0
+    bound = [env.factor(t) * fi0 for t in ts.tolist()] if fi0 > 0 else [None] * ts.size
+    cols = {"t": ts, "fi": fis, "kl": kls, "bound": bound}
+    write_table(run.file("trace.csv"), params, cols)
     if not params["no_plot"]:
-        plot_csv(csv_path, run.file("plot.svg"), "t", ["fi", "bound"],
-                 title=f"{channel} channel", logy=any(r[1] > 0 for r in rows))
-    bad = [r for r in rows if not _dominates(r[1], r[3])]
-    if bad:
-        print(f"FAIL envelope domination: t={bad[0][0]} fi={bad[0][1]!r} bound={bad[0][3]!r}")
-        return EXIT_CERT
-    print(f"PASS {channel}: envelope dominates fi on all {len(rows)} rows")
+        plot_csv(cols, run.file("plot.svg"), "t", ["fi", "bound"],
+                 title=f"{channel} channel", logy=bool(np.any(fis > 0.0)))
+    run.health = {"rows": int(ts.size), "fi_bound_ratio_max": None}
+    if fi0 > 0:
+        bounds = np.array(bound)
+        live = bounds > 0.0
+        if live.any():
+            run.health["fi_bound_ratio_max"] = float(np.max(fis[live] / bounds[live]))
+        bad = np.flatnonzero(~_dominates(fis, bounds))
+        if bad.size:
+            i = int(bad[0])
+            print(f"FAIL envelope domination: t={ts.tolist()[i]} fi={fis.tolist()[i]!r} "
+                  f"bound={bound[i]!r}")
+            return EXIT_CERT
+    print(f"PASS {channel}: envelope dominates fi on all {ts.size} rows")
     return EXIT_OK
 
 
@@ -199,13 +219,24 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
         raise UsageError("need --M >= 2 and --L >= 2")
     if not 0.0 < params["t_min"] < params["t_max"]:
         raise UsageError("need 0 < --t-min < --t-max")
+    if params["t_min"] < _T_MIN_FLOOR:
+        raise UsageError(f"need --t-min >= {_T_MIN_FLOOR:g}: rows below it equal the t = 0 row, "
+                         "and the closed form leaves the float range near 1e-307")
+    if params["t_max"] > _T_MAX_CAP:
+        raise UsageError(f"need --t-max <= {_T_MAX_CAP:g}: past it the scores of the two smoothed "
+                         "laws agree to more than 10 of their 16 digits, and fi is their difference")
     t_grid = quadrature.default_time_grid(params["t_min"], params["t_max"], params["t_points"])
     for t in t_grid:
         try:
-            quadrature.well_grid(t, halfwidth, step)
-        except ValueError as exc:  # only the grid's own validation can raise here
-            raise UsageError(f"--grid-step {step:g} is too coarse at t={t:g}: {exc}") from exc
-    trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid, step=step)
+            quadrature.well_grid(t, halfwidth, step, m_big)
+        except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
+            raise UsageError(f"no grid at t={t:g} for --M {m_big:g}, --L {halfwidth:g} and "
+                             f"--grid-step {step:g}: {exc}") from exc
+    try:
+        trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid, step=step)
+    except (quadrature.NormalizationError, quadrature.QuadratureError) as exc:
+        raise UsageError(f"--M {m_big:g}, --L {halfwidth:g}, --t-min/--t-max and --grid-step "
+                         f"{step:g} are outside the range the trace is computed in: {exc}") from exc
     run.health = {
         "smoothing": "closed-form",
         "fi_rel_err_max": max(r.fi_err / abs(r.fi) for r in trace.rows),
@@ -222,17 +253,15 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
     else:
         print(f"PASS perturbed envelope dominates fi on all {len(trace.rows)} rows")
 
-    trace_csv = run.file("trace.csv")
-    trace.write_csv(trace_csv, params)
-    bound_csv = run.file("bound.csv")
-    write_table(bound_csv, params, ["t", "fi", "bound"],
-                [(r.t, r.fi, r.bound) for r in trace.rows])
+    cols = trace.columns()
+    trace.write_csv(run.file("trace.csv"), params)
+    bound_cols = {name: cols[name] for name in ("t", "fi", "bound")}
+    write_table(run.file("bound.csv"), params, bound_cols)
 
     slope = quadrature.counterexample_initial_slope(m_big, halfwidth)
     lower = max(0.0, (m_big - 2.0) * (m_big + 1.0) ** 2)
-    slope_csv = run.file("slope.csv")
-    write_table(slope_csv, params, ["slope", "lower_bound", "fi0"],
-                [(slope, lower, trace.rows[0].fi)])
+    write_table(run.file("slope.csv"), params,
+                {"slope": [slope], "lower_bound": [lower], "fi0": [trace.rows[0].fi]})
     print(f"initial fi slope = {slope:.6f} (must exceed {lower:.6f}); fi(0) = {trace.rows[0].fi:.6f}")
     if not slope > lower:
         print("FAIL initial slope certificate")
@@ -248,9 +277,9 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
         print("PASS kl non-increasing along the whole trace")
 
     if not params["no_plot"]:
-        plot_csv(trace_csv, run.file("fi.svg"), "t", ["fi"], title="relative Fisher information")
-        plot_csv(trace_csv, run.file("kl.svg"), "t", ["kl"], title="KL divergence")
-        plot_csv(bound_csv, run.file("bound.svg"), "t", ["fi", "bound"],
+        plot_csv(cols, run.file("fi.svg"), "t", ["fi"], title="relative Fisher information")
+        plot_csv(cols, run.file("kl.svg"), "t", ["kl"], title="KL divergence")
+        plot_csv(bound_cols, run.file("bound.svg"), "t", ["fi", "bound"],
                  title="fi vs perturbed envelope", logy=True)
     return code
 
@@ -310,20 +339,22 @@ def cmd_sampler(params: dict, run: RunDir) -> int:
     cum_sq = np.cumsum(out.samples**2, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         cum_var = (cum_sq - counts * cum_mean**2) / np.maximum(counts - 1, 1)
-    rows = []
-    for i in range(0, n, every):
-        k = burn + i
-        rows.append((k, int(out.trial_counts[k]), *cum_mean[i], *cum_var[i]))
-    header = (["k", "trials"] + [f"mean_{j + 1}" for j in range(d)]
-              + [f"var_{j + 1}" for j in range(d)])
-    run_csv = run.file("run.csv")
-    write_table(run_csv, {**params, "eta": eta, "x0_norm": float(np.linalg.norm(x0))},
-                header, rows)
+    ks = np.arange(burn, iters, every)  # every row past burn-in, one per record
+    cols = {"k": ks, "trials": out.trial_counts[ks]}
+    cols.update({f"mean_{j + 1}": cum_mean[::every, j] for j in range(d)})
+    cols.update({f"var_{j + 1}": cum_var[::every, j] for j in range(d)})
+    write_table(run.file("run.csv"), {**params, "eta": eta, "x0_norm": float(np.linalg.norm(x0))},
+                cols)
     with open(run.file("config.json"), "w") as fh:
         json.dump({**params, "eta": eta, "burn_in": burn}, fh, indent=2)
     if not params["no_plot"]:
-        plot_csv(run_csv, run.file("plot.svg"), "k", ["mean_1", "var_1"],
-                 title="running moments")
+        plot_csv(cols, run.file("plot.svg"), "k", ["mean_1", "var_1"], title="running moments")
+    run.health = {
+        "prox_point": sampler.prox_route(target),
+        "trial_cap": cfg.resolved_max_trials(target),
+        "trials_mean": out.mean_trials,
+        "trials_histogram": np.bincount(out.trial_counts).tolist(),
+    }
     return code
 
 
@@ -335,12 +366,19 @@ def cmd_gap(params: dict, run: RunDir) -> int:
     eps, fi_floor, step = params["eps"], params["fi_floor"], params["grid_step"]
     if not (0.0 < eps < 1.0 < fi_floor):
         raise UsageError("need 0 < --eps < 1 < --fi-floor")
-    spec = potentials.spike_spec(eps, fi_floor)
+    try:
+        spec = potentials.spike_spec(eps, fi_floor)
+    except ValueError as exc:  # the domain is checked above: only a tiny eps is left
+        raise UsageError(f"--eps: {exc}") from exc
     half = spec.a + 12.0
     try:
         grid = quadrature.EvalGrid(-half, half, step)
     except ValueError as exc:  # only the grid's own validation can raise here
         raise UsageError(f"--grid-step {step:g}: {exc}") from exc
+    if spec.width < _SPIKE_STEPS * grid.dx:  # a coarser grid does not see the spikes
+        raise UsageError(f"--grid-step {step:g} is too coarse for --eps {eps:g} and --fi-floor "
+                         f"{fi_floor:g}: each spike needs {_SPIKE_STEPS} grid steps per half "
+                         f"period, which is {spec.width:.3g} long")
     code = EXIT_OK
     try:
         r_inf, fi = quadrature.gap_check(spec, grid)
@@ -350,18 +388,16 @@ def cmd_gap(params: dict, run: RunDir) -> int:
         print(f"FAIL gap certificate: {exc}")
         code = EXIT_CERT
     print(f"a={spec.a:.10f} M={spec.m_big:.10f} K={spec.k_count} eta={spec.width:.10f}")
-    write_table(run.file("gap.csv"), params,
-                ["eps", "fi_floor", "a", "m_big", "k_count", "width", "r_inf", "fi"],
-                [(eps, fi_floor, spec.a, spec.m_big, spec.k_count, spec.width, r_inf, fi)])
+    write_table(run.file("gap.csv"), params, {
+        "eps": [eps], "fi_floor": [fi_floor], "a": [spec.a], "m_big": [spec.m_big],
+        "k_count": [spec.k_count], "width": [spec.width], "r_inf": [r_inf], "fi": [fi]})
     pot = potentials.spike_potential(spec)
     pts = grid.points[:: max(1, grid.points.size // 4000)]
     nu = np.exp(-(pts**2) / 2.0) / math.sqrt(2.0 * math.pi)
-    rho_w = nu * np.exp(-pot.value(pts))
-    dens_csv = run.file("density.csv")
-    write_table(dens_csv, params, ["x", "nu", "rho_unnormalized"],
-                list(zip(pts, nu, rho_w)))
+    cols = {"x": pts, "nu": nu, "rho_unnormalized": nu * np.exp(-pot.value(pts))}
+    write_table(run.file("density.csv"), params, cols)
     if not params["no_plot"]:
-        plot_csv(dens_csv, run.file("plot.svg"), "x", ["nu", "rho_unnormalized"],
+        plot_csv(cols, run.file("plot.svg"), "x", ["nu", "rho_unnormalized"],
                  title="spiked density vs N(0,1)")
     return code
 
@@ -374,6 +410,14 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
     eta, dt, k_max, t_end = params["eta"], params["dt"], params["k"], params["t_end"]
     if t_end < 0.0:
         raise UsageError("--t-end must be nonnegative")
+    quartic = potentials.quartic_1d()
+    dt_q = min(dt, 0.1 / quartic.smoothness)
+    if eta > _ETA_CAP:
+        raise UsageError(f"need --eta <= {_ETA_CAP:g}: the implicit step solves for the quartic's "
+                         "iterate to 1e-9 (1 + |x|) / eta, and fails its residual check by 1e155")
+    if k_max > _MAX_STEPS or t_end / dt_q > _MAX_STEPS:
+        raise UsageError(f"need --k <= {_MAX_STEPS} and --t-end / --dt <= {_MAX_STEPS} "
+                         f"(--dt above {0.1 / quartic.smoothness:g} counts as that)")
     code = EXIT_OK
 
     quad = potentials.quadratic_potential(1, 1.0)
@@ -389,8 +433,6 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
     else:
         print(f"PASS quadratic per-step ratio exactly (1+alpha eta)^-2 (max dev {worst:.2e})")
 
-    quartic = potentials.quartic_1d()
-    dt_q = min(dt, 0.1 / quartic.smoothness)
     times, flow_gsq = optim.gradient_flow(quartic, [1.0], t_end, dt_q)
     envelope = flow_gsq[0] * np.exp(-2.0 * quartic.alpha * times)
     if np.any(flow_gsq > envelope * (1.0 + 1e-6)):
@@ -400,7 +442,8 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
         print("PASS quartic gradient-flow decay within e^{-2 alpha t}")
     quartic_trace = optim.prox_grad_run(quartic, [1.0], eta, k_max)
     qgsq = quartic_trace.grad_sq_norms
-    prox_env = qgsq[0] / (1.0 + quartic.alpha * eta) ** (2 * np.arange(k_max + 1))
+    with np.errstate(over="ignore"):  # past the float range the envelope is 0
+        prox_env = qgsq[0] / (1.0 + quartic.alpha * eta) ** (2 * np.arange(k_max + 1))
     if np.any(qgsq > prox_env * (1.0 + 1e-6) + 1e-300):
         print("FAIL quartic proximal-gradient envelope")
         code = EXIT_CERT
@@ -408,17 +451,16 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
         print("PASS quartic proximal-gradient decay within (1+alpha eta)^{-2k}")
 
     for name, trace in (("quadratic", quad_trace), ("quartic", quartic_trace)):
-        path = run.file(f"proxgrad_{name}.csv")
-        write_table(path, params, ["k", "grad_sq_norm"],
-                    list(enumerate(trace.grad_sq_norms)))
+        gsq = trace.grad_sq_norms
+        cols = {"k": np.arange(gsq.size), "grad_sq_norm": gsq}
+        write_table(run.file(f"proxgrad_{name}.csv"), params, cols)
         if not params["no_plot"]:
-            plot_csv(path, run.file(f"proxgrad_{name}.svg"), "k", ["grad_sq_norm"],
+            plot_csv(cols, run.file(f"proxgrad_{name}.svg"), "k", ["grad_sq_norm"],
                      title=f"proximal gradient, {name}", logy=True)
-    flow_csv = run.file("flow_quartic.csv")
-    write_table(flow_csv, params, ["t", "grad_sq_norm"],
-                list(zip(times, flow_gsq)))
+    cols = {"t": times, "grad_sq_norm": flow_gsq}
+    write_table(run.file("flow_quartic.csv"), params, cols)
     if not params["no_plot"]:
-        plot_csv(flow_csv, run.file("flow_quartic.svg"), "t", ["grad_sq_norm"],
+        plot_csv(cols, run.file("flow_quartic.svg"), "t", ["grad_sq_norm"],
                  title="gradient flow, quartic", logy=True)
     return code
 

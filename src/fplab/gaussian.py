@@ -150,6 +150,7 @@ def _prox_rate(alpha: float, eta: float, ks):
 
 Channel = Union[Heat, OU, Proximal]
 _TINY = np.finfo(float).tiny  # the least normal double
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def evolve(g: IsoGaussian, channel: Channel, t: float) -> IsoGaussian:
@@ -352,7 +353,11 @@ class HeatPerturbed:
         t = _check_time(t)
         denom = self.alpha * t + 1.0
         bump = 2.0 * t * self.lip**2 / denom + 8.0 * self.lip * math.sqrt(t) / math.sqrt(denom)
-        return math.exp(bump) / (1.0 + self.alpha * t) ** 2
+        try:
+            return math.exp(bump) / (1.0 + self.alpha * t) ** 2
+        except OverflowError:  # a term leaves the float range: take the quotient in logs
+            log_factor = bump - 2.0 * math.log1p(self.alpha * t)
+            return math.inf if log_factor > _LOG_MAX else math.exp(log_factor)
 
 
 @dataclass(frozen=True)

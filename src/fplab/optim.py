@@ -57,8 +57,7 @@ def prox_grad_step(f: SmoothPotential, x: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError("eta must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(f, QuadraticPotential):
-        c = f.curvature
-        return (x + eta * c * f.center) / (1.0 + eta * c)
+        return f.prox_point(x, eta)
     scale = 1.0 + float(np.linalg.norm(x))
     x_new = minimize(prox_objective(f, x, eta), x, 1e-9 * scale / eta)
     residual = float(np.linalg.norm(x_new - (x - eta * f.gradient(x_new))))

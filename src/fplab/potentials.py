@@ -76,6 +76,12 @@ class QuadraticPotential(SmoothPotential):
     center: np.ndarray = None
     curvature: float = 0.0
 
+    def prox_point(self, y: np.ndarray, eta: float) -> np.ndarray:
+        """argmin_x of this potential plus |x - y|^2 / (2 eta), exactly:
+        (y + eta c center) / (1 + eta c), c the curvature."""
+        c = self.curvature
+        return (y + eta * c * self.center) / (1.0 + eta * c)
+
 
 def quadratic_potential(dim: int, alpha: float, center=None) -> QuadraticPotential:
     """alpha/2 |x - center|^2 with alpha == smoothness."""
@@ -173,6 +179,8 @@ def spike_spec(eps: float, fi_floor: float) -> SpikeSpec:
     if not (0.0 < eps < 1.0 < fi_floor):
         raise ValueError("need 0 < eps < 1 < fi_floor")
     a = NormalDist().inv_cdf((1.0 + eps) / 2.0)
+    if not a > 0.0:
+        raise ValueError(f"eps={eps!r} is below the resolution of (1 + eps) / 2")
     m_big = max(1.0 / a, math.sqrt(math.e * fi_floor / eps))
     k_count = max(0, math.ceil((a * m_big - 1.0) / 2.0 - 1e-12))
     width = a / (2 * k_count + 1)

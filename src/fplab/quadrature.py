@@ -67,6 +67,7 @@ __all__ = [
     "well_grid",
 ]
 
+MAX_GRID_STEPS = 2**20  # ~8 MB per grid array; a trace row holds a few dozen of them
 _CHUNK = 16384  # grid points per Gauss-Hermite block, caps temporaries at ~16 MB
 
 
@@ -124,7 +125,8 @@ def gauss_hermite(order: int) -> GaussHermiteRule:
 class EvalGrid:
     """Uniform grid on [lo, hi].  The point count is rounded up so that the
     interval count is a multiple of 4 (composite Simpson plus its coarse
-    comparison both apply); ``dx`` is the realized spacing."""
+    comparison both apply); ``dx`` is the realized spacing.  A grid takes
+    200 to MAX_GRID_STEPS steps."""
 
     lo: float
     hi: float
@@ -139,6 +141,8 @@ class EvalGrid:
             raise ValueError("step must be positive")
         if (self.hi - self.lo) / self.step < 200.0:
             raise ValueError("grid too coarse: need at least 200 steps")
+        if (self.hi - self.lo) / self.step > MAX_GRID_STEPS:
+            raise ValueError(f"grid too fine: more than {MAX_GRID_STEPS} steps")
         n = int(round((self.hi - self.lo) / self.step)) + 1
         while (n - 1) % 4 != 0:
             n += 1
@@ -306,7 +310,7 @@ def _endpoint_integral(kappa: np.ndarray, gamma: float):
 
 def _outer_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
     """Log-mass and mean of -g' of the smoothing integrand over y > L."""
-    from scipy.special import log_ndtr
+    from scipy.special import erfcx, log_ndtr
 
     ml, xr = m_big * halfwidth, x - halfwidth
     z = (ml * t + xr) / math.sqrt(t * (1.0 + t))
@@ -314,7 +318,13 @@ def _outer_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
     logmass = (0.5 * ml * halfwidth + (ml * ml * t + 2.0 * ml * xr - xr * xr) / (2.0 * (1.0 + t))
                - 0.5 * math.log1p(t) + logphi)
     # y - L | piece ~ N(z s, s^2) truncated to y > L, with s^2 = t/(1+t)
-    mills = np.exp(-0.5 * z * z - logphi) / math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan only where z < -1e4
+        mills = np.exp(-0.5 * z * z - logphi) / math.sqrt(2.0 * math.pi)
+    if z.min(initial=0.0) < -1e4:
+        # there the exponent cancels to nothing (|z| reaches 1e4 only where
+        # sqrt(t) is below 1e-3 of the grid's reach): phi(z)/Phi(z) by erfcx
+        far = z < -1e4
+        mills[far] = math.sqrt(2.0 / math.pi) / erfcx(-z[far] / math.sqrt(2.0))
     return logmass, ml - math.sqrt(t / (1.0 + t)) * (z + mills)
 
 
@@ -468,10 +478,13 @@ class ChannelTrace:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
+    def columns(self) -> dict:
+        """The t, fi, kl and bound columns, as lists; a missing bound is None."""
+        return {name: [getattr(r, name) for r in self.rows] for name in ("t", "fi", "kl", "bound")}
+
     def write_csv(self, path, params: dict) -> None:
         """The t, fi, kl and bound columns under the echo of ``params``."""
-        write_table(path, params, ["t", "fi", "kl", "bound"],
-                    [(r.t, r.fi, r.kl, r.bound) for r in self.rows])
+        write_table(path, params, self.columns())
 
 
 def default_time_grid(t_min: float = 1e-3, t_max: float = 50.0, points: int = 60) -> np.ndarray:
@@ -479,21 +492,24 @@ def default_time_grid(t_min: float = 1e-3, t_max: float = 50.0, points: int = 60
     return np.concatenate([[0.0], np.geomspace(t_min, t_max, points)])
 
 
-def _grid_half(t: float, halfwidth: float) -> float:
-    # rho_t = N(0, 1+t) needs 8 sd; the smoothed potential density has
-    # comparable scale plus its well of half-width L.
-    return max(20.0, 8.5 * math.sqrt(1.0 + t) + halfwidth + 10.0)
+def _grid_half(t: float, halfwidth: float, m_big: float) -> float:
+    # rho_t = N(0, 1+t) needs 8 sd.  exp(-g) holds nearly all its mass in
+    # unit-variance bumps at +-(M+1) L, the vertices of the outer quadratics,
+    # which smoothing widens to sd sqrt(1+t): the grid reaches 8.5 of those sd
+    # past the well plus 10, or past the bumps plus 2, whichever is further.
+    tails = 8.5 * math.sqrt(1.0 + t)
+    return max(20.0, tails + halfwidth + 10.0, tails + (m_big + 1.0) * halfwidth + 2.0)
 
 
-def _smoothing_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
+def _smoothing_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
     # The Gauss-Hermite oracle's grid.  Its smoothed density has a kink at
     # every node shift +-L + sqrt(t) z_i, so no grid can align with them;
     # every length scale grows like sqrt(1+t), so the step scales with it.
-    half = _grid_half(t, halfwidth)
+    half = _grid_half(t, halfwidth, m_big)
     return EvalGrid(-half, half, step * math.sqrt(1.0 + t))
 
 
-def well_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
+def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
     """The Simpson grid of the closed-form concave-well trace at time t.
 
     The smoothed density is analytic except near the kinks at +-L, which
@@ -502,7 +518,8 @@ def well_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
     h = step * min(10 sqrt(1+t), max(1, 250 sqrt(t))), which is ``step``
     itself for t <= 1.6e-5, and is then shrunk until +-L fall on nodes whose
     index is a multiple of 4: no Simpson panel, fine or coarse, straddles a
-    kink.  The ends move out to the next such node beyond ``_grid_half``.
+    kink.  The ends move out to the next such node beyond ``_grid_half``,
+    which covers rho_t and the smoothed density's mass around +-(M+1) L.
     h is linear in ``step``; the realized spacing lies in (h/2, h], up to
     rounding to a whole number of steps.
 
@@ -512,7 +529,7 @@ def well_grid(t: float, halfwidth: float, step: float) -> EvalGrid:
     unaligned grid.
     """
     h = step * min(10.0 * math.sqrt(1.0 + t), max(1.0, 250.0 * math.sqrt(t)))
-    target = _grid_half(t, halfwidth)
+    target = _grid_half(t, halfwidth, m_big)
     if 2.0 * h >= halfwidth:
         return EvalGrid(-target, target, h)
     # the 1e-9 keeps a quotient that is an integer up to rounding from
@@ -550,7 +567,7 @@ def counterexample_trace(
     rule = None if order is None else gauss_hermite(order)
 
     def row(t: float) -> TraceRow:
-        grid = (well_grid if rule is None else _smoothing_grid)(t, halfwidth, step)
+        grid = (well_grid if rule is None else _smoothing_grid)(t, halfwidth, step, m_big)
         grid.require_covers(0.0, math.sqrt(1.0 + t))
         pts = grid.points
         if rule is None:

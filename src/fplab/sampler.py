@@ -5,7 +5,8 @@ certificates for Gaussian targets.
 One iteration from x_k: draw y_k ~ N(x_k, eta I), then draw
 x_{k+1} ~ nu(x | y_k) proportional to exp(-g(x) - |x - y_k|^2 / (2 eta)).
 The backward conditional is sampled exactly: minimize
-f_y(x) = g(x) + |x-y|^2/(2 eta), propose Z ~ N(x*_y, eta/(1 - eta L) I),
+f_y(x) = g(x) + |x-y|^2/(2 eta) (in closed form for a quadratic g, by
+gradient descent otherwise), propose Z ~ N(x*_y, eta/(1 - eta L) I),
 accept with probability
 
     exp(-f_y(Z) + f_y(x*_y) + (1 - eta L)/(2 eta) * |Z - x*_y|^2).
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import IsoGaussian, Proximal, ProxRate, fi_curve, fisher_information
-from .potentials import SmoothPotential, minimize, prox_objective
+from .potentials import QuadraticPotential, SmoothPotential, minimize, prox_objective
 
 __all__ = [
     "SamplerConfig",
@@ -40,6 +41,7 @@ __all__ = [
     "rejection_kappa",
     "expected_trials_bound",
     "forward_step",
+    "prox_route",
     "rgo_sample",
     "run_chain",
     "fi_certificate_gaussian",
@@ -134,6 +136,12 @@ def forward_step(x: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndar
     return x + math.sqrt(eta) * rng.standard_normal(x.size)
 
 
+def prox_route(g: SmoothPotential) -> str:
+    """How ``rgo_sample`` finds the prox point of g: ``closed-form`` for a
+    quadratic, ``gradient-descent`` for every other target."""
+    return "closed-form" if isinstance(g, QuadraticPotential) else "gradient-descent"
+
+
 def rgo_sample(
     g: SmoothPotential,
     y: np.ndarray,
@@ -152,8 +160,10 @@ def rgo_sample(
         raise ValueError("rejection sampling needs eta * smoothness < 1")
     y = np.asarray(y, dtype=float)
     f_y = prox_objective(g, y, eta)
-    tol = _RGO_TOL * (1.0 + float(np.linalg.norm(y)))
-    x_star = minimize(f_y, y, tol)
+    if isinstance(g, QuadraticPotential):
+        x_star = g.prox_point(y, eta)
+    else:
+        x_star = minimize(f_y, y, _RGO_TOL * (1.0 + float(np.linalg.norm(y))))
     f_star = f_y.value(x_star)
     prop_sd = math.sqrt(eta / (1.0 - eta * g.smoothness))
     reject_coeff = (1.0 - eta * g.smoothness) / (2.0 * eta)
@@ -167,7 +177,7 @@ def rgo_sample(
                 f"acceptance exponent {exponent!r} > 0; declared smoothness "
                 f"{g.smoothness!r} does not dominate the target"
             )
-        if math.log(rng.uniform()) <= exponent:
+        if math.log(rng.random()) <= exponent:
             return z, trials
     raise TrialCapExceeded(f"no acceptance within {cap} proposals")
 

@@ -1,13 +1,16 @@
 """CSV tables and the SVG line charts drawn from them.
 
-``write_table`` writes every CSV and ``read_csv_columns`` parses it back.
-Charts are rendered from parsed CSV content only, so any plot can be
-regenerated offline from its CSV without rerunning the computation.
+``write_table`` writes every CSV from its columns and ``read_csv_columns``
+parses it back.  ``plot_csv`` draws a chart from the columns a table was
+written from, or from the CSV alone: the two give the same bytes, so any
+plot can be regenerated offline from its CSV without rerunning the
+computation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,45 +32,46 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
-def _row_template(kinds) -> str | None:
-    """The %-template that formats a row of these cell types as ``_fmt`` would.
+def _column_cells(col) -> tuple[str, list]:
+    """The %-format of one column and its cells as the format takes them.
 
-    None when some cell has no fixed format (bool, None, str, ...).
+    Integer and float columns print through %d and %.17g, which give the
+    bytes ``_fmt`` gives; any other column (bool, None, str, or mixed types)
+    is formatted by ``_fmt`` cell by cell and printed through %s.
     """
-    fmts = []
-    for kind in kinds:
-        if issubclass(kind, (bool, np.bool_)):
-            return None
-        if issubclass(kind, (int, np.integer)):
-            fmts.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            fmts.append("%.17g")
-        else:
-            return None
-    return ",".join(fmts)
+    cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
+    kinds = set(map(type, cells))
+    if not any(issubclass(k, (bool, np.bool_)) for k in kinds):
+        if all(issubclass(k, (int, np.integer)) for k in kinds):
+            return "%d", cells
+        if all(issubclass(k, (float, np.floating)) for k in kinds):
+            return "%.17g", cells
+    return "%s", list(map(_fmt, cells))
 
 
-def write_table(path, params: dict, header, rows) -> None:
-    """The ``# `` echo of ``params`` in sorted key order, the header, then one
-    line per row; every cell is formatted by ``_fmt``.
+def write_table(path, params: dict, columns: dict) -> None:
+    """The ``# `` echo of ``params`` in sorted key order, the header (the
+    keys of ``columns``), then one line per row; every cell is printed as
+    ``_fmt`` prints it.
 
-    Rows whose cell types match the first row's go through one %-template,
-    which prints the same bytes as ``_fmt`` cell by cell.
+    The columns (arrays or sequences of equal length) go through one
+    %-template per table, one format per column, without a tuple per row.
     """
-    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))]
-    lines.append(",".join(header))
-    kinds = template = None
-    for row in rows:
-        row = tuple(row)
-        if kinds is None:
-            # lists, not tuples: a tuple per row would park ~2000 freed
-            # tuples on the interpreter's free list for each row length
-            kinds = list(map(type, row))
-            template = _row_template(kinds)
-        if template is not None and list(map(type, row)) == kinds:
-            lines.append(template % row)
-        else:
-            lines.append(",".join(map(_fmt, row)))
+    header, fmts, cells = list(columns), [], []
+    for col in columns.values():
+        fmt, col_cells = _column_cells(col)
+        fmts.append(fmt)
+        cells.append(col_cells)
+    n = len(cells[0]) if cells else 0
+    if any(len(c) != n for c in cells):
+        raise ValueError("columns must have equal lengths")
+    flat = [None] * (n * len(cells))
+    for j, col_cells in enumerate(cells):
+        flat[j::len(cells)] = col_cells
+    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items())),
+             ",".join(header)]
+    if n:
+        lines.append("\n".join([",".join(fmts)] * n) % tuple(flat))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -125,20 +129,23 @@ def render_line_chart(
     ylabel: str = "",
     logy: bool = False,
 ) -> str:
-    isfinite = math.isfinite
-    series = [
-        [(a, b) for a, b in zip(x, y) if isfinite(a) and isfinite(b) and (b > 0.0 or not logy)]
-        for y in ys
-    ]
-    flat_x = [a for pts in series for a, _ in pts]
-    flat_y = [b for pts in series for _, b in pts]
-    if not flat_x:
-        flat_x, flat_y = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(flat_x), max(flat_x)
+    x = np.asarray(x, dtype=float)
+    series = []
+    for y in ys:
+        y = np.asarray(y, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)
+        if logy:
+            keep &= y > 0.0
+        series.append((x[keep], y[keep]))
+    flat_x = np.concatenate([np.empty(0)] + [a for a, _ in series])
+    flat_y = np.concatenate([np.empty(0)] + [b for _, b in series])
+    if not flat_x.size:
+        flat_x, flat_y = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    x_lo, x_hi = float(flat_x.min()), float(flat_x.max())
     if logy:
-        y_lo, y_hi = math.log10(min(flat_y)), math.log10(max(flat_y))
+        y_lo, y_hi = math.log10(flat_y.min()), math.log10(flat_y.max())
     else:
-        y_lo, y_hi = min(flat_y), max(flat_y)
+        y_lo, y_hi = float(flat_y.min()), float(flat_y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -172,16 +179,16 @@ def render_line_chart(
             f'<text x="16" y="{_MT + ph / 2}" text-anchor="middle" '
             f'transform="rotate(-90 16 {_MT + ph / 2})">{ylabel}</text>'
         )
-    for i, pts in enumerate(series):
-        if not pts:
+    for i, (a, b) in enumerate(series):
+        if not a.size:
             continue
         color = _COLORS[i % len(_COLORS)]
-        if logy:
-            pts = [(a, math.log10(b)) for a, b in pts]
-        coords = " ".join([
-            "%.2f,%.2f" % (_ML + pw * (a - x_lo) / x_span, _MT + ph * (1.0 - (b - y_lo) / y_span))
-            for a, b in pts
-        ])
+        if logy:  # math.log10 like y_lo and y_hi: np.log10 can differ in the last bit
+            b = np.fromiter(map(math.log10, b.tolist()), float, b.size)
+        xy = np.empty(2 * a.size)
+        xy[0::2] = _ML + pw * (a - x_lo) / x_span
+        xy[1::2] = _MT + ph * (1.0 - (b - y_lo) / y_span)
+        coords = " ".join(["%.2f,%.2f"] * a.size) % tuple(xy.tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>')
         parts.append(
             f'<text x="{_WIDTH - _MR - 6}" y="{_MT + 16 + 16 * i}" text-anchor="end" '
@@ -192,7 +199,7 @@ def render_line_chart(
 
 
 def plot_csv(
-    csv_path,
+    source,
     svg_path,
     x_col: str,
     y_cols: Sequence[str],
@@ -200,12 +207,20 @@ def plot_csv(
     logy: bool = False,
     ylabel: Optional[str] = None,
 ) -> None:
-    cols = read_csv_columns(csv_path, [x_col, *y_cols])
-    x = cols[x_col]
-    ys = [cols[c] for c in y_cols if c in cols]
+    """Draw ``y_cols`` against ``x_col`` into ``svg_path``.
+
+    ``source`` is a CSV path or the mapping of columns that ``write_table``
+    wrote it from.  Both draw the same chart: a cell of None is an empty CSV
+    cell, which parses as NaN, and %.17g round-trips every float.
+    """
+    if isinstance(source, Mapping):
+        cols = {c: np.array(source[c], dtype=float) for c in (x_col, *y_cols) if c in source}
+    else:
+        cols = read_csv_columns(source, [x_col, *y_cols])
     labels = [c for c in y_cols if c in cols]
     svg = render_line_chart(
-        x, ys, labels, title=title, xlabel=x_col, ylabel=ylabel or ",".join(labels), logy=logy
+        cols[x_col], [cols[c] for c in labels], labels, title=title, xlabel=x_col,
+        ylabel=ylabel or ",".join(labels), logy=logy,
     )
     with open(svg_path, "w") as fh:
         fh.write(svg)

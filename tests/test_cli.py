@@ -191,7 +191,7 @@ class TestCounterexample:
         assert health["smoothing"] == "closed-form"
         for key in ("fi_rel_err_max", "kl_rel_err_max"):
             assert math.isfinite(health[key]) and 0.0 <= health[key] < 1e-6
-        sizes = [quadrature.well_grid(t, 2.0, 1e-3).points.size
+        sizes = [quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size
                  for t in quadrature.default_time_grid(1e-3, 0.5, 4)]
         assert health["grid_points_max"] == max(sizes)
         assert health["grid_points_total"] == sum(sizes)
@@ -202,10 +202,28 @@ class TestCounterexample:
         ("--grid-step", "-1"), ("--grid-step", "0"), ("--grid-step", "0.5"),
         ("--t-min", "0"), ("--t-min", "-1"), ("--t-min", "1", "--t-max", "0.1"),
         ("--t-points", "-1"),
+        # the well's mass at +-(M+1)L = +-2e8 needs a grid beyond the size cap
+        ("--M", "1e8", "--t-points", "2", "--t-max", "0.1"),
+        ("--t-max", "1e300"), ("--t-max", "2e6"), ("--t-min", "1e-305"), ("--L", "1e300"),
+        # a grid whose step does not resolve N(0, 1) fails its normalization
+        ("--L", "1e5", "--grid-step", "1"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    def test_rows_near_zero_time_equal_the_first(self, tmp_path):
+        # sqrt(t) far below the grid step: the smoothed well is exp(-g) to
+        # every digit, and the closed form stays finite down to t = 1e-300
+        code = run_cli(tmp_path, "counterexample", "--t-min", "1e-300", "--t-max", "0.1",
+                       "--t-points", "3", "--no-plot")
+        assert code == EXIT_OK
+        cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "counterexample"),
+                                             "trace.csv"))
+        assert cols["t"][:3] == [0.0, 1e-300, pytest.approx(math.sqrt(1e-301), rel=1e-12)]
+        for name in ("fi", "kl"):
+            assert cols[name][1] == pytest.approx(cols[name][0], rel=1e-15)
+            assert cols[name][2] == pytest.approx(cols[name][0], rel=1e-15)
 
     def test_envelope_check_is_relative(self, tmp_path, monkeypatch, capsys):
         # fi(0) = bound(0) (1 + 1e-8): below any absolute slack of 1e-6, but
@@ -263,7 +281,14 @@ class TestSampler:
         assert manifest["subcommand"] == "sampler"
         assert manifest["seed"] == 7
         assert manifest["wall_time_ms"] >= 0
-        assert manifest["health"] == {}
+        health = manifest["health"]
+        assert health["prox_point"] == "closed-form"
+        # max(100, 50 ceil(kappa^(d/2))) with kappa = 1.5, d = 5
+        assert health["trial_cap"] == 150
+        hist = health["trials_histogram"]
+        assert hist[0] == 0 and sum(hist) == 4000 and len(hist) <= 151
+        assert health["trials_mean"] == pytest.approx(
+            sum(k * n for k, n in enumerate(hist)) / 4000, rel=1e-15)
         for p in manifest["output_paths"]:
             assert os.path.exists(p) and os.path.getsize(p) > 0
         config = json.load(open(os.path.join(run_dir, "config.json")))
@@ -373,6 +398,13 @@ class TestDriver:
         ("sampler", "--record-every", "0"), ("sampler", "--iters", "1"),
         ("sampler", "--iters", "4", "--burn-in", "3"),
         ("gaussian-rates", "--channel", "heat", "--eta", "-1"),
+        ("proxgrad", "--t-end", "1e300"), ("proxgrad", "--dt", "1e-300"),
+        ("proxgrad", "--eta", "1e300"), ("proxgrad", "--k", "1000001"),
+        ("gap", "--eps", "1e-300"),
+        # spikes narrower than the grid step: the grid does not see them
+        ("gap", "--eps", "1e-4"),
+        ("gaussian-rates", "--channel", "heat", "--alpha", "1e-320"),
+        ("gaussian-rates", "--channel", "ou", "--beta", "1e-320"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, *args, "--no-plot") == EXIT_USAGE
@@ -422,8 +454,9 @@ class TestDriver:
                 assert json.load(fh)["git_describe"] == expect
 
     def test_write_table_matches_per_cell_format(self, tmp_path):
-        # the first row sets the template; later rows of other types, and
-        # rows with cells that have no template, fall back to _fmt cell by cell
+        # each column takes one format: %d for integer cells, %.17g for float
+        # cells, and _fmt cell by cell for any other column (mixed types,
+        # bool, None, str); arrays and lists give the bytes _fmt gives
         rows = [
             (3, np.int64(-7), 0.1, np.float64(1.0 / 3.0), -0.0, math.nan, math.inf, 1e-300),
             (4, np.int64(2**40), -math.inf, np.float64(5e-324), 1e300, 2.5, 0.0, -1e-300),
@@ -431,12 +464,23 @@ class TestDriver:
             (True, np.bool_(False), None, "x", 1, 2.0, np.float32(0.1), np.int8(-3)),
             [7, np.int64(8), 0.25, np.float64(0.5), -0.0, math.nan, -math.inf, 1e-300],
         ]
+        columns = {f"c{i}": [row[i] for row in rows] for i in range(8)}
+        columns["ints"] = np.array([0, -1, 2**62, 7, -(2**63)], dtype=np.int64)
+        columns["floats"] = np.array([-0.0, math.nan, -math.inf, 5e-324, 1.0 / 3.0])
+        columns["float32"] = np.array([0.1, 1e-30, 3.0, -2.5, math.inf], dtype=np.float32)
+        columns["bools"] = np.array([True, False, True, True, False])
+        columns["uints"] = np.arange(5, dtype=np.uint8)
         params = {"b": 1.5, "a": None, "flag": True, "n": np.int64(3), "s": "heat"}
         path = tmp_path / "t.csv"
-        write_table(path, params, [f"c{i}" for i in range(8)], rows)
-        expect = ["# a= b=1.5 flag=True n=3 s=heat", ",".join(f"c{i}" for i in range(8))]
-        expect += [",".join(_fmt(v) for v in row) for row in rows]
+        write_table(path, params, columns)
+        expect = ["# a= b=1.5 flag=True n=3 s=heat", ",".join(columns)]
+        expect += [",".join(_fmt(col[i]) for col in columns.values()) for i in range(5)]
         assert path.read_text() == "\n".join(expect) + "\n"
+        # a header with no rows, and columns of unequal length
+        write_table(path, {}, {"x": [], "y": np.empty(0)})
+        assert path.read_text() == "# \nx,y\n"
+        with pytest.raises(ValueError, match="equal lengths"):
+            write_table(path, {}, {"x": [1.0], "y": [1.0, 2.0]})
 
     @pytest.mark.parametrize("argv", [
         ("gaussian-rates", "--channel", "heat", "--points", "5"),
@@ -480,19 +524,38 @@ class TestDriver:
         run_dir = only_run_dir(tmp_path, "gap")
         assert not any(name.endswith(".svg") for name in os.listdir(run_dir))
 
-    # (argv, csv, svg, plot_csv arguments as the subcommand passes them)
+    # (argv, csv, svg, plot_csv arguments as the subcommand passes them):
+    # every SVG the CLI writes
+    _COUNTEREXAMPLE = ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2")
+
     @pytest.mark.parametrize("argv, csv, svg, x_col, y_cols, title, logy", [
         (("gap", "--eps", "0.5", "--fi-floor", "10"), "density.csv", "plot.svg", "x",
          ["nu", "rho_unnormalized"], "spiked density vs N(0,1)", False),
         (("gaussian-rates", "--channel", "heat"), "trace.csv", "plot.svg", "t",
          ["fi", "bound"], "heat channel", True),
+        (("gaussian-rates", "--channel", "prox", "--k", "50"), "trace.csv", "plot.svg", "t",
+         ["fi", "bound"], "prox channel", True),
+        (("gaussian-rates", "--channel", "ou", "--gamma", "1", "--alpha", "0.1", "--beta", "100"),
+         "trace.csv", "plot.svg", "t", ["fi", "bound"], "ou channel", True),
+        # p0 = q0: fi is 0 on every row and the bound column is empty
+        (("gaussian-rates", "--channel", "ou"), "trace.csv", "plot.svg", "t",
+         ["fi", "bound"], "ou channel", False),
         (("sampler", "--iters", "2000"), "run.csv", "plot.svg", "k",
          ["mean_1", "var_1"], "running moments", False),
         (("proxgrad",), "proxgrad_quartic.csv", "proxgrad_quartic.svg", "k",
          ["grad_sq_norm"], "proximal gradient, quartic", True),
-        (("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
-         "bound.csv", "bound.svg", "t", ["fi", "bound"], "fi vs perturbed envelope", True),
-    ], ids=["gap", "gaussian-rates", "sampler", "proxgrad", "counterexample"])
+        (("proxgrad",), "proxgrad_quadratic.csv", "proxgrad_quadratic.svg", "k",
+         ["grad_sq_norm"], "proximal gradient, quadratic", True),
+        (("proxgrad",), "flow_quartic.csv", "flow_quartic.svg", "t",
+         ["grad_sq_norm"], "gradient flow, quartic", True),
+        (_COUNTEREXAMPLE, "bound.csv", "bound.svg", "t", ["fi", "bound"],
+         "fi vs perturbed envelope", True),
+        (_COUNTEREXAMPLE, "trace.csv", "fi.svg", "t", ["fi"], "relative Fisher information",
+         False),
+        (_COUNTEREXAMPLE, "trace.csv", "kl.svg", "t", ["kl"], "KL divergence", False),
+    ], ids=["gap", "gaussian-rates", "gaussian-rates-prox", "gaussian-rates-ou",
+            "gaussian-rates-ou-no-bound", "sampler", "proxgrad", "proxgrad-quadratic",
+            "proxgrad-flow", "counterexample", "counterexample-fi", "counterexample-kl"])
     def test_plots_regenerate_from_csv_alone(self, tmp_path, argv, csv, svg, x_col, y_cols,
                                              title, logy):
         assert run_cli(tmp_path, *argv) == EXIT_OK

@@ -205,6 +205,15 @@ class TestEnvelopes:
         # (1+t)^-2 prefactor only wins at astronomically large t
         assert env.factor(1e30) < 1.0
 
+    def test_perturbed_envelope_past_the_float_range(self):
+        # e^bump past e^709 and (1+t)^2 past 1e308 take the quotient in logs
+        assert fp.HeatPerturbed(1.0, 1e3).factor(1.0) == math.inf  # e^(1e6 + 8000)
+        env = fp.HeatPerturbed(1.0, 1.0)
+        bump = 2.0 * 1e200 / (1e200 + 1.0) + 8.0 * math.sqrt(1e200 / (1e200 + 1.0))
+        assert env.factor(1e200) == pytest.approx(math.exp(bump - 2.0 * math.log(1e200)),
+                                                  rel=1e-13)
+        assert env.factor(1e100) == pytest.approx(math.exp(bump) / 1e200, rel=1e-13)
+
     def test_negative_time_rejected(self):
         for env in ENVELOPES:
             with pytest.raises(ValueError):

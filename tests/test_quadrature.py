@@ -56,6 +56,14 @@ class TestEvalGrid:
         with pytest.raises(ValueError):
             EvalGrid(-1.0, 1.0, 0.5)
 
+    def test_too_fine(self):
+        # refused before any array is allocated
+        with pytest.raises(ValueError, match="too fine"):
+            EvalGrid(-1.0, 1.0, 2.0 / (fp.quadrature.MAX_GRID_STEPS + 1))
+        with pytest.raises(ValueError, match="too fine"):
+            EvalGrid(-1e300, 1e300, 1e-300)
+        assert EvalGrid(-1.0, 1.0, 2.0 / fp.quadrature.MAX_GRID_STEPS).points.size == 2**20 + 1
+
     def test_coverage(self):
         grid = EvalGrid(-16.0, 16.0, 1e-2)
         assert grid.covers(0.0, 2.0)
@@ -280,7 +288,7 @@ class TestSmoothedWellClosedForm:
         # the closed form must not lose accuracy within ulps of it
         # -x is referenced on its own: the trace mirrors the density from the
         # nonnegative half of its grid, which needs it even and its score odd
-        end = fp.quadrature.well_grid(t, halfwidth, 1e-3).hi
+        end = fp.quadrature.well_grid(t, halfwidth, 1e-3, m_big).hi
         xs = np.array([0.0, halfwidth, end, -halfwidth, -end])
         logval, score = fp.smoothed_well_logdensity(m_big, halfwidth, t, xs)
         ref = [well_reference(m_big, halfwidth, t, x) for x in xs]
@@ -504,6 +512,32 @@ class TestTraceRefinement:
             assert ra.kl == pytest.approx(rb.kl, rel=1e-6)
 
 
+def _well_kl_at_zero(m_big, halfwidth):
+    """KL(N(0,1) || exp(-g)/Z) for the concave well g, by adaptive quadrature
+    over the real line: exp(-g) holds nearly all its mass around +-(M+1)L."""
+    g = fp.counterexample_potential(m_big, halfwidth)
+    vertex = (m_big + 1.0) * halfwidth
+    top = -g.value(vertex)
+    mass = 2.0 * (integrate.quad(lambda x: math.exp(-g.value(x) - top), 0.0, halfwidth)[0]
+                  + integrate.quad(lambda x: math.exp(-g.value(x) - top), halfwidth,
+                                   vertex + 40.0, points=[vertex])[0])
+
+    def integrand(x):  # rho (log rho + g)
+        log_rho = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+        return math.exp(log_rho) * (log_rho + g.value(x))
+
+    cross = integrate.quad(integrand, -40.0, 40.0, points=[-halfwidth, halfwidth], limit=200)[0]
+    return cross + math.log(mass) + top
+
+
+@pytest.mark.parametrize("m_big, halfwidth", [(6.0, 2.0), (10.0, 2.0), (4.0, 3.0)])
+def test_well_trace_kl_counts_the_mass_at_the_outer_vertices(m_big, halfwidth):
+    # the grid reaches past +-(M+1)L: a grid that stops short normalizes the
+    # well density on the part it sees (at M = 10, L = 2 the KL was 1.3% low)
+    (row,) = fp.counterexample_trace(m_big, halfwidth, [0.0]).rows
+    assert row.kl == pytest.approx(_well_kl_at_zero(m_big, halfwidth), rel=1e-10)
+
+
 def _parent_rule_grid(t, halfwidth, step):
     """The step * sqrt(1+t) grid that the Gauss-Hermite route keeps."""
     half = max(20.0, 8.5 * math.sqrt(1.0 + t) + halfwidth + 10.0)
@@ -517,7 +551,7 @@ class TestWellGrid:
     def test_kinks_on_panel_boundaries(self, t, halfwidth, step):
         # a node index that is 0 mod 4 starts a coarse Simpson panel, so
         # neither the fine nor the coarse rule straddles +-L
-        grid = fp.quadrature.well_grid(t, halfwidth, step)
+        grid = fp.quadrature.well_grid(t, halfwidth, step, 2.0)
         assert (grid.points.size - 1) % 4 == 0
         # symmetric about 0, up to rounding: the trace mirrors its half
         assert np.max(np.abs(grid.points + grid.points[::-1])) <= 1e-13 * grid.hi
@@ -528,7 +562,7 @@ class TestWellGrid:
 
     def test_zero_time_grid_is_the_parent_rule(self):
         for halfwidth in (2.0, 3.0):
-            ours = fp.quadrature.well_grid(0.0, halfwidth, 1e-3).points
+            ours = fp.quadrature.well_grid(0.0, halfwidth, 1e-3, 2.0).points
             assert np.array_equal(ours, _parent_rule_grid(0.0, halfwidth, 1e-3).points)
 
     @pytest.mark.parametrize("t", [0.0, 1e-6, 1e-5, 1e-3, 0.5, 50.0, 1e4, 1e8])
@@ -538,16 +572,16 @@ class TestWellGrid:
         # h rounded to a whole number of at least 200 steps
         for step in (1e-3, 2e-3, 4e-3):
             h = step * min(10.0 * math.sqrt(1.0 + t), max(1.0, 250.0 * math.sqrt(t)))
-            dx = fp.quadrature.well_grid(t, 2.3, step).dx
+            dx = fp.quadrature.well_grid(t, 2.3, step, 2.0).dx
             assert 0.5 * h < dx <= h * (1.0 + 0.5 / 200)
 
     def test_point_count_stays_bounded_at_late_times(self):
         # past sqrt(t) >> L the spacing keeps growing with the grid's width
         for t in (1e4, 1e8, 1e12):
-            assert fp.quadrature.well_grid(t, 2.0, 1e-3).points.size <= 2000
+            assert fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size <= 2000
 
     def test_default_trace_point_budget(self):
-        total = sum(fp.quadrature.well_grid(t, 2.0, 1e-3).points.size
+        total = sum(fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size
                     for t in fp.default_time_grid())
         assert total <= 300_000
 
@@ -557,7 +591,7 @@ class TestWellGrid:
         assert [r.points for r in trace.rows] == [
             _parent_rule_grid(t, 2.3, 4e-3).points.size for t in ts]
         for t in ts:
-            assert np.array_equal(fp.quadrature._smoothing_grid(t, 2.3, 4e-3).points,
+            assert np.array_equal(fp.quadrature._smoothing_grid(t, 2.3, 4e-3, 2.0).points,
                                   _parent_rule_grid(t, 2.3, 4e-3).points)
 
     def test_matches_an_eighth_step_reference(self):
@@ -579,7 +613,7 @@ class TestWellGrid:
 def _full_grid_row(m_big, halfwidth, t):
     """(fi, kl) of a closed-form trace row with the smoothed well evaluated at
     every grid point: the oracle of the trace's half-grid mirror."""
-    grid = fp.quadrature.well_grid(t, halfwidth, 1e-3)
+    grid = fp.quadrature.well_grid(t, halfwidth, 1e-3, m_big)
     pts = grid.points
     lognu, nu_score = fp.smoothed_well_logdensity(m_big, halfwidth, t, pts)
     v = 1.0 + t

@@ -9,8 +9,8 @@ from fplab.sampler import AcceptanceExponentError, TrialCapExceeded
 
 
 class AlwaysReject:
-    """rng stand-in whose uniform draw is 1, so log U = 0 never accepts
-    (the acceptance exponent is strictly negative almost surely)."""
+    """rng stand-in whose uniform draw (``random``) is 1, so log U = 0 never
+    accepts (the acceptance exponent is strictly negative almost surely)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -18,7 +18,7 @@ class AlwaysReject:
     def standard_normal(self, n):
         return self.inner.standard_normal(n)
 
-    def uniform(self):
+    def random(self):
         return 1.0
 
 
@@ -151,6 +151,46 @@ class TestRgoSample:
         cfg = fp.SamplerConfig(eta=0.5, iters=10, seed=0)
         with pytest.raises(ValueError):
             fp.rgo_sample(g, np.array([0.0]), 0.5, cfg, fp.chain_rng(8))
+
+
+class TestProxPoint:
+    """The quadratic's closed-form prox point against gradient descent, the
+    route every other target takes."""
+
+    @staticmethod
+    def plain(q):
+        # the same value and gradient without the QuadraticPotential type, so
+        # rgo_sample solves for the prox point with minimize
+        return fp.SmoothPotential(dim=q.dim, value=q.value, gradient=q.gradient,
+                                  alpha=q.alpha, smoothness=q.smoothness)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_chain_matches_gradient_descent_route(self, d, monkeypatch):
+        center = 3.0 + np.arange(d)
+        q = fp.quadratic_potential(d, 1.0, center)
+        cfg = fp.SamplerConfig(eta=1.0 / max(d, 2), iters=2000, seed=42)
+        x0 = center + 0.5
+        assert fp.sampler.prox_route(q) == "closed-form"
+        assert fp.sampler.prox_route(self.plain(q)) == "gradient-descent"
+        oracle = fp.run_chain(self.plain(q), x0, cfg)
+
+        def no_minimize(*args, **kwargs):
+            raise AssertionError("the quadratic's prox point went through minimize")
+
+        monkeypatch.setattr(fp.sampler, "minimize", no_minimize)
+        closed = fp.run_chain(q, x0, cfg)
+        np.testing.assert_array_equal(closed.trial_counts, oracle.trial_counts)
+        np.testing.assert_allclose(closed.samples, oracle.samples, rtol=1e-12, atol=0.0)
+
+    def test_closed_form_is_prox_grad_step(self):
+        rng = np.random.default_rng(5)
+        q = fp.quadratic_potential(3, 2.5, [1.0, -2.0, 0.5])
+        for y in 10.0 * rng.standard_normal((20, 3)):
+            for eta in (1e-3, 0.3, 7.0):
+                x = q.prox_point(y, eta)
+                assert x.tobytes() == fp.optim.prox_grad_step(q, y, eta).tobytes()
+                f_y = fp.potentials.prox_objective(q, y, eta)
+                assert np.linalg.norm(f_y.gradient(x)) <= 1e-12 * (1.0 + np.linalg.norm(y)) / eta
 
 
 class TestRunChain:
