@@ -31,6 +31,7 @@ from .gaussian import (
 from .potentials import (
     ConvergenceError,
     QuadraticPotential,
+    QuarticPotential,
     ScalarPotential,
     SmoothPotential,
     SpikeSpec,

@@ -46,6 +46,8 @@ _T_MAX_CAP = 1e6  # counterexample's largest --t-max
 _MAX_STEPS = 10**6  # proxgrad's largest step count, of either run
 _ETA_CAP = 1e100  # proxgrad's largest --eta
 _SPIKE_STEPS = 4  # gap's least grid steps per spike half-period
+_HEAT_SPAN_CAP = 1e150  # heat's largest --alpha * --t-max: (1 + alpha t)^2 must stay finite
+_OU_RATIO_CAP = 1e15  # ou's largest --alpha / --gamma and --beta / --gamma
 
 
 class UsageError(Exception):
@@ -168,9 +170,13 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
         chan = ga.Proximal(alpha, eta)
         env = ga.ProxRate(alpha=alpha, eta=eta)
     else:
-        m = params["m"]
-        ts = np.linspace(0.0, params["t_max"], params["points"])
+        m, t_max = params["m"], params["t_max"]
+        ts = np.linspace(0.0, t_max, params["points"])
         if channel == "heat":
+            if alpha * t_max > _HEAT_SPAN_CAP:
+                raise UsageError(f"need --alpha times --t-max <= {_HEAT_SPAN_CAP:g} (--alpha "
+                                 f"{alpha:g}, --t-max {t_max:g}): past it (1 + alpha t)^2 in the "
+                                 "heat envelope overflows")
             s = params["s"]
             p0 = ga.IsoGaussian([m], s)
             chan = ga.Heat()
@@ -179,6 +185,11 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> int:
         else:
             gamma = params["gamma"]
             beta = 1.0 if beta is None else beta
+            for flag, value in (("alpha", alpha), ("beta", beta)):
+                if value > _OU_RATIO_CAP * gamma:
+                    raise UsageError(f"need --{flag} <= {_OU_RATIO_CAP:g} times --gamma (--{flag} "
+                                     f"{value:g}, --gamma {gamma:g}): past it gamma - {flag} "
+                                     f"rounds to -{flag} and the OU envelope divides by zero")
             p0 = ga.IsoGaussian([m], 1.0 / beta)
             chan = ga.OU(gamma=gamma)
             env = (
@@ -399,6 +410,8 @@ def cmd_gap(params: dict, run: RunDir) -> int:
     if not params["no_plot"]:
         plot_csv(cols, run.file("plot.svg"), "x", ["nu", "rho_unnormalized"],
                  title="spiked density vs N(0,1)")
+    run.health = {"route": "closed-form", "pieces": int(quadrature.spike_pieces(spec)[0].size - 1),
+                  "z": math.exp(-r_inf)}
     return code
 
 
@@ -411,13 +424,11 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
     if t_end < 0.0:
         raise UsageError("--t-end must be nonnegative")
     quartic = potentials.quartic_1d()
-    dt_q = min(dt, 0.1 / quartic.smoothness)
     if eta > _ETA_CAP:
-        raise UsageError(f"need --eta <= {_ETA_CAP:g}: the implicit step solves for the quartic's "
-                         "iterate to 1e-9 (1 + |x|) / eta, and fails its residual check by 1e155")
-    if k_max > _MAX_STEPS or t_end / dt_q > _MAX_STEPS:
-        raise UsageError(f"need --k <= {_MAX_STEPS} and --t-end / --dt <= {_MAX_STEPS} "
-                         f"(--dt above {0.1 / quartic.smoothness:g} counts as that)")
+        raise UsageError(f"need --eta <= {_ETA_CAP:g}: the range over which the implicit step's "
+                         "closed forms are tested")
+    if k_max > _MAX_STEPS or t_end / dt > _MAX_STEPS:
+        raise UsageError(f"need --k <= {_MAX_STEPS} and --t-end / --dt <= {_MAX_STEPS}")
     code = EXIT_OK
 
     quad = potentials.quadratic_potential(1, 1.0)
@@ -433,7 +444,7 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
     else:
         print(f"PASS quadratic per-step ratio exactly (1+alpha eta)^-2 (max dev {worst:.2e})")
 
-    times, flow_gsq = optim.gradient_flow(quartic, [1.0], t_end, dt_q)
+    times, flow_gsq = optim.gradient_flow(quartic, [1.0], t_end, dt)
     envelope = flow_gsq[0] * np.exp(-2.0 * quartic.alpha * times)
     if np.any(flow_gsq > envelope * (1.0 + 1e-6)):
         print("FAIL quartic gradient-flow envelope")
@@ -462,6 +473,12 @@ def cmd_proxgrad(params: dict, run: RunDir) -> int:
     if not params["no_plot"]:
         plot_csv(cols, run.file("flow_quartic.svg"), "t", ["grad_sq_norm"],
                  title="gradient flow, quartic", logy=True)
+    run.health = {
+        "prox_point": {"quadratic": sampler.prox_route(quad), "quartic": sampler.prox_route(quartic)},
+        "flow": "closed-form",
+        "residual_rel_max": max(quad_trace.residual_max, quartic_trace.residual_max),
+        "rows": {"quadratic": k_max + 1, "quartic": k_max + 1, "flow": int(times.size)},
+    }
     return code
 
 

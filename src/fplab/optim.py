@@ -10,14 +10,16 @@ f = alpha |x|^2 / 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import QuadraticPotential, SmoothPotential, minimize, prox_objective
+from .potentials import SmoothPotential, minimize, prox_objective
 
 __all__ = ["ProxGradTrace", "prox_grad_step", "gradient_flow", "prox_grad_run"]
+
+_SLACK = 1e-9  # relative slack of the decay certificate
+_TINY = np.finfo(float).tiny  # smallest normal float: the certificate's floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,38 +27,42 @@ class ProxGradTrace:
     """Iterates and squared gradient norms of a proximal-gradient run.
 
     Construction enforces the decay certificate
-    grad_sq_norms[k] <= grad_sq_norms[0] / (1 + alpha eta)^(2k) + 1e-9.
+    grad_sq_norms[k] <= max(grad_sq_norms[0] (1 + alpha eta)^(-2k) (1 + 1e-9), tiny),
+    tiny the smallest normal float.  ``residual_max`` is the largest
+    implicit-step residual |x_k - (x_{k-1} - eta grad f(x_k))| / (1 + |x_{k-1}|).
     """
 
     iterates: np.ndarray  # (k_max + 1, d)
     grad_sq_norms: np.ndarray  # (k_max + 1,)
     eta: float
     alpha: float
+    residual_max: float = 0.0
 
     def __post_init__(self):
-        g0 = float(self.grad_sq_norms[0])
-        shrink = (1.0 + self.alpha * self.eta) ** 2
-        bound = g0
-        for k, gsq in enumerate(self.grad_sq_norms):
-            if gsq > bound + 1e-9:
-                raise ValueError(
-                    f"decay certificate violated at step {k}: {gsq!r} > {bound!r} + 1e-9"
-                )
-            bound /= shrink
+        gsq = self.grad_sq_norms
+        with np.errstate(over="ignore"):  # past the float range the envelope is 0
+            bound = gsq[0] / (1.0 + self.alpha * self.eta) ** (2 * np.arange(gsq.size))
+        bad = np.flatnonzero(~(gsq <= np.maximum(bound * (1.0 + _SLACK), _TINY)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"decay certificate violated at step {k}: {gsq[k]!r} > "
+                             f"{bound[k]!r} (1 + {_SLACK:g})")
 
 
 def prox_grad_step(f: SmoothPotential, x: np.ndarray, eta: float) -> np.ndarray:
     """argmin_z f(z) + |z - x|^2 / (2 eta), the implicit gradient step.
 
-    Quadratics are solved exactly; otherwise the (1/eta + alpha)-strongly
-    convex composite is minimized by gradient descent tightly enough that
-    the fixed-point residual |x' - (x - eta grad f(x'))| stays below
-    1e-8 (1 + |x|).
+    A potential with an exact prox point returns it; otherwise the
+    (1/eta + alpha)-strongly convex composite is minimized by gradient
+    descent tightly enough that the fixed-point residual
+    |x' - (x - eta grad f(x'))| stays below 1e-8 (1 + |x|).  An exact
+    map's residual is rounding alone, which grows like eta smoothness |x'|
+    ulp and passes that bound at eta ~ 1e9 for a quadratic centred at 1.
     """
     if not eta > 0.0:
         raise ValueError("eta must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(f, QuadraticPotential):
+    if f.prox_point is not None:
         return f.prox_point(x, eta)
     scale = 1.0 + float(np.linalg.norm(x))
     x_new = minimize(prox_objective(f, x, eta), x, 1e-9 * scale / eta)
@@ -67,36 +73,22 @@ def prox_grad_step(f: SmoothPotential, x: np.ndarray, eta: float) -> np.ndarray:
 
 
 def gradient_flow(f: SmoothPotential, x0, t_end: float, dt: float):
-    """Integrate dX/dt = -grad f(X); returns (times, grad_sq_norms).
+    """|grad f|^2 along dX/dt = -grad f(X) at t = 0, dt, ..., round(t_end/dt) dt;
+    returns (times, grad_sq_norms).
 
-    Quadratic potentials use the exact exponential map; everything else is
-    classical fourth-order one-step integration, which needs
-    dt <= 0.1 / smoothness.
+    The values come from the potential's exact flow (``flow_grad_sq``); a
+    potential without one raises TypeError.
     """
     if not t_end >= 0.0:
         raise ValueError("t_end must be nonnegative")
-    if not 0.0 < dt <= 0.1 / f.smoothness:
-        raise ValueError("need 0 < dt <= 0.1 / smoothness")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if f.flow_grad_sq is None:
+        raise TypeError(f"{type(f).__name__} has no exact gradient flow")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     steps = int(round(t_end / dt))
     times = np.linspace(0.0, steps * dt, steps + 1)
-    gsq = np.empty(steps + 1)
-    gsq[0] = float(np.dot(f.gradient(x), f.gradient(x)))
-    if isinstance(f, QuadraticPotential):
-        g0 = f.gradient(x)
-        for i, t in enumerate(times[1:], start=1):
-            decayed = math.exp(-f.curvature * t) * g0
-            gsq[i] = float(np.dot(decayed, decayed))
-        return times, gsq
-    for i in range(1, steps + 1):
-        k1 = -f.gradient(x)
-        k2 = -f.gradient(x + 0.5 * dt * k1)
-        k3 = -f.gradient(x + 0.5 * dt * k2)
-        k4 = -f.gradient(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g = f.gradient(x)
-        gsq[i] = float(np.dot(g, g))
-    return times, gsq
+    return times, f.flow_grad_sq(x, times)
 
 
 def prox_grad_run(f: SmoothPotential, x0, eta: float, k_max: int) -> ProxGradTrace:
@@ -106,13 +98,15 @@ def prox_grad_run(f: SmoothPotential, x0, eta: float, k_max: int) -> ProxGradTra
         raise ValueError("k_max must be nonnegative")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     iterates = np.empty((k_max + 1, x.size))
-    gsq = np.empty(k_max + 1)
+    grads = np.empty((k_max + 1, x.size))
     iterates[0] = x
-    g = f.gradient(x)
-    gsq[0] = float(np.dot(g, g))
+    grads[0] = f.gradient(x)
     for k in range(1, k_max + 1):
         x = prox_grad_step(f, x, eta)
         iterates[k] = x
-        g = f.gradient(x)
-        gsq[k] = float(np.dot(g, g))
-    return ProxGradTrace(iterates=iterates, grad_sq_norms=gsq, eta=eta, alpha=f.alpha)
+        grads[k] = f.gradient(x)
+    prev = iterates[:-1]
+    residuals = np.linalg.norm(iterates[1:] - (prev - eta * grads[1:]), axis=1)
+    residual_max = float(np.max(residuals / (1.0 + np.linalg.norm(prev, axis=1)), initial=0.0))
+    return ProxGradTrace(iterates=iterates, grad_sq_norms=np.sum(grads**2, axis=1), eta=eta,
+                         alpha=f.alpha, residual_max=residual_max)

@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "SmoothPotential",
     "QuadraticPotential",
+    "QuarticPotential",
     "ScalarPotential",
     "SpikeSpec",
     "ConvergenceError",
@@ -51,7 +52,14 @@ class SmoothPotential:
     smoothness|x-y|^2 on sampled pairs.  For potentials that are only
     strongly convex/smooth on a box, the declaration is understood to hold
     on the region the trajectory of interest visits.
+
+    A potential with exact maps overrides ``prox_point`` (the argmin of f
+    plus |x - y|^2 / (2 eta)) and ``flow_grad_sq`` (|grad f|^2 along the
+    gradient flow); the solvers take them wherever they are not None.
     """
+
+    prox_point = None
+    flow_grad_sq = None
 
     dim: int
     value: Callable[[np.ndarray], float]
@@ -81,6 +89,11 @@ class QuadraticPotential(SmoothPotential):
         (y + eta c center) / (1 + eta c), c the curvature."""
         c = self.curvature
         return (y + eta * c * self.center) / (1.0 + eta * c)
+
+    def flow_grad_sq(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """|grad f(x_t)|^2 along dx/dt = -grad f(x): |grad f(x_0)|^2 e^{-2 c t}."""
+        g0 = self.gradient(x0)
+        return float(np.dot(g0, g0)) * np.exp(-2.0 * self.curvature * times)
 
 
 def quadratic_potential(dim: int, alpha: float, center=None) -> QuadraticPotential:
@@ -217,7 +230,30 @@ def spike_potential(spec: SpikeSpec) -> ScalarPotential:
     )
 
 
-def quartic_1d() -> SmoothPotential:
+@dataclass(frozen=True, eq=False)
+class QuarticPotential(SmoothPotential):
+    """sum of x^4/4 + x^2/2 over the coordinates, with its exact prox point
+    and gradient flow; both act coordinate by coordinate."""
+
+    def prox_point(self, y: np.ndarray, eta: float) -> np.ndarray:
+        """argmin_z of this potential plus |z - y|^2 / (2 eta): per coordinate
+        the one real root of z^3 + p z = y / eta, p = 1 + 1/eta, in the
+        cancellation-free form 2 sqrt(p/3) sinh(asinh((3 y / (2 eta p)) sqrt(3/p)) / 3)."""
+        p = 1.0 + 1.0 / eta
+        r = math.sqrt(3.0 / p)
+        return 2.0 / r * np.sinh(np.arcsinh(1.5 * np.asarray(y, dtype=float) / (eta * p) * r) / 3.0)
+
+    def flow_grad_sq(self, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """|grad f(x_t)|^2 along dx/dt = -grad f(x).  Per coordinate u = x^2
+        solves u' = -2 u (1 + u), so u_t = u_0 e^{-2t} / (1 - u_0 expm1(-2t)),
+        and |grad f|^2 = u (1 + u)^2; every term is positive."""
+        u0 = np.asarray(x0, dtype=float) ** 2
+        t = np.asarray(times, dtype=float)[:, None]
+        u = u0 * np.exp(-2.0 * t) / (1.0 - u0 * np.expm1(-2.0 * t))
+        return np.sum(u * (1.0 + u) ** 2, axis=1)
+
+
+def quartic_1d() -> QuarticPotential:
     """x^4/4 + x^2/2: the built-in non-quadratic convex test function.
 
     Globally 1-strongly convex; the declared smoothness 4 holds on the box
@@ -232,7 +268,7 @@ def quartic_1d() -> SmoothPotential:
         x = np.asarray(x, dtype=float)
         return x**3 + x
 
-    return SmoothPotential(dim=1, value=value, gradient=gradient, alpha=1.0, smoothness=4.0)
+    return QuarticPotential(dim=1, value=value, gradient=gradient, alpha=1.0, smoothness=4.0)
 
 
 def prox_objective(g: SmoothPotential, y, eta: float) -> SmoothPotential:

@@ -24,7 +24,9 @@ Numerical policy
   heavier.
 * Integrals are composite Simpson on uniform grids with an odd point
   count; the reported error estimate is the classical |fine - coarse|/15
-  comparison and is heuristic, not a rigorous bound.
+  comparison and is heuristic, not a rigorous bound.  The spike gap is the
+  exception: its potential is piecewise linear, so ``gap_check`` sums
+  exact Gaussian integrals over the pieces.
 * Grids must cover >= 8 standard deviations of every density they
   integrate; the trace producers grow their grids with t accordingly.
 * The closed-form trace's grids put the well's kinks on the boundaries of
@@ -63,6 +65,7 @@ __all__ = [
     "counterexample_initial_slope",
     "perturbed_bound_check",
     "gap_check",
+    "spike_pieces",
     "default_time_grid",
     "well_grid",
 ]
@@ -633,22 +636,75 @@ def perturbed_bound_check(
 # Spike gap certificate
 
 
+_MILLS_CF_FROM = 3.0  # Mills ratio by continued fraction from here on
+_MILLS_DEPTH = 60  # continued-fraction depth: 1.5e-17 relative at z = 3, less beyond
+
+
+def _mills_ratio(z: np.ndarray) -> np.ndarray:
+    """Phi-bar(z) / phi(z) for an array z, to a few ulp.
+
+    Below 3 it is sqrt(pi/2) erfc(z/sqrt 2) e^{z^2/2}; from 3 on Laplace's
+    continued fraction 1/(z + 1/(z + 2/(z + 3/(z + ...)))), evaluated
+    backwards, which neither underflows nor overflows.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    near = z < _MILLS_CF_FROM
+    out[near] = [math.sqrt(math.pi / 2.0) * math.erfc(v / math.sqrt(2.0)) * math.exp(0.5 * v * v)
+                 for v in z[near].tolist()]
+    far = z[~near]
+    t = far.copy()
+    for n in range(_MILLS_DEPTH, 0, -1):
+        t = far + n / t
+    out[~near] = 1.0 / t
+    return out
+
+
+def spike_pieces(spec: SpikeSpec):
+    """(x, g): the breakpoints of the spike potential on [-a, a] and its
+    values there.  The breakpoints are +-a and the multiples m of the
+    half-period inside (-a, a), where g is 1 for even |m| <= 2K and 0
+    otherwise; g is linear between them.  A multiple within 1e-9
+    half-periods of +-a, as (2K+1) is up to rounding, counts as +-a."""
+    n = math.ceil(spec.a / spec.width - 1e-9) - 1
+    m = np.arange(-n, n + 1)
+    x = np.concatenate(([-spec.a], spec.width * m, [spec.a]))
+    peak = (m % 2 == 0) & (np.abs(m) <= 2 * spec.k_count)
+    edge = float(spike_potential(spec).value(spec.a))
+    return x, np.concatenate(([edge], peak.astype(float), [edge]))
+
+
 def gap_check(spec: SpikeSpec, grid: EvalGrid):
     """Certify the spike construction: rho = N(0,1) e^{-g} / Z against N(0,1).
 
-    Returns (r_inf, fi) where r_inf = max over the grid of log(rho/nu)
-    (the sup is attained wherever g vanishes) and fi = E_rho[(g')^2].
+    Returns (r_inf, fi): r_inf = sup log(rho/nu) = -log Z, since g >= 0
+    vanishes outside [-a, a], and fi = E_rho[(g')^2].  Both come from exact
+    integrals over the pieces of ``spike_pieces``, where g is linear:
+    int_l^u phi e^{-g} = F(l) - F(u), F(x) = phi(x) e^{-g(x)} R(x + g'), R the
+    Mills ratio, or mirrored G(u) - G(l), G(x) = phi(x) e^{-g(x)} R(-x - g').
+    Each piece takes the form whose R arguments sum to >= 0, so the
+    difference keeps its digits.  1 - Z = P(|X| <= a) - int_{-a}^{a} phi e^{-g}.
+
+    ``grid``, the grid the caller tabulates the densities on, must cover
+    [-a-8, a+8]; the result does not depend on it.
     Raises GapBoundError unless r_inf <= eps + 1e-6 and fi >= fi_floor - 1e-6.
     """
     if grid.lo > -(spec.a + 8.0) or grid.hi < spec.a + 8.0:
         raise ValueError("grid must cover [-a-8, a+8]")
-    pot = spike_potential(spec)
-    pts = grid.points
-    g = pot.value(pts)
-    weight = np.exp(-(pts**2) / 2.0 - g) / math.sqrt(2.0 * math.pi)
-    z = _simpson(weight, grid.dx)
-    r_inf = float(np.max(-g)) - math.log(z)
-    fi = _simpson(weight * pot.deriv1(pts) ** 2, grid.dx) / z
+    x, g = spike_pieces(spec)
+    slope = spike_potential(spec).deriv1(0.5 * (x[:-1] + x[1:]))
+    end = np.exp(-0.5 * x * x - g) / math.sqrt(2.0 * math.pi)  # phi e^{-g}
+    lo, hi = x[:-1] + slope, x[1:] + slope
+    upper = lo + hi >= 0.0
+    near = np.where(upper, end[:-1], end[1:])  # the end whose R argument is the smaller
+    far = np.where(upper, end[1:], end[:-1])
+    r = _mills_ratio(np.concatenate((np.where(upper, lo, -hi), np.where(upper, hi, -lo))))
+    mass = near * r[: near.size] - far * r[near.size:]
+    z_in = float(np.sum(mass))
+    deficit = math.erf(spec.a / math.sqrt(2.0)) - z_in  # 1 - Z: P(|X| <= a) minus the spiked mass
+    z = 1.0 - deficit
+    r_inf = -math.log1p(-deficit)
+    fi = float(np.sum(mass * slope**2)) / z
     if r_inf > spec.eps + 1e-6:
         raise GapBoundError(f"r_inf={r_inf!r} exceeds eps={spec.eps}", r_inf, fi)
     if fi < spec.fi_floor - 1e-6:

@@ -5,8 +5,8 @@ certificates for Gaussian targets.
 One iteration from x_k: draw y_k ~ N(x_k, eta I), then draw
 x_{k+1} ~ nu(x | y_k) proportional to exp(-g(x) - |x - y_k|^2 / (2 eta)).
 The backward conditional is sampled exactly: minimize
-f_y(x) = g(x) + |x-y|^2/(2 eta) (in closed form for a quadratic g, by
-gradient descent otherwise), propose Z ~ N(x*_y, eta/(1 - eta L) I),
+f_y(x) = g(x) + |x-y|^2/(2 eta) (by the target's exact prox point where it
+has one, by gradient descent otherwise), propose Z ~ N(x*_y, eta/(1 - eta L) I),
 accept with probability
 
     exp(-f_y(Z) + f_y(x*_y) + (1 - eta L)/(2 eta) * |Z - x*_y|^2).
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import IsoGaussian, Proximal, ProxRate, fi_curve, fisher_information
-from .potentials import QuadraticPotential, SmoothPotential, minimize, prox_objective
+from .potentials import SmoothPotential, minimize, prox_objective
 
 __all__ = [
     "SamplerConfig",
@@ -138,8 +138,8 @@ def forward_step(x: np.ndarray, eta: float, rng: np.random.Generator) -> np.ndar
 
 def prox_route(g: SmoothPotential) -> str:
     """How ``rgo_sample`` finds the prox point of g: ``closed-form`` for a
-    quadratic, ``gradient-descent`` for every other target."""
-    return "closed-form" if isinstance(g, QuadraticPotential) else "gradient-descent"
+    target with an exact prox point, ``gradient-descent`` for every other."""
+    return "gradient-descent" if g.prox_point is None else "closed-form"
 
 
 def rgo_sample(
@@ -160,7 +160,7 @@ def rgo_sample(
         raise ValueError("rejection sampling needs eta * smoothness < 1")
     y = np.asarray(y, dtype=float)
     f_y = prox_objective(g, y, eta)
-    if isinstance(g, QuadraticPotential):
+    if g.prox_point is not None:
         x_star = g.prox_point(y, eta)
     else:
         x_star = minimize(f_y, y, _RGO_TOL * (1.0 + float(np.linalg.norm(y))))

@@ -1,15 +1,19 @@
 """The benchmark's layer tracer (bench/tracer.py) patches fplab's names from
 outside the package.  Installing it here makes a rename or deletion of any
-name it needs fail the test suite, and checks that removing it restores
-every attribute it patched."""
+name it needs, or a change of the call shapes its hooks read, fail the test
+suite, and checks that removing it restores every attribute it patched."""
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from fplab import cli, gaussian, optim, potentials, quadrature, sampler, svgplot
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 MODULES = (cli, gaussian, optim, potentials, quadrature, sampler, svgplot)
 
 
@@ -41,9 +45,33 @@ def test_tracer_installs_and_restores(tmp_path):
             ("gaussian-rates", "--channel", "ou", "--points", "5"),
             # the concave-well trace under the wrapped potential factory and row pool
             ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
+            # the hooks read gap_check's grid and gradient_flow's time grid
+            ("gap",),
+            ("proxgrad", "--k", "5", "--t-end", "1"),
         )]
     after = namespace()
-    assert codes == [cli.EXIT_OK, cli.EXIT_OK]
+    assert codes == [cli.EXIT_OK] * 4
     assert any(during[key] is not value for key, value in before.items())
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_light_certs_load_no_scipy(tmp_path):
+    # the light-certs workload's own invocations, in one fresh interpreter
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "from workloads import WORKLOADS\n"
+        "from fplab.cli import main\n"
+        "argvs = WORKLOADS['light-certs'].invocations(7)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([*argv, '--out-dir', {str(tmp_path)!r}]) for argv in argvs]\n"
+        "print(sorted({argv[0] for argv in argvs}), set(codes) - {0, 2},\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['gap', 'gaussian-rates', 'proxgrad', 'sampler'] set() []"

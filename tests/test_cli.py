@@ -339,6 +339,16 @@ class TestGap:
         assert cols["r_inf"][0] <= 0.5 + 1e-6
         assert cols["fi"][0] >= 10.0 - 1e-6
 
+    def test_manifest_reports_numerical_health(self, tmp_path):
+        assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_OK
+        run_dir = only_run_dir(tmp_path, "gap")
+        health = json.load(open(os.path.join(run_dir, "manifest.json")))["health"]
+        r_inf = read_csv_columns(os.path.join(run_dir, "gap.csv"))["r_inf"][0]
+        spec = fp.spike_spec(0.5, 10.0)
+        assert health["route"] == "closed-form"
+        assert health["pieces"] == 2 * (2 * spec.k_count + 1)
+        assert health["z"] == pytest.approx(math.exp(-r_inf), rel=1e-15)
+
 
 class TestProxgrad:
     def test_pass(self, tmp_path):
@@ -350,6 +360,27 @@ class TestProxgrad:
 
     def test_zero_eta_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "proxgrad", "--eta", "0") == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [("--eta", "3"), ("--k", "40"), ("--eta", "1e100", "--k", "400")])
+    def test_quartic_envelope_holds_to_the_last_step(self, tmp_path, args, capsys):
+        # the implicit step is exact, so grad_sq_norm keeps falling with the envelope
+        assert run_cli(tmp_path, "proxgrad", *args, "--no-plot") == EXIT_OK
+        assert capsys.readouterr().out.count("PASS") == 3
+
+    def test_manifest_reports_numerical_health(self, tmp_path):
+        assert run_cli(tmp_path, "proxgrad", "--k", "10", "--t-end", "1", "--no-plot") == EXIT_OK
+        health = json.load(open(os.path.join(only_run_dir(tmp_path, "proxgrad"),
+                                              "manifest.json")))["health"]
+        assert health["prox_point"] == {"quadratic": "closed-form", "quartic": "closed-form"}
+        assert health["flow"] == "closed-form"
+        assert 0.0 <= health["residual_rel_max"] <= 1e-15
+        assert health["rows"] == {"quadratic": 11, "quartic": 11, "flow": 101}
+
+    def test_dt_spaces_the_flow_rows(self, tmp_path):
+        # the flow is exact, so any --dt is only the spacing of its rows
+        assert run_cli(tmp_path, "proxgrad", "--dt", "0.5", "--t-end", "2", "--no-plot") == EXIT_OK
+        cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "proxgrad"), "flow_quartic.csv"))
+        assert cols["t"] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
 class TestDriver:
@@ -409,6 +440,19 @@ class TestDriver:
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, *args, "--no-plot") == EXIT_USAGE
         assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        # (1 + alpha t)^2 in the heat envelope would overflow
+        (("--channel", "heat", "--alpha", "1e300"), "--alpha"),
+        (("--channel", "heat", "--t-max", "1e300"), "--t-max"),
+        # gamma - beta (gamma - alpha) would round to -beta and the OU envelope divide by 0
+        (("--channel", "ou", "--beta", "1e300"), "--beta"),
+        (("--channel", "ou", "--alpha", "1e300"), "--alpha"),
+    ])
+    def test_envelope_range_is_usage_error(self, tmp_path, args, flag, capsys):
+        assert run_cli(tmp_path, "gaussian-rates", *args, "--no-plot") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error:" in err and flag in err
 
     def test_parser_reuse_does_not_leak_values(self, tmp_path):
         assert run_cli(tmp_path / "a", "gap", "--eps", "0.6", "--no-plot") == EXIT_OK

@@ -6,6 +6,7 @@ from scipy import integrate
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
+from oracles import simpson_gap_check
 from fplab.quadrature import (
     EvalGrid,
     GapBoundError,
@@ -439,6 +440,34 @@ class TestPerturbedBound:
         assert any(r.fi > env.factor(r.t) * fi0 + 1e-6 for r in rows)
 
 
+def gap_reference(spec):
+    """(r_inf, fi) of the spike construction at 50 digits: each linear piece
+    of g integrated against phi in closed form, by mpmath's erfc in the tail
+    where the piece sits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        w, K = mp.mpf(spec.width), spec.k_count
+        root2 = mp.sqrt(2)
+        z_in = fi_in = mp.mpf(0)
+        xs = fp.quadrature.spike_pieces(spec)[0]
+        for lo, hi in zip(xs[:-1], xs[1:]):
+            lo, hi = mp.mpf(lo), mp.mpf(hi)
+            mid = (lo + hi) / 2
+            k = min(max(mp.nint(mid / (2 * w)), -K), K)
+            s = -mp.sign(mid - 2 * w * k) / w  # g = c + s x on the piece
+            c = 1 - abs(mid - 2 * w * k) / w - s * mid
+            a, b = lo + s, hi + s
+            if a >= 0:
+                tail = (mp.erfc(a / root2) - mp.erfc(b / root2)) / 2
+            else:
+                tail = (mp.erfc(-b / root2) - mp.erfc(-a / root2)) / 2
+            piece = mp.exp(-c + s * s / 2) * tail
+            z_in += piece
+            fi_in += piece * s * s
+        z = 1 - (mp.erf(mp.mpf(spec.a) / root2) - z_in)
+        return -mp.log(z), fi_in / z
+
+
 class TestGapCheck:
     @pytest.mark.parametrize("eps,floor", [(0.5, 10.0), (0.1, 100.0)])
     def test_certified_cases(self, eps, floor):
@@ -448,34 +477,60 @@ class TestGapCheck:
         assert r_inf <= eps + 1e-6
         assert fi >= floor - 1e-6
 
+    @pytest.mark.parametrize("eps,floor", [
+        (0.5, 10.0), (0.1, 100.0), (1e-3, 10.0), (1e-8, 2.0), (0.999999, 1.5), (0.5, 1e4),
+        (0.9, 1e6),
+    ])
+    def test_against_mpmath(self, eps, floor):
+        spec = fp.spike_spec(eps, floor)
+        r_inf, fi = fp.gap_check(spec, EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 0.05))
+        ref_r, ref_fi = gap_reference(spec)
+        assert abs((r_inf - ref_r) / ref_r) <= 1e-13
+        assert abs((fi - ref_fi) / ref_fi) <= 1e-13
+
     def test_r_inf_identity(self):
         # sup of log(rho/nu) is attained where the perturbation vanishes, so
-        # r_inf must equal -log of the grid normalizer exactly; the grid
-        # normalizer itself is checked against adaptive quadrature with
-        # explicit kink breakpoints (Simpson on the kinked integrand is good
-        # to a few 1e-8, well inside the 1e-6 certification slack)
+        # r_inf is -log Z: on the Simpson oracle, -log of its grid normalizer
+        # exactly; here, -log of the normalizer that adaptive quadrature with
+        # explicit kink breakpoints gives
         spec = fp.spike_spec(0.5, 10.0)
         grid = EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 2e-4)
-        r_inf, _ = fp.gap_check(spec, grid)
         pot = fp.spike_potential(spec)
-
+        r_oracle, _ = simpson_gap_check(spec, grid)
         weights = np.exp(-grid.points**2 / 2.0 - pot.value(grid.points)) / math.sqrt(2 * math.pi)
         z_grid = integrate.simpson(weights, dx=grid.dx)
-        assert r_inf == pytest.approx(-math.log(z_grid), abs=1e-13)
+        assert r_oracle == pytest.approx(-math.log(z_grid), abs=1e-13)
 
         def integrand(x):
             return math.exp(-x * x / 2.0 - pot.value(float(x))) / math.sqrt(2.0 * math.pi)
 
         kinks = [k * spec.width for k in range(-2 * spec.k_count - 1, 2 * spec.k_count + 2)]
-        z, _ = integrate.quad(
-            integrand, -spec.a - 12.0, spec.a + 12.0, limit=400, points=kinks
-        )
-        assert r_inf == pytest.approx(-math.log(z), abs=5e-7)
+        z, _ = integrate.quad(integrand, -spec.a - 12.0, spec.a + 12.0, limit=400, points=kinks,
+                              epsabs=0.0, epsrel=1e-13)
+        r_inf, _ = fp.gap_check(spec, grid)
+        assert r_inf == pytest.approx(-math.log(z), rel=1e-12)
+
+    def test_simpson_oracle_agrees(self):
+        # Simpson falls to O(h) at the kinks, which are not grid nodes: the
+        # oracle sits about 1e-4 from the exact fi and 4e-7 from r_inf
+        spec = fp.spike_spec(0.5, 10.0)
+        grid = EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 2e-4)
+        r_inf, fi = fp.gap_check(spec, grid)
+        r_oracle, fi_oracle = simpson_gap_check(spec, grid)
+        assert r_oracle == pytest.approx(r_inf, rel=1e-6)
+        assert fi_oracle == pytest.approx(fi, rel=1e-3)
+
+    def test_independent_of_grid(self):
+        spec = fp.spike_spec(0.5, 10.0)
+        coarse = fp.gap_check(spec, EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 0.05))
+        fine = fp.gap_check(spec, EvalGrid(-(spec.a + 20.0), spec.a + 20.0, 1e-4))
+        assert coarse == fine
 
     def test_grid_coverage_required(self):
         spec = fp.spike_spec(0.5, 10.0)
-        with pytest.raises(ValueError):
-            fp.gap_check(spec, EvalGrid(-4.0, 4.0, 1e-3))
+        for check in (fp.gap_check, simpson_gap_check):
+            with pytest.raises(ValueError):
+                check(spec, EvalGrid(-4.0, 4.0, 1e-3))
 
     def test_inconsistent_spec_raises(self):
         good = fp.spike_spec(0.5, 10.0)
@@ -485,8 +540,15 @@ class TestGapCheck:
             m_big=good.m_big, k_count=good.k_count, width=good.width * 4.0,
         )
         grid = EvalGrid(-(good.a + 12.0), good.a + 12.0, 2e-4)
-        with pytest.raises(GapBoundError):
-            fp.gap_check(doctored, grid)
+        for check in (fp.gap_check, simpson_gap_check):
+            with pytest.raises(GapBoundError):
+                check(doctored, grid)
+
+    def test_pieces_of_a_consistent_spec(self):
+        spec = fp.spike_spec(0.5, 10.0)
+        x, g = fp.quadrature.spike_pieces(spec)
+        assert x.size == 2 * (2 * spec.k_count + 1) + 1
+        np.testing.assert_allclose(g, fp.spike_potential(spec).value(x), rtol=0.0, atol=1e-14)
 
 
 class TestHeatDpiViaHandles:
