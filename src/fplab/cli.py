@@ -45,7 +45,7 @@ _T_MIN_FLOOR = 1e-300  # counterexample's least --t-min
 _T_MAX_CAP = 1e6  # counterexample's largest --t-max
 _MAX_STEPS = 10**6  # proxgrad's largest step count, of either run
 _ETA_CAP = 1e100  # proxgrad's largest --eta
-_SPIKE_STEPS = 4  # gap's least grid steps per spike half-period
+_SPIKE_PIECES_CAP = 2**17  # gap's most linear pieces of g: one exact integral and row each
 _HEAT_SPAN_CAP = 1e150  # heat's largest --alpha * --t-max: (1 + alpha t)^2 must stay finite
 _OU_RATIO_CAP = 1e15  # ou's largest --alpha / --gamma and --beta / --gamma
 
@@ -237,14 +237,11 @@ def cmd_counterexample(params: dict, run: RunDir) -> int:
         raise UsageError(f"need --t-max <= {_T_MAX_CAP:g}: past it the scores of the two smoothed "
                          "laws agree to more than 10 of their 16 digits, and fi is their difference")
     t_grid = quadrature.default_time_grid(params["t_min"], params["t_max"], params["t_points"])
-    for t in t_grid:
-        try:
-            quadrature.well_grid(t, halfwidth, step, m_big)
-        except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
-            raise UsageError(f"no grid at t={t:g} for --M {m_big:g}, --L {halfwidth:g} and "
-                             f"--grid-step {step:g}: {exc}") from exc
     try:
         trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid, step=step)
+    except quadrature.GridError as exc:
+        raise UsageError(f"no grid at t={exc.t:g} for --M {m_big:g}, --L {halfwidth:g} and "
+                         f"--grid-step {step:g}: {exc.__cause__}") from exc
     except (quadrature.NormalizationError, quadrature.QuadratureError) as exc:
         raise UsageError(f"--M {m_big:g}, --L {halfwidth:g}, --t-min/--t-max and --grid-step "
                          f"{step:g} are outside the range the trace is computed in: {exc}") from exc
@@ -379,17 +376,17 @@ def cmd_gap(params: dict, run: RunDir) -> int:
         raise UsageError("need 0 < --eps < 1 < --fi-floor")
     try:
         spec = potentials.spike_spec(eps, fi_floor)
-    except ValueError as exc:  # the domain is checked above: only a tiny eps is left
-        raise UsageError(f"--eps: {exc}") from exc
+    except ValueError as exc:  # the domain is checked above: a tiny eps or a huge ratio is left
+        raise UsageError(f"--eps {eps:.12g} and --fi-floor {fi_floor:.12g}: {exc}") from exc
+    pieces = 2 * (2 * spec.k_count + 1)
+    if pieces > _SPIKE_PIECES_CAP:
+        raise UsageError(f"need at most {_SPIKE_PIECES_CAP} spike pieces: --eps {eps:.12g} and "
+                         f"--fi-floor {fi_floor:.12g} give {pieces}")
     half = spec.a + 12.0
     try:
         grid = quadrature.EvalGrid(-half, half, step)
     except ValueError as exc:  # only the grid's own validation can raise here
         raise UsageError(f"--grid-step {step:g}: {exc}") from exc
-    if spec.width < _SPIKE_STEPS * grid.dx:  # a coarser grid does not see the spikes
-        raise UsageError(f"--grid-step {step:g} is too coarse for --eps {eps:g} and --fi-floor "
-                         f"{fi_floor:g}: each spike needs {_SPIKE_STEPS} grid steps per half "
-                         f"period, which is {spec.width:.3g} long")
     code = EXIT_OK
     try:
         r_inf, fi = quadrature.gap_check(spec, grid)
@@ -402,16 +399,18 @@ def cmd_gap(params: dict, run: RunDir) -> int:
     write_table(run.file("gap.csv"), params, {
         "eps": [eps], "fi_floor": [fi_floor], "a": [spec.a], "m_big": [spec.m_big],
         "k_count": [spec.k_count], "width": [spec.width], "r_inf": [r_inf], "fi": [fi]})
-    pot = potentials.spike_potential(spec)
-    pts = grid.points[:: max(1, grid.points.size // 4000)]
+    # the grid plus every kink of rho; g is linear between the kinks and 0 past +-a
+    kinks, g_kinks = quadrature.spike_pieces(spec)
+    pts = np.union1d(grid.points, kinks)
     nu = np.exp(-(pts**2) / 2.0) / math.sqrt(2.0 * math.pi)
-    cols = {"x": pts, "nu": nu, "rho_unnormalized": nu * np.exp(-pot.value(pts))}
+    g = np.interp(pts, kinks, g_kinks, left=0.0, right=0.0)
+    cols = {"x": pts, "nu": nu, "rho_unnormalized": nu * np.exp(-g)}
     write_table(run.file("density.csv"), params, cols)
     if not params["no_plot"]:
         plot_csv(cols, run.file("plot.svg"), "x", ["nu", "rho_unnormalized"],
                  title="spiked density vs N(0,1)")
-    run.health = {"route": "closed-form", "pieces": int(quadrature.spike_pieces(spec)[0].size - 1),
-                  "z": math.exp(-r_inf)}
+    run.health = {"route": "closed-form", "pieces": pieces, "z": math.exp(-r_inf),
+                  "grid_points": int(grid.points.size), "density_rows": int(pts.size)}
     return code
 
 
@@ -507,7 +506,7 @@ _COMMANDS = {
         "burn_in": (_count(0), None), "record_every": (_count(1), None),
     }),
     "gap": (cmd_gap, {
-        "eps": (_number, 0.5), "fi_floor": (_number, 10.0), "grid_step": (_positive, 2e-4),
+        "eps": (_number, 0.5), "fi_floor": (_number, 10.0), "grid_step": (_positive, 0.05),
     }),
     "proxgrad": (cmd_proxgrad, {
         "eta": (_positive, 1.0), "k": (_count(0), 25), "t_end": (_number, 5.0),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -191,10 +190,13 @@ class SpikeSpec:
 def spike_spec(eps: float, fi_floor: float) -> SpikeSpec:
     if not (0.0 < eps < 1.0 < fi_floor):
         raise ValueError("need 0 < eps < 1 < fi_floor")
+    from statistics import NormalDist  # loads fractions and decimal: only gap needs it
     a = NormalDist().inv_cdf((1.0 + eps) / 2.0)
     if not a > 0.0:
         raise ValueError(f"eps={eps!r} is below the resolution of (1 + eps) / 2")
     m_big = max(1.0 / a, math.sqrt(math.e * fi_floor / eps))
+    if not math.isfinite(m_big):
+        raise ValueError(f"fi_floor / eps = {fi_floor / eps:g} leaves the float range")
     k_count = max(0, math.ceil((a * m_big - 1.0) / 2.0 - 1e-12))
     width = a / (2 * k_count + 1)
     return SpikeSpec(eps=eps, fi_floor=fi_floor, a=a, m_big=m_big, k_count=k_count, width=width)

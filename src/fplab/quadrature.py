@@ -54,6 +54,7 @@ __all__ = [
     "TraceRow",
     "ChannelTrace",
     "NormalizationError",
+    "GridError",
     "QuadratureError",
     "GapBoundError",
     "gauss_hermite",
@@ -76,6 +77,15 @@ _CHUNK = 16384  # grid points per Gauss-Hermite block, caps temporaries at ~16 M
 
 class NormalizationError(ValueError):
     """A density does not integrate to 1 on its grid."""
+
+
+class GridError(ValueError):
+    """A trace row has no Simpson grid at time ``t``: the grid's own checks
+    refused it, or sizing it overflowed (the cause)."""
+
+    def __init__(self, t: float, cause: Exception):
+        super().__init__(f"no grid at t={t:g}: {cause}")
+        self.t = t
 
 
 class QuadratureError(RuntimeError):
@@ -570,7 +580,10 @@ def counterexample_trace(
     rule = None if order is None else gauss_hermite(order)
 
     def row(t: float) -> TraceRow:
-        grid = (well_grid if rule is None else _smoothing_grid)(t, halfwidth, step, m_big)
+        try:
+            grid = (well_grid if rule is None else _smoothing_grid)(t, halfwidth, step, m_big)
+        except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
+            raise GridError(t, exc) from exc
         grid.require_covers(0.0, math.sqrt(1.0 + t))
         pts = grid.points
         if rule is None:
@@ -636,6 +649,8 @@ def perturbed_bound_check(
 # Spike gap certificate
 
 
+# relative, 8 ulp: r_inf and fi are within 8e-16 of 50-digit references
+_GAP_SLACK = 8.0 * 2.0**-52
 _MILLS_CF_FROM = 3.0  # Mills ratio by continued fraction from here on
 _MILLS_DEPTH = 60  # continued-fraction depth: 1.5e-17 relative at z = 3, less beyond
 
@@ -687,7 +702,8 @@ def gap_check(spec: SpikeSpec, grid: EvalGrid):
 
     ``grid``, the grid the caller tabulates the densities on, must cover
     [-a-8, a+8]; the result does not depend on it.
-    Raises GapBoundError unless r_inf <= eps + 1e-6 and fi >= fi_floor - 1e-6.
+    Raises GapBoundError unless r_inf <= eps (1 + s) and fi >= fi_floor (1 - s),
+    s = _GAP_SLACK.
     """
     if grid.lo > -(spec.a + 8.0) or grid.hi < spec.a + 8.0:
         raise ValueError("grid must cover [-a-8, a+8]")
@@ -705,8 +721,8 @@ def gap_check(spec: SpikeSpec, grid: EvalGrid):
     z = 1.0 - deficit
     r_inf = -math.log1p(-deficit)
     fi = float(np.sum(mass * slope**2)) / z
-    if r_inf > spec.eps + 1e-6:
+    if r_inf > spec.eps * (1.0 + _GAP_SLACK):
         raise GapBoundError(f"r_inf={r_inf!r} exceeds eps={spec.eps}", r_inf, fi)
-    if fi < spec.fi_floor - 1e-6:
+    if fi < spec.fi_floor * (1.0 - _GAP_SLACK):
         raise GapBoundError(f"fi={fi!r} below floor={spec.fi_floor}", r_inf, fi)
     return r_inf, fi

@@ -75,3 +75,19 @@ def test_light_certs_load_no_scipy(tmp_path):
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "['gap', 'gaussian-rates', 'proxgrad', 'sampler'] set() []"
+
+
+def test_cli_import_loads_no_statistics():
+    # statistics pulls in fractions and decimal, several ms of every setup;
+    # only spike_spec needs it, and imports it when called
+    script = (
+        "import sys\n"
+        "import fplab.cli\n"
+        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

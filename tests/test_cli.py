@@ -157,6 +157,28 @@ class TestCounterexample:
     def test_domain_validation(self, tmp_path):
         assert run_cli(tmp_path, "counterexample", "--M", "1.0") == EXIT_USAGE
 
+    def test_each_grid_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        well_grid = quadrature.well_grid
+
+        def counted(t, *args):
+            built.append(t)
+            return well_grid(t, *args)
+
+        monkeypatch.setattr(quadrature, "well_grid", counted)
+        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
+                       "--grid-step", "4e-3", "--no-plot")
+        assert code == EXIT_OK
+        assert built == quadrature.default_time_grid(1e-3, 0.5, 4).tolist()
+
+    def test_grid_failure_names_its_row(self, tmp_path, capsys):
+        # rows t = 0 ... 31.6 have grids; at t = 5623 the spacing leaves fewer than 200 steps
+        code = run_cli(tmp_path, "counterexample", "--grid-step", "0.011", "--t-max", "1e6",
+                       "--t-points", "5", "--no-plot")
+        assert code == EXIT_USAGE
+        assert "usage error: no grid at t=5623.41 for --M 2, --L 2 and --grid-step 0.011: " \
+            "grid too coarse" in capsys.readouterr().err
+
     def test_envelope_failure_writes_the_one_trace(self, tmp_path, monkeypatch, capsys):
         # halving the envelope puts fi(0) above its bound; the run must still
         # write both tables from the single trace it computed
@@ -348,6 +370,33 @@ class TestGap:
         assert health["route"] == "closed-form"
         assert health["pieces"] == 2 * (2 * spec.k_count + 1)
         assert health["z"] == pytest.approx(math.exp(-r_inf), rel=1e-15)
+        # the default grid on [-a-12, a+12] at step 0.05, plus the 10 kinks that are not nodes
+        assert health["grid_points"] == 509
+        assert health["density_rows"] == 519
+
+    @pytest.mark.parametrize("args", [
+        ("--eps", "1e-4"), ("--eps", "1e-8", "--fi-floor", "2", "--grid-step", "1e-3"),
+    ])
+    def test_spikes_narrower_than_the_grid_step(self, tmp_path, args, capsys):
+        # the certificate is exact at any step; no guard ties --eps to the grid
+        assert run_cli(tmp_path, "gap", *args, "--no-plot") == EXIT_OK
+        assert capsys.readouterr().out.startswith("PASS r_inf=")
+
+    @pytest.mark.parametrize("args", [(), ("--eps", "0.9", "--fi-floor", "1e4"), ("--eps", "1e-4")])
+    def test_density_rows_hold_every_kink(self, tmp_path, args):
+        assert run_cli(tmp_path, "gap", *args, "--no-plot") == EXIT_OK
+        run_dir = only_run_dir(tmp_path, "gap")
+        cols = read_csv_columns(os.path.join(run_dir, "density.csv"))
+        x, nu, rho = (np.array(cols[name]) for name in ("x", "nu", "rho_unnormalized"))
+        assert np.all(np.diff(x) > 0.0)
+        params = json.load(open(os.path.join(run_dir, "manifest.json")))["parameters"]
+        kinks, g = quadrature.spike_pieces(fp.spike_spec(params["eps"], params["fi_floor"]))
+        at = np.searchsorted(x, kinks)
+        assert np.array_equal(x[at], kinks)
+        assert np.array_equal(rho[at], nu[at] * np.exp(-g))
+        # past +-a the density is N(0, 1)
+        outside = np.abs(x) > kinks[-1]
+        assert np.array_equal(rho[outside], nu[outside])
 
 
 class TestProxgrad:
@@ -432,10 +481,12 @@ class TestDriver:
         ("proxgrad", "--t-end", "1e300"), ("proxgrad", "--dt", "1e-300"),
         ("proxgrad", "--eta", "1e300"), ("proxgrad", "--k", "1000001"),
         ("gap", "--eps", "1e-300"),
-        # spikes narrower than the grid step: the grid does not see them
-        ("gap", "--eps", "1e-4"),
+        # 3,145,342 spike pieces, past the cap of 2^17
+        ("gap", "--fi-floor", "1e12"),
         ("gaussian-rates", "--channel", "heat", "--alpha", "1e-320"),
         ("gaussian-rates", "--channel", "ou", "--beta", "1e-320"),
+        # fi_floor / eps overflows
+        ("gap", "--fi-floor", "1e308"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, *args, "--no-plot") == EXIT_USAGE

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from oracles import simpson_gap_check
 from fplab.quadrature import (
     EvalGrid,
     GapBoundError,
+    GridError,
     NormalizationError,
     QuadratureError,
+    _GAP_SLACK,
     _grid_normalized,
 )
 
@@ -479,7 +482,7 @@ class TestGapCheck:
 
     @pytest.mark.parametrize("eps,floor", [
         (0.5, 10.0), (0.1, 100.0), (1e-3, 10.0), (1e-8, 2.0), (0.999999, 1.5), (0.5, 1e4),
-        (0.9, 1e6),
+        (0.9, 1e6), (1.0 - 1e-9, 1.5),
     ])
     def test_against_mpmath(self, eps, floor):
         spec = fp.spike_spec(eps, floor)
@@ -487,6 +490,21 @@ class TestGapCheck:
         ref_r, ref_fi = gap_reference(spec)
         assert abs((r_inf - ref_r) / ref_r) <= 1e-13
         assert abs((fi - ref_fi) / ref_fi) <= 1e-13
+        # the construction clears both bounds by more than the check's slack
+        assert (eps - ref_r) / eps > _GAP_SLACK
+        assert (ref_fi - floor) / floor > _GAP_SLACK
+
+    def test_slack_is_relative(self):
+        # r_inf = 3.7e-9 is within any absolute slack of 1e-6 of eps = 1e-9
+        spec = dataclasses.replace(fp.spike_spec(1e-8, 2.0), eps=1e-9)
+        grid = EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 0.05)
+        with pytest.raises(GapBoundError, match="exceeds eps=1e-09") as info:
+            fp.gap_check(spec, grid)
+        assert info.value.r_inf == pytest.approx(3.68e-9, rel=1e-2)
+        # an r_inf four ulp above its eps passes
+        r_inf, _ = fp.gap_check(fp.spike_spec(1e-8, 2.0), grid)
+        close = dataclasses.replace(spec, eps=r_inf * (1.0 - 2.0**-50))
+        assert fp.gap_check(close, grid)[0] == r_inf
 
     def test_r_inf_identity(self):
         # sup of log(rho/nu) is attained where the perturbation vanishes, so
@@ -641,6 +659,14 @@ class TestWellGrid:
         # past sqrt(t) >> L the spacing keeps growing with the grid's width
         for t in (1e4, 1e8, 1e12):
             assert fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size <= 2000
+
+    def test_trace_names_the_row_without_a_grid(self):
+        # the spacing grows like sqrt(1+t) and the width like 8.5 sqrt(1+t):
+        # at step 0.011 the late rows have fewer than 200 steps
+        with pytest.raises(GridError, match="no grid at t=5623.41: grid too coarse") as info:
+            fp.counterexample_trace(2, 2, [0.0, 31.6, 5623.41], step=0.011)
+        assert info.value.t == 5623.41
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_default_trace_point_budget(self):
         total = sum(fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size
