@@ -241,11 +241,8 @@ def _check_dims(p: IsoGaussian, q: IsoGaussian) -> None:
 
 def kl_divergence(p: IsoGaussian, q: IsoGaussian) -> float:
     """KL(p || q) = d/2 (u - log(1 + u)) + |mp - mq|^2 / (2 vq), u = (vp - vq)/vq,
-    with u - log(1 + u) summed as ``kl_curve`` sums it."""
-    _check_dims(p, q)
-    shift = float(np.dot(p.mean - q.mean, p.mean - q.mean))
-    u = (p.var - q.var) / q.var
-    return 0.5 * p.dim * float(_u_minus_log1p(u, p.var / q.var)[0]) + shift / (2.0 * q.var)
+    formed as ``kl_curve`` forms it at t = 0."""
+    return float(kl_curve(p, q, Heat(), [0.0])[0])
 
 
 def fisher_information(p: IsoGaussian, q: IsoGaussian) -> float:

@@ -16,10 +16,20 @@ import numpy as np
 
 from .potentials import SmoothPotential, minimize, prox_objective
 
-__all__ = ["ProxGradTrace", "prox_grad_step", "gradient_flow", "prox_grad_run"]
+__all__ = ["DecayCertificateError", "ProxGradTrace", "prox_grad_step", "gradient_flow",
+           "prox_grad_run"]
 
 _SLACK = 1e-9  # relative slack of the decay certificate
 _TINY = np.finfo(float).tiny  # smallest normal float: the certificate's floor
+
+
+class DecayCertificateError(ValueError):
+    """A proximal-gradient run broke its decay certificate at ``step``; carries
+    the run's ``grad_sq_norms`` and ``residual_max``."""
+
+    def __init__(self, msg: str, step: int, grad_sq_norms: np.ndarray, residual_max: float):
+        super().__init__(msg)
+        self.step, self.grad_sq_norms, self.residual_max = step, grad_sq_norms, residual_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +38,9 @@ class ProxGradTrace:
 
     Construction enforces the decay certificate
     grad_sq_norms[k] <= max(grad_sq_norms[0] (1 + alpha eta)^(-2k) (1 + 1e-9), tiny),
-    tiny the smallest normal float.  ``residual_max`` is the largest
-    implicit-step residual |x_k - (x_{k-1} - eta grad f(x_k))| / (1 + |x_{k-1}|).
+    tiny the smallest normal float, and raises DecayCertificateError where it
+    fails.  ``residual_max`` is the largest implicit-step residual
+    |x_k - (x_{k-1} - eta grad f(x_k))| / (1 + |x_{k-1}|).
     """
 
     iterates: np.ndarray  # (k_max + 1, d)
@@ -45,8 +56,9 @@ class ProxGradTrace:
         bad = np.flatnonzero(~(gsq <= np.maximum(bound * (1.0 + _SLACK), _TINY)))
         if bad.size:
             k = int(bad[0])
-            raise ValueError(f"decay certificate violated at step {k}: {gsq[k]!r} > "
-                             f"{bound[k]!r} (1 + {_SLACK:g})")
+            raise DecayCertificateError(
+                f"decay certificate violated at step {k}: {float(gsq[k])!r} > "
+                f"{float(bound[k])!r} (1 + {_SLACK:g})", k, gsq, self.residual_max)
 
 
 def prox_grad_step(f: SmoothPotential, x: np.ndarray, eta: float) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = ["write_table", "read_csv_columns", "render_line_chart", "plot_csv"]
 _WIDTH, _HEIGHT = 720, 460
 _ML, _MR, _MT, _MB = 80, 20, 30, 50  # margins
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+_BLOCK_ROWS = 2**14  # rows write_table formats per write
 
 
 def _fmt(v) -> str:
@@ -32,13 +33,17 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
-def _column_cells(col) -> tuple[str, list]:
+def _column_cells(col) -> tuple[str, list | np.ndarray]:
     """The %-format of one column and its cells as the format takes them.
 
     Integer and float columns print through %d and %.17g, which give the
     bytes ``_fmt`` gives; any other column (bool, None, str, or mixed types)
-    is formatted by ``_fmt`` cell by cell and printed through %s.
+    is formatted by ``_fmt`` cell by cell and printed through %s.  An integer
+    or float array is returned as it is, for its rows to be taken a block at
+    a time.
     """
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iuf":
+        return ("%.17g" if col.dtype.kind == "f" else "%d"), col
     cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
     kinds = set(map(type, cells))
     if not any(issubclass(k, (bool, np.bool_)) for k in kinds):
@@ -55,7 +60,8 @@ def write_table(path, params: dict, columns: dict) -> None:
     ``_fmt`` prints it.
 
     The columns (arrays or sequences of equal length) go through one
-    %-template per table, one format per column, without a tuple per row.
+    %-template per table, one format per column, without a tuple per row,
+    ``_BLOCK_ROWS`` rows at a time, so the text held at once stays bounded.
     """
     header, fmts, cells = list(columns), [], []
     for col in columns.values():
@@ -65,15 +71,17 @@ def write_table(path, params: dict, columns: dict) -> None:
     n = len(cells[0]) if cells else 0
     if any(len(c) != n for c in cells):
         raise ValueError("columns must have equal lengths")
-    flat = [None] * (n * len(cells))
-    for j, col_cells in enumerate(cells):
-        flat[j::len(cells)] = col_cells
-    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items())),
-             ",".join(header)]
-    if n:
-        lines.append("\n".join([",".join(fmts)] * n) % tuple(flat))
+    row, width = ",".join(fmts), len(cells)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items())) + "\n"
+                 + ",".join(header) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = min(n - lo, _BLOCK_ROWS)
+            flat = [None] * (rows * width)
+            for j, col_cells in enumerate(cells):
+                part = col_cells[lo:lo + rows]
+                flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write("\n".join([row] * rows) % tuple(flat) + "\n")
 
 
 def read_csv_columns(path, columns: Optional[Sequence[str]] = None) -> dict:

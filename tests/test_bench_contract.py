@@ -91,3 +91,18 @@ def test_cli_import_loads_no_statistics():
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_tracer_times_every_table_and_plot(tmp_path):
+    # the tracer patches write_table and plot_csv where fplab.cli looks them
+    # up: a run whose tables and plots bind them anywhere else loses spans
+    tracer = load_tracer().Tracer()
+    argvs = (("gap",), ("proxgrad", "--k", "5", "--t-end", "1"))
+    with tracer.installed():
+        codes = [cli.main([*argv, "--out-dir", str(tmp_path / argv[0])]) for argv in argvs]
+    assert codes == [cli.EXIT_OK] * 2
+    names = [span[1] for span in tracer.spans]
+    files = [name for argv in argvs for run in os.listdir(tmp_path / argv[0])
+             for name in os.listdir(tmp_path / argv[0] / run)]
+    assert names.count("cli.write_table") == sum(f.endswith(".csv") for f in files) == 5
+    assert names.count("svgplot.plot_csv") == sum(f.endswith(".svg") for f in files) == 4

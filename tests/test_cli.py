@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import fplab as fp
-from fplab import cli, quadrature
-from fplab.cli import EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
+from fplab import cli, potentials, quadrature, sampler, svgplot
+from fplab.cli import EXIT_ABORT, EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
 from fplab.svgplot import _fmt, plot_csv, read_csv_columns, write_table
 
 
@@ -260,6 +261,33 @@ class TestCounterexample:
         assert code == EXIT_CERT
         assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
 
+    def test_envelope_and_kl_failures_both_print(self, tmp_path, monkeypatch, capsys):
+        # one failed check does not hide the next: both FAIL lines print, in
+        # order, and the manifest records them as they were printed
+        factor = fp.HeatPerturbed.factor
+        monkeypatch.setattr(fp.HeatPerturbed, "factor", lambda self, t: 0.5 * factor(self, t))
+        bounded = quadrature.perturbed_bound_check
+
+        def risen(*args, **kwargs):
+            trace = bounded(*args, **kwargs)
+            kls = (1e-6, 1e-6 + 1e-9, 1e-7)
+            return fp.ChannelTrace(rows=tuple(
+                r._replace(kl=kl) for r, kl in zip(trace.rows, kls)))
+
+        monkeypatch.setattr(quadrature, "perturbed_bound_check", risen)
+        code = run_cli(
+            tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
+            "--t-points", "2", "--no-plot",
+        )
+        assert code == EXIT_CERT
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("FAIL envelope: t=0.0 ")
+        assert out[1].startswith("initial fi slope = ")
+        assert out[2] == "FAIL kl monotonicity between t=0.0 and t=0.01"
+        manifest = json.load(open(os.path.join(only_run_dir(tmp_path, "counterexample"),
+                                                "manifest.json")))
+        assert manifest["verdicts"] == [out[0], out[2]]
+
     def test_kl_check_is_relative(self, tmp_path, monkeypatch, capsys):
         # a rise of 1e-9 on a KL of 1e-6 is 1e-3 relative: a failure at any
         # scale, though below an absolute slack of 1e-8
@@ -331,6 +359,26 @@ class TestSampler:
         first = open(path).readline()
         assert first.startswith("# ") and "seed=3" in first
 
+    def test_trial_cap_aborts_with_manifest(self, tmp_path, monkeypatch, capsys):
+        def capped(*args, **kwargs):
+            raise sampler.TrialCapExceeded("no acceptance within 150 trials")
+
+        monkeypatch.setattr(sampler, "run_chain", capped)
+        assert run_cli(tmp_path, "sampler", "--iters", "200", "--no-plot") == EXIT_ABORT
+        line = "ABORT rejection sampling: no acceptance within 150 trials"
+        assert capsys.readouterr().out == line + "\n"
+        with open(os.path.join(only_run_dir(tmp_path, "sampler"), "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["verdicts"] == [line] and manifest["output_paths"] == []
+
+    def test_trials_bound_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the mean and variance checks still pass; the trial-count check alone fails
+        monkeypatch.setattr(sampler, "expected_trials_bound", lambda eta, L, d: 0.5)
+        assert run_cli(tmp_path, "sampler", "--iters", "200", "--no-plot") == EXIT_CERT
+        out = capsys.readouterr().out.splitlines()
+        assert [line[:4] for line in out] == ["PASS", "PASS", "FAIL"]
+        assert out[2].startswith("FAIL mean trials ")
+
     def test_eta_too_large_usage_error(self, tmp_path):
         code = run_cli(
             tmp_path, "sampler", "--d", "1", "--alpha", "1", "--L", "1",
@@ -360,6 +408,16 @@ class TestGap:
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gap"), "gap.csv"))
         assert cols["r_inf"][0] <= 0.5 + 1e-6
         assert cols["fi"][0] >= 10.0 - 1e-6
+
+    def test_certificate_failure_writes_its_figures(self, tmp_path, monkeypatch, capsys):
+        def failed(spec, grid):
+            raise quadrature.GapBoundError("r_inf=0.75 > eps=0.5", 0.75, 12.5)
+
+        monkeypatch.setattr(quadrature, "gap_check", failed)
+        assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_CERT
+        assert capsys.readouterr().out.startswith("FAIL gap certificate: r_inf=0.75 > eps=0.5\n")
+        cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gap"), "gap.csv"))
+        assert (cols["r_inf"], cols["fi"]) == ([0.75], [12.5])
 
     def test_manifest_reports_numerical_health(self, tmp_path):
         assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_OK
@@ -415,6 +473,23 @@ class TestProxgrad:
         # the implicit step is exact, so grad_sq_norm keeps falling with the envelope
         assert run_cli(tmp_path, "proxgrad", *args, "--no-plot") == EXIT_OK
         assert capsys.readouterr().out.count("PASS") == 3
+
+    def test_quartic_certificate_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an overdeclared alpha = 3 breaks both quartic envelopes: each prints
+        # its FAIL line, and the run still writes every table
+        quartic = potentials.quartic_1d
+        monkeypatch.setattr(potentials, "quartic_1d",
+                            lambda: dataclasses.replace(quartic(), alpha=3.0))
+        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_CERT
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == [
+            "FAIL quartic gradient-flow envelope",
+            "FAIL quartic proximal-gradient envelope: decay certificate violated at step 1: "
+            "0.298774127367783 > 0.25 (1 + 1e-09)",
+        ]
+        run_dir = only_run_dir(tmp_path, "proxgrad")
+        cols = read_csv_columns(os.path.join(run_dir, "proxgrad_quartic.csv"))
+        assert cols["k"] == list(range(26)) and cols["grad_sq_norm"][0] == 4.0
 
     def test_manifest_reports_numerical_health(self, tmp_path):
         assert run_cli(tmp_path, "proxgrad", "--k", "10", "--t-end", "1", "--no-plot") == EXIT_OK
@@ -548,7 +623,7 @@ class TestDriver:
             with open(os.path.join(only_run_dir(tmp_path / sub, "proxgrad"), "manifest.json")) as fh:
                 assert json.load(fh)["git_describe"] == expect
 
-    def test_write_table_matches_per_cell_format(self, tmp_path):
+    def test_write_table_matches_per_cell_format(self, tmp_path, monkeypatch):
         # each column takes one format: %d for integer cells, %.17g for float
         # cells, and _fmt cell by cell for any other column (mixed types,
         # bool, None, str); arrays and lists give the bytes _fmt gives
@@ -567,10 +642,13 @@ class TestDriver:
         columns["uints"] = np.arange(5, dtype=np.uint8)
         params = {"b": 1.5, "a": None, "flag": True, "n": np.int64(3), "s": "heat"}
         path = tmp_path / "t.csv"
-        write_table(path, params, columns)
         expect = ["# a= b=1.5 flag=True n=3 s=heat", ",".join(columns)]
         expect += [",".join(_fmt(col[i]) for col in columns.values()) for i in range(5)]
-        assert path.read_text() == "\n".join(expect) + "\n"
+        # one block, then blocks of 2, 2 and 1 rows
+        for block in (svgplot._BLOCK_ROWS, 2):
+            monkeypatch.setattr(svgplot, "_BLOCK_ROWS", block)
+            write_table(path, params, columns)
+            assert path.read_text() == "\n".join(expect) + "\n"
         # a header with no rows, and columns of unequal length
         write_table(path, {}, {"x": [], "y": np.empty(0)})
         assert path.read_text() == "# \nx,y\n"
