@@ -19,12 +19,10 @@ from .gaussian import (
     ProxRate,
     evolve,
     fi_curve,
-    fi_time_derivative,
     fisher_information,
     iteration_count,
     kl_curve,
     kl_divergence,
-    kl_time_derivative,
     proximal_chain,
     proximal_step,
 )

@@ -77,12 +77,13 @@ def _git_describe() -> str:
 
 class RunDir:
     """Output directory, manifest bookkeeping, and the one path of the run's
-    tables, plots and verdicts: the only reader of ``--no-plot``."""
+    tables, plots and verdicts: the only reader of ``--no-plot``.  The
+    directory is made at the first file or the manifest, so a run that a
+    usage error stops leaves none behind."""
 
     def __init__(self, out_dir: str, subcommand: str, params: dict):
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
         self.path = os.path.join(out_dir, f"{subcommand}-{stamp}")
-        os.makedirs(self.path, exist_ok=True)
         self.subcommand = subcommand
         self.params = params
         self.outputs: list[str] = []
@@ -92,6 +93,7 @@ class RunDir:
         self.t0 = time.monotonic()
 
     def file(self, name: str) -> str:
+        os.makedirs(self.path, exist_ok=True)
         full = os.path.join(self.path, name)
         self.outputs.append(full)
         return full
@@ -126,6 +128,7 @@ class RunDir:
             "health": self.health,
             "verdicts": self.verdicts,
         }
+        os.makedirs(self.path, exist_ok=True)
         with open(os.path.join(self.path, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2)
         missing = [p for p in self.outputs if not (os.path.exists(p) and os.path.getsize(p) > 0)]
@@ -264,6 +267,9 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
         "grid_points_max": max(r.points for r in trace.rows),
         "grid_points_total": sum(r.points for r in trace.rows),
         "smoothing_points_total": sum(r.smoothed_points for r in trace.rows),
+        "rules": {rule: {"rows": sum(r.rule == rule for r in trace.rows),
+                         "points": sum(r.points for r in trace.rows if r.rule == rule)}
+                  for rule in dict.fromkeys(r.rule for r in trace.rows)},
     }
     bad = next((r for r in trace.rows if not _dominates(r.fi, r.bound)), None)
     run.check(bad is None, f"PASS perturbed envelope dominates fi on all {len(trace.rows)} rows",

@@ -4,10 +4,8 @@ Everything in this module is exact arithmetic: KL divergence and relative
 Fisher information between isotropic Gaussians, the solution maps of the
 heat and Ornstein-Uhlenbeck semigroups (the forward half of a proximal
 sampler step is the heat channel at t = eta), the k-iteration law of the
-proximal sampling recursion for a centered Gaussian target, the
-multiplicative contraction envelopes for each channel, and the
-time-derivative identities that the test suite cross-checks against
-finite differences.
+proximal sampling recursion for a centered Gaussian target, and the
+multiplicative contraction envelopes for each channel.
 
 Conventions: an ``IsoGaussian`` is N(mean, var * I) with scalar variance
 ``var``.  A Gaussian N(m, v I) is (1/v)-strongly log-concave and satisfies
@@ -42,8 +40,6 @@ __all__ = [
     "kl_curve",
     "proximal_step",
     "proximal_chain",
-    "fi_time_derivative",
-    "kl_time_derivative",
     "iteration_count",
 ]
 
@@ -76,17 +72,12 @@ class IsoGaussian:
 # array of times the variance v_t of a law that starts at v (``variance``) and
 # the factor by which the squared distance of two means and the difference of
 # two variances contract (``contraction``).  Every contraction is exponential
-# in t, so a mean contracts by its square root, the contraction at t/2.  ``c``
-# is the Fokker-Planck diffusion coefficient and ``drift`` the OU rate; the
-# discrete proximal channel has neither.
+# in t, so a mean contracts by its square root, the contraction at t/2.
 
 
 @dataclass(frozen=True)
 class Heat:
     """Brownian smoothing: time t convolves with N(0, t I)."""
-
-    c = 1.0
-    drift = 0.0
 
     def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
         return var + ts
@@ -100,14 +91,9 @@ class OU:
     """Ornstein-Uhlenbeck semigroup targeting N(0, I/gamma)."""
 
     gamma: float
-    c = 2.0
 
     def __post_init__(self):
         _require_positive(gamma=self.gamma)
-
-    @property
-    def drift(self) -> float:
-        return self.gamma
 
     def variance(self, var: float, ts: np.ndarray) -> np.ndarray:
         rate = -2.0 * self.gamma * ts
@@ -127,7 +113,6 @@ class Proximal:
 
     alpha: float
     eta: float
-    c = None  # a discrete recursion: no Fokker-Planck generator
 
     def __post_init__(self):
         _require_positive(alpha=self.alpha, eta=self.eta)
@@ -408,45 +393,6 @@ class ProxRate:
 
     def factor(self, k: float) -> float:
         return float(np.exp(_prox_rate(self.alpha, self.eta, _check_time(k))))
-
-
-# ---------------------------------------------------------------------------
-# Time-derivative identities (finite-difference oracles live in the tests)
-
-
-def fi_time_derivative(p: IsoGaussian, q: IsoGaussian, channel: Channel) -> float:
-    """d/dt FI(p_t || q_t) at t=0 when both laws follow the same channel.
-
-    Specialization of the general Fokker-Planck identity to isotropic
-    Gaussians, where the log-ratio Hessian is the constant matrix
-    (1/vq - 1/vp) I:
-
-        -c d (1/vq - 1/vp)^2 - c (2/vq - drift) FI(p, q),
-
-    i.e. heat (c = 1, drift 0): -d (1/vq - 1/vp)^2 - (2/vq) FI(p, q), and
-    OU(g) (c = 2, drift g): -2 d (1/vq - 1/vp)^2 - 2 (2/vq - g) FI(p, q).
-
-    The weighted term can outweigh the (always nonpositive) Hessian term
-    only when its weight is negative, i.e. vq > 2/g for OU; that is the
-    only route to a positive derivative, and it additionally needs the
-    mean-shift part of FI to dominate the variance part.
-    """
-    c = _generator(channel)
-    _check_dims(p, q)
-    hess = (1.0 / q.var - 1.0 / p.var) ** 2 * p.dim
-    fi = fisher_information(p, q)
-    return -c * hess - c * (2.0 / q.var - channel.drift) * fi
-
-
-def kl_time_derivative(p: IsoGaussian, q: IsoGaussian, channel: Channel) -> float:
-    """d/dt KL(p_t || q_t) = -(c/2) FI(p_t || q_t) along a shared channel."""
-    return -0.5 * _generator(channel) * fisher_information(p, q)
-
-
-def _generator(channel: Channel) -> float:
-    if channel.c is None:
-        raise ValueError(f"unsupported channel for time derivative: {channel!r}")
-    return channel.c
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,20 @@ Numerical policy
   interpreter lock, and one thread ran the default trace faster than two.
   ``threads=`` pools the rows of the Gauss-Hermite oracle, which are
   heavier.
-* Integrals are composite Simpson on uniform grids with an odd point
-  count; the reported error estimate is the classical |fine - coarse|/15
-  comparison and is heuristic, not a rigorous bound.  The spike gap is the
-  exception: its potential is piecewise linear, so ``gap_check`` sums
-  exact Gaussian integrals over the pieces.
+* Every integral on a uniform grid takes the grid's rule: composite Simpson
+  (``EvalGrid``; estimate |fine - coarse|/15, heuristic) or the trapezoid
+  rule (``TrapezoidGrid``; estimate |T_h - T_2h|, the coarser rule's error,
+  so pessimistic).  The closed-form trace takes the trapezoid rule on rows
+  with t >= 1.6e-5 (``trapezoid_grid``): their integrands are Gaussian
+  convolutions whose smoothed kinks the grid resolves, on which it
+  converges geometrically.  The t = 0 row, the rows below 1.6e-5 and the
+  Gauss-Hermite oracle stay on Simpson.  The spike gap sums exact Gaussian
+  integrals over the pieces of its piecewise linear potential.
 * Grids must cover >= 8 standard deviations of every density they
   integrate; the trace producers grow their grids with t accordingly.
-* The closed-form trace's grids put the well's kinks on the boundaries of
-  coarse Simpson panels (``well_grid``); the Gauss-Hermite oracle smears
-  them over its nodes, so its grids stay dense and unaligned.
+* The closed-form trace's Simpson grids put the well's kinks on the
+  boundaries of coarse Simpson panels (``well_grid``); the Gauss-Hermite
+  oracle smears them over its nodes, so its grids stay dense and unaligned.
 """
 
 from __future__ import annotations
@@ -69,8 +73,11 @@ __all__ = [
     "spike_pieces",
     "default_time_grid",
     "well_grid",
+    "TrapezoidGrid",
+    "trapezoid_grid",
 ]
 
+MIN_GRID_STEPS = 200
 MAX_GRID_STEPS = 2**20  # ~8 MB per grid array; a trace row holds a few dozen of them
 _CHUNK = 16384  # grid points per Gauss-Hermite block, caps temporaries at ~16 MB
 
@@ -136,10 +143,12 @@ def gauss_hermite(order: int) -> GaussHermiteRule:
 
 @dataclass(frozen=True, eq=False)
 class EvalGrid:
-    """Uniform grid on [lo, hi].  The point count is rounded up so that the
-    interval count is a multiple of 4 (composite Simpson plus its coarse
-    comparison both apply); ``dx`` is the realized spacing.  A grid takes
-    200 to MAX_GRID_STEPS steps."""
+    """Uniform grid on [lo, hi] whose integrals are composite Simpson.  The
+    point count is rounded up so that the interval count is a multiple of 4
+    (the rule plus its coarse comparison both apply); ``dx`` is the realized
+    spacing.  A grid takes MIN_GRID_STEPS to MAX_GRID_STEPS steps."""
+
+    rule = "simpson"
 
     lo: float
     hi: float
@@ -152,8 +161,8 @@ class EvalGrid:
             raise ValueError("need lo < hi")
         if not self.step > 0.0:
             raise ValueError("step must be positive")
-        if (self.hi - self.lo) / self.step < 200.0:
-            raise ValueError("grid too coarse: need at least 200 steps")
+        if (self.hi - self.lo) / self.step < MIN_GRID_STEPS:
+            raise ValueError(f"grid too coarse: need at least {MIN_GRID_STEPS} steps")
         if (self.hi - self.lo) / self.step > MAX_GRID_STEPS:
             raise ValueError(f"grid too fine: more than {MAX_GRID_STEPS} steps")
         n = int(round((self.hi - self.lo) / self.step)) + 1
@@ -173,7 +182,34 @@ class EvalGrid:
             )
 
     def refined(self) -> "EvalGrid":
-        return EvalGrid(self.lo, self.hi, self.step / 2.0)
+        return type(self)(self.lo, self.hi, self.step / 2.0)
+
+    def integrate(self, y: np.ndarray) -> QuadResult:
+        """The integral of the values ``y`` on the points, with the
+        |fine - coarse|/15 estimate against the rule on every other node."""
+        fine = _simpson(y, self.dx)
+        return QuadResult(fine, abs(fine - _simpson(y[::2], 2.0 * self.dx)) / 15.0)
+
+    def total(self, y: np.ndarray) -> float:
+        """``integrate(y).value``, without the estimate."""
+        return _simpson(y, self.dx)
+
+
+class TrapezoidGrid(EvalGrid):
+    """Uniform grid whose integrals are trapezoid sums T_dx.  On integrands
+    analytic in a strip and decaying like a Gaussian they converge
+    geometrically in 1/dx (Trefethen & Weideman, SIAM Review 2014); Simpson,
+    (4 T_dx - T_2dx)/3, carries T_2dx's error.  The estimate |T_dx - T_2dx|
+    is the error of the rule on every other node: honest, but pessimistic."""
+
+    rule = "trapezoid"
+
+    def integrate(self, y: np.ndarray) -> QuadResult:
+        fine, ends = self.total(y), 0.5 * (y[0] + y[-1])
+        return QuadResult(fine, abs(fine - float(2.0 * self.dx * (y[::2].sum() - ends))))
+
+    def total(self, y: np.ndarray) -> float:
+        return float(self.dx * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
@@ -184,18 +220,10 @@ def _simpson(y: np.ndarray, dx: float) -> float:
 
 
 class QuadResult(NamedTuple):
-    """An integral value with a heuristic Simpson refinement estimate."""
+    """An integral value with a heuristic refinement estimate of its error."""
 
     value: float
     error: float
-
-
-def _simpson_with_error(y: np.ndarray, dx: float) -> QuadResult:
-    fine = _simpson(y, dx)
-    if (y.size - 1) % 4 == 0:
-        coarse = _simpson(y[::2], 2.0 * dx)
-        return QuadResult(fine, abs(fine - coarse) / 15.0)
-    return QuadResult(fine, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +425,11 @@ def smoothed_well_logdensity(m_big: float, halfwidth: float, t: float, x):
         log_r, s_r = _outer_piece(M, L, t, x_arr)
         log_l, s_l = _outer_piece(M, L, t, -x_arr)
         log_w, s_w = _well_piece(M, L, t, x_arr)
-        logs = np.stack([log_l, log_w, log_r])
-        top = logs.max(axis=0)
-        weights = np.exp(logs - top)
-        mass = weights.sum(axis=0)
+        top = np.maximum(np.maximum(log_l, log_w), log_r)
+        w_l, w_w, w_r = np.exp(log_l - top), np.exp(log_w - top), np.exp(log_r - top)
+        mass = w_l + w_w + w_r
         logval = top + np.log(mass)
-        score = (weights * np.stack([-s_l, s_w, s_r])).sum(axis=0) / mass
+        score = (w_l * -s_l + w_w * s_w + w_r * s_r) / mass
         if not (np.all(np.isfinite(logval)) and np.all(np.isfinite(score))):
             raise QuadratureError("non-finite smoothed well density")
     if np.ndim(x) == 0:
@@ -415,22 +442,23 @@ def smoothed_well_logdensity(m_big: float, halfwidth: float, t: float, x):
 #
 # Both take values on grid.points, so a smoothed density costs its caller one
 # Gauss-Hermite pass per grid for logpdf, score and normalization together.
+# Each integral, normalization checks included, is the rule of the grid.
 
 
 def _require_normalized(dens: np.ndarray, grid: EvalGrid, tol: float = 1e-6) -> None:
-    mass = _simpson(dens, grid.dx)
+    mass = grid.total(dens)
     if abs(mass - 1.0) > tol:
         raise NormalizationError(f"density integrates to {mass!r} on the grid, not 1 +- {tol:g}")
 
 
 def _grid_normalized(logval: np.ndarray, grid: EvalGrid) -> np.ndarray:
-    """logval minus the log of its Simpson mass on the grid."""
+    """logval minus the log of its mass on the grid."""
     shift = float(logval.max())
-    return logval - (math.log(_simpson(np.exp(logval - shift), grid.dx)) + shift)
+    return logval - (math.log(grid.total(np.exp(logval - shift))) + shift)
 
 
 def fi_functional(logrho: np.ndarray, score_diff: np.ndarray, grid: EvalGrid) -> QuadResult:
-    """integral rho(x) (d/dx log rho - d/dx log nu)^2 dx by composite Simpson.
+    """integral rho(x) (d/dx log rho - d/dx log nu)^2 dx by the grid's rule.
 
     ``logrho`` is the normalized log-density of rho and ``score_diff`` the
     score difference, both on grid.points; raises NormalizationError unless
@@ -438,11 +466,11 @@ def fi_functional(logrho: np.ndarray, score_diff: np.ndarray, grid: EvalGrid) ->
     """
     dens = np.exp(logrho)
     _require_normalized(dens, grid)
-    return _simpson_with_error(dens * score_diff**2, grid.dx)
+    return grid.integrate(dens * score_diff**2)
 
 
 def kl_functional(logrho: np.ndarray, lognu: np.ndarray, grid: EvalGrid) -> QuadResult:
-    """integral rho(x) log(rho(x)/nu(x)) dx by composite Simpson.
+    """integral rho(x) log(rho(x)/nu(x)) dx by the grid's rule.
 
     Both normalized log-densities are given on grid.points; raises
     NormalizationError unless each integrates to 1 on the grid.
@@ -451,7 +479,7 @@ def kl_functional(logrho: np.ndarray, lognu: np.ndarray, grid: EvalGrid) -> Quad
     _require_normalized(dens, grid)
     _require_normalized(np.exp(lognu), grid)
     integrand = np.where(dens > 0.0, dens * (logrho - lognu), 0.0)
-    return _simpson_with_error(integrand, grid.dx)
+    return grid.integrate(integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +491,13 @@ class TraceRow(NamedTuple):
     fi: float
     kl: float
     bound: Optional[float]
-    # rows integrated on a grid: Simpson error estimates, the grid's size and
-    # the number of points at which the smoothed density was evaluated
+    # rows integrated on a grid: error estimates, the grid's size, the number
+    # of points at which the smoothed density was evaluated, and the rule
     fi_err: Optional[float] = None
     kl_err: Optional[float] = None
     points: Optional[int] = None
     smoothed_points: Optional[int] = None
+    rule: Optional[str] = None
 
 
 _NOISE_FLOOR = -1e-9
@@ -523,7 +552,8 @@ def _smoothing_grid(t: float, halfwidth: float, step: float, m_big: float) -> Ev
 
 
 def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
-    """The Simpson grid of the closed-form concave-well trace at time t.
+    """The Simpson grid of the closed-form concave-well trace at time t; the
+    trace takes it where t < 1.6e-5 and ``trapezoid_grid`` from there on.
 
     The smoothed density is analytic except near the kinks at +-L, which
     smoothing rounds off over a width sqrt(t); elsewhere it varies on the
@@ -553,6 +583,18 @@ def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid
     return EvalGrid(-half, half, half / (2 * inner + 4 * outer))
 
 
+def trapezoid_grid(t: float, halfwidth: float, step: float, m_big: float) -> TrapezoidGrid:
+    """The trapezoid grid of the closed-form concave-well trace at time t >= 1.6e-5,
+    where ``well_grid``'s spacing grows past ``step``: its smoothed kinks are
+    resolved.  The spacing h = step * min(30 sqrt(1+t), max(1, 500 sqrt(t)))
+    is about 3x ``well_grid``'s, capped at width / MIN_GRID_STEPS (one ulp
+    below, so the grid's own floor passes), on [-half, half] from ``_grid_half``.
+    """
+    half = _grid_half(t, halfwidth, m_big)
+    h = step * min(30.0 * math.sqrt(1.0 + t), max(1.0, 500.0 * math.sqrt(t)))
+    return TrapezoidGrid(-half, half, min(h, math.nextafter(2.0 * half / MIN_GRID_STEPS, 0.0)))
+
+
 def counterexample_trace(
     m_big: float,
     halfwidth: float,
@@ -569,9 +611,10 @@ def counterexample_trace(
     falls later; KL is non-increasing throughout.
 
     The smoothed density comes from ``smoothed_well_logdensity`` (closed
-    form) unless ``order`` is given, in which case the Gauss-Hermite rule of
-    that order computes it through ``convolved_logdensity``: the oracle.
-    ``threads`` > 1 runs the rows on a thread pool of that size.
+    form) on ``trapezoid_grid`` for t >= 1.6e-5 and on ``well_grid`` below,
+    unless ``order`` is given, in which case the Gauss-Hermite rule of that
+    order computes it through ``convolved_logdensity`` on Simpson grids: the
+    oracle.  ``threads`` > 1 runs the rows on a thread pool of that size.
     """
     t_vals = [float(t) for t in t_grid]
     if not t_vals or t_vals[0] != 0.0:
@@ -580,8 +623,12 @@ def counterexample_trace(
     rule = None if order is None else gauss_hermite(order)
 
     def row(t: float) -> TraceRow:
+        if rule is not None:
+            make_grid = _smoothing_grid
+        else:  # the trapezoid rule where well_grid's spacing grows past step
+            make_grid = trapezoid_grid if 250.0 * math.sqrt(t) >= 1.0 else well_grid
         try:
-            grid = (well_grid if rule is None else _smoothing_grid)(t, halfwidth, step, m_big)
+            grid = make_grid(t, halfwidth, step, m_big)
         except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
             raise GridError(t, exc) from exc
         grid.require_covers(0.0, math.sqrt(1.0 + t))
@@ -600,7 +647,8 @@ def counterexample_trace(
         logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
         fi = fi_functional(logrho, -pts / v - nu_score, grid)
         kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
-        return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated)
+        return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
+                        grid.rule)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,14 +1,19 @@
-"""Numerical references that the exact forms in fplab replaced.
+"""References that check fplab's forms from outside the package.
 
-They stay here as independent checks of those forms: a classical RK4
-integration of the gradient flow, and composite Simpson on the spike gap's
-densities.
+Numerical references that the exact forms in fplab replaced stay here as
+independent checks of those forms: a classical RK4 integration of the
+gradient flow, and composite Simpson on the spike gap's densities.  Beside
+them are closed forms that no program path needs: the time derivatives of
+FI and KL along the Gaussian channels, and the concave-well trace's t = 0
+row at 50 digits.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
+from fplab.gaussian import OU, Heat, IsoGaussian, _check_dims, fisher_information
 from fplab.potentials import SmoothPotential, spike_potential
 from fplab.quadrature import EvalGrid, GapBoundError, _simpson
 
@@ -57,3 +62,74 @@ def simpson_gap_check(spec, grid: EvalGrid):
     if fi < spec.fi_floor - 1e-6:
         raise GapBoundError(f"fi={fi!r} below floor={spec.fi_floor}", r_inf, fi)
     return r_inf, fi
+
+
+def _generator(channel) -> tuple:
+    """(c, drift): the Fokker-Planck diffusion coefficient of a channel and
+    its OU rate.  The discrete proximal channel has neither."""
+    if isinstance(channel, Heat):
+        return 1.0, 0.0
+    if isinstance(channel, OU):
+        return 2.0, channel.gamma
+    raise ValueError(f"unsupported channel for time derivative: {channel!r}")
+
+
+def fi_time_derivative(p: IsoGaussian, q: IsoGaussian, channel) -> float:
+    """d/dt FI(p_t || q_t) at t=0 when both laws follow the same channel.
+
+    Specialization of the general Fokker-Planck identity to isotropic
+    Gaussians, where the log-ratio Hessian is the constant matrix
+    (1/vq - 1/vp) I:
+
+        -c d (1/vq - 1/vp)^2 - c (2/vq - drift) FI(p, q),
+
+    i.e. heat (c = 1, drift 0): -d (1/vq - 1/vp)^2 - (2/vq) FI(p, q), and
+    OU(g) (c = 2, drift g): -2 d (1/vq - 1/vp)^2 - 2 (2/vq - g) FI(p, q).
+
+    The weighted term can outweigh the (always nonpositive) Hessian term
+    only when its weight is negative, i.e. vq > 2/g for OU; that is the
+    only route to a positive derivative, and it additionally needs the
+    mean-shift part of FI to dominate the variance part.
+    """
+    c, drift = _generator(channel)
+    _check_dims(p, q)
+    hess = (1.0 / q.var - 1.0 / p.var) ** 2 * p.dim
+    fi = fisher_information(p, q)
+    return -c * hess - c * (2.0 / q.var - drift) * fi
+
+
+def kl_time_derivative(p: IsoGaussian, q: IsoGaussian, channel) -> float:
+    """d/dt KL(p_t || q_t) = -(c/2) FI(p_t || q_t) along a shared channel."""
+    return -0.5 * _generator(channel)[0] * fisher_information(p, q)
+
+
+def well_trace_at_zero(m_big: float, halfwidth: float) -> tuple:
+    """(fi, kl) of N(0, 1) against exp(-g)/Z, g the concave well, at 50 digits.
+
+    With X ~ N(0, 1), g = -M x^2/2 on |x| <= L and (|x| - (M+1)L)^2/2 -
+    M(M+1)L^2/2 outside, so g' - x is -(M+1)x inside and +-(M+1)L outside:
+
+        FI = (M+1)^2 [E(X^2; |X| <= L) + L^2 P(|X| > L)]
+        KL = -log(2 pi e)/2 + E[g(X)] + log Z,
+        Z  = 2 sqrt(2/M) e^{M L^2/2} D(L sqrt(M/2))
+             + 2 sqrt(2 pi) Phi(M L) e^{M L^2 (M+1)/2},
+
+    D Dawson's function; Z is summed in log space.
+    """
+    with mp.workdps(50):
+        M, L = mp.mpf(m_big), mp.mpf(halfwidth)
+        phi, tail = mp.npdf(L), mp.ncdf(-L)  # phi(L) and P(X > L)
+        inner_sq = mp.erf(L / mp.sqrt(2)) - 2 * L * phi  # E(X^2; |X| <= L)
+        fi = (M + 1) ** 2 * (inner_sq + 2 * L**2 * tail)
+        vertex = (M + 1) * L
+        # E((X - vertex)^2; X > L) from E(X^2; X > L) = P + L phi and E(X; X > L) = phi
+        outer_sq = tail + L * phi - 2 * vertex * phi + vertex**2 * tail
+        mean_g = -M / 2 * inner_sq + outer_sq - M * (M + 1) * L**2 * tail
+        z = L * mp.sqrt(M / 2)
+        log_dawson = mp.log(mp.sqrt(mp.pi) / 2 * mp.erfi(z)) - z * z
+        log_well = mp.log(2 * mp.sqrt(2 / M)) + M * L**2 / 2 + log_dawson
+        log_outer = mp.log(2 * mp.sqrt(2 * mp.pi) * mp.ncdf(M * L)) + M * L**2 * (M + 1) / 2
+        top = max(log_well, log_outer)
+        log_z = top + mp.log(mp.exp(log_well - top) + mp.exp(log_outer - top))
+        kl = -mp.log(2 * mp.pi * mp.e) / 2 + mean_g + log_z
+        return float(fi), float(kl)

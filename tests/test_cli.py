@@ -160,25 +160,42 @@ class TestCounterexample:
 
     def test_each_grid_is_built_once(self, tmp_path, monkeypatch):
         built = []
-        well_grid = quadrature.well_grid
 
-        def counted(t, *args):
-            built.append(t)
-            return well_grid(t, *args)
+        def counting(name):
+            make = getattr(quadrature, name)
 
-        monkeypatch.setattr(quadrature, "well_grid", counted)
+            def counted(t, *args):
+                built.append((t, name))
+                return make(t, *args)
+            return counted
+
+        for name in ("well_grid", "trapezoid_grid"):
+            monkeypatch.setattr(quadrature, name, counting(name))
         code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
                        "--grid-step", "4e-3", "--no-plot")
         assert code == EXIT_OK
-        assert built == quadrature.default_time_grid(1e-3, 0.5, 4).tolist()
+        # t = 0 on the Simpson grid; every later row has t >= 1.6e-5, whose
+        # smoothed kink the trapezoid grid resolves
+        ts = quadrature.default_time_grid(1e-3, 0.5, 4).tolist()
+        assert built == [(0.0, "well_grid")] + [(t, "trapezoid_grid") for t in ts[1:]]
 
     def test_grid_failure_names_its_row(self, tmp_path, capsys):
-        # rows t = 0 ... 31.6 have grids; at t = 5623 the spacing leaves fewer than 200 steps
-        code = run_cli(tmp_path, "counterexample", "--grid-step", "0.011", "--t-max", "1e6",
+        # the t = 0 grid at step 0.3 has fewer than 200 steps; later rows
+        # would never be refused, their spacing is capped at width / 200
+        code = run_cli(tmp_path, "counterexample", "--grid-step", "0.3", "--t-max", "1e6",
                        "--t-points", "5", "--no-plot")
         assert code == EXIT_USAGE
-        assert "usage error: no grid at t=5623.41 for --M 2, --L 2 and --grid-step 0.011: " \
+        assert "usage error: no grid at t=0 for --M 2, --L 2 and --grid-step 0.3: " \
             "grid too coarse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step, t_max", [
+        ("2e-3", "1e6"), ("5e-3", "1e6"), ("8e-3", "1e6"), ("1.1e-2", "1e6"), ("1.1e-2", "50"),
+    ])
+    def test_coarse_steps_grid_every_row(self, tmp_path, step, t_max):
+        # the late rows' spacing grows like their width; the width / 200 cap
+        # keeps them gridded at every step the t = 0 row accepts
+        assert run_cli(tmp_path, "counterexample", "--grid-step", step, "--t-max", t_max,
+                       "--no-plot") == EXIT_OK
 
     def test_envelope_failure_writes_the_one_trace(self, tmp_path, monkeypatch, capsys):
         # halving the envelope puts fi(0) above its bound; the run must still
@@ -213,11 +230,16 @@ class TestCounterexample:
         health = json.load(open(os.path.join(run_dir, "manifest.json")))["health"]
         assert health["smoothing"] == "closed-form"
         for key in ("fi_rel_err_max", "kl_rel_err_max"):
-            assert math.isfinite(health[key]) and 0.0 <= health[key] < 1e-6
-        sizes = [quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size
-                 for t in quadrature.default_time_grid(1e-3, 0.5, 4)]
+            # 1.0e-12 and 9.6e-16 here: the trapezoid rows' |T_h - T_2h| is the coarser rule's error
+            assert math.isfinite(health[key]) and 0.0 <= health[key] < 2e-11
+        ts = quadrature.default_time_grid(1e-3, 0.5, 4)
+        simpson = quadrature.well_grid(0.0, 2.0, 1e-3, 2.0).points.size
+        trapezoid = [quadrature.trapezoid_grid(t, 2.0, 1e-3, 2.0).points.size for t in ts[1:]]
+        sizes = [simpson, *trapezoid]
         assert health["grid_points_max"] == max(sizes)
         assert health["grid_points_total"] == sum(sizes)
+        assert health["rules"] == {"simpson": {"rows": 1, "points": simpson},
+                                   "trapezoid": {"rows": 4, "points": sum(trapezoid)}}
         # the smoothed well is evaluated on the nonnegative half of each grid
         assert health["smoothing_points_total"] == sum((n + 1) // 2 for n in sizes)
 
@@ -513,6 +535,12 @@ class TestDriver:
 
     def test_unknown_flag(self, tmp_path):
         assert run_cli(tmp_path, "gap", "--nope", "3") == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [("gap", "--eps", "1.5"), ("counterexample", "--M", "1")])
+    def test_usage_error_leaves_no_run_directory(self, tmp_path, args):
+        # the subcommand refuses its flags before any file is written
+        assert run_cli(tmp_path, *args) == EXIT_USAGE
+        assert os.listdir(tmp_path) == []
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

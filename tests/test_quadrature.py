@@ -7,7 +7,7 @@ from scipy import integrate
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
-from oracles import simpson_gap_check
+from oracles import simpson_gap_check, well_trace_at_zero
 from fplab.quadrature import (
     EvalGrid,
     GapBoundError,
@@ -618,6 +618,30 @@ def test_well_trace_kl_counts_the_mass_at_the_outer_vertices(m_big, halfwidth):
     assert row.kl == pytest.approx(_well_kl_at_zero(m_big, halfwidth), rel=1e-10)
 
 
+@pytest.mark.parametrize("m_big, halfwidth", [
+    (2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3), (10.0, 2.0), (6.0, 2.0), (4.0, 3.0)])
+def test_well_trace_at_zero_matches_its_closed_form(m_big, halfwidth):
+    # the t = 0 row stays on the Simpson grid; 50-digit closed forms of FI
+    # and KL (Dawson's function in Z) check it to 2e-14 relative
+    (row,) = fp.counterexample_trace(m_big, halfwidth, [0.0]).rows
+    fi, kl = well_trace_at_zero(m_big, halfwidth)
+    assert abs(row.fi - fi) <= 2e-14 * fi
+    assert abs(row.kl - kl) <= 2e-14 * kl
+
+
+def test_gauss_hermite_route_is_bit_for_bit():
+    # the oracle route (_smoothing_grid, Simpson fi/kl functionals) that
+    # bench/make_reference.py runs; any change to the shared functionals
+    # moves these hex digits
+    rows = fp.counterexample_trace(2, 2, [0.0, 0.05, 0.5], order=64, step=4e-3).rows
+    assert [(r.fi.hex(), r.kl.hex()) for r in rows] == [
+        ("0x1.091d5511de719p+3", "0x1.66bc1ad776daep+3"),
+        ("0x1.2074fd6f05837p+3", "0x1.5fd04ac023146p+3"),
+        ("0x1.687a65a9b9b55p+3", "0x1.10ff2a95c41e4p+3"),
+    ]
+    assert {r.rule for r in rows} == {"simpson"}
+
+
 def _parent_rule_grid(t, halfwidth, step):
     """The step * sqrt(1+t) grid that the Gauss-Hermite route keeps."""
     half = max(20.0, 8.5 * math.sqrt(1.0 + t) + halfwidth + 10.0)
@@ -661,12 +685,14 @@ class TestWellGrid:
             assert fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size <= 2000
 
     def test_trace_names_the_row_without_a_grid(self):
-        # the spacing grows like sqrt(1+t) and the width like 8.5 sqrt(1+t):
-        # at step 0.011 the late rows have fewer than 200 steps
-        with pytest.raises(GridError, match="no grid at t=5623.41: grid too coarse") as info:
-            fp.counterexample_trace(2, 2, [0.0, 31.6, 5623.41], step=0.011)
-        assert info.value.t == 5623.41
+        # at step 0.3 the t = 0 grid has fewer than 200 steps; the later rows'
+        # trapezoid spacing is capped at width / 200, so none of them is refused
+        with pytest.raises(GridError, match="no grid at t=0: grid too coarse") as info:
+            fp.counterexample_trace(2, 2, [0.0, 31.6, 5623.41], step=0.3)
+        assert info.value.t == 0.0
         assert isinstance(info.value.__cause__, ValueError)
+        rows = fp.counterexample_trace(2, 2, [0.0, 31.6, 5623.41], step=0.011).rows
+        assert [r.rule for r in rows] == ["simpson", "trapezoid", "trapezoid"]
 
     def test_default_trace_point_budget(self):
         total = sum(fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size
@@ -693,9 +719,31 @@ class TestWellGrid:
             a = fp.counterexample_trace(m_big, halfwidth, ts)
             b = fp.counterexample_trace(m_big, halfwidth, ts, step=1e-3 / 8)
             for ra, rb in zip(a.rows, b.rows):
-                tol = 3e-8 if 0.0 < ra.t < 1e-3 else 1e-10
+                tol = 3e-8 if 0.0 < ra.t < 1e-3 else 1e-13
                 assert abs(ra.fi - rb.fi) <= tol * rb.fi, (m_big, halfwidth, ra.t)
                 assert abs(ra.kl - rb.kl) <= tol * rb.kl, (m_big, halfwidth, ra.t)
+
+
+class TestTrapezoidGrid:
+    @pytest.mark.parametrize("t", [1.6e-5, 1e-3, 0.5, 50.0, 1e6])
+    @pytest.mark.parametrize("step", [1e-3, 4e-3, 1.1e-2])
+    def test_spacing_follows_the_rule_up_to_the_cap(self, t, step):
+        grid = fp.quadrature.trapezoid_grid(t, 2.3, step, 2.0)
+        # symmetric about 0 with a node there, up to rounding: the trace mirrors its half
+        assert (grid.points.size - 1) % 4 == 0
+        assert np.max(np.abs(grid.points + grid.points[::-1])) <= 1e-13 * grid.hi
+        grid.require_covers(0.0, math.sqrt(1.0 + t))
+        h = step * min(30.0 * math.sqrt(1.0 + t), max(1.0, 500.0 * math.sqrt(t)))
+        steps = (grid.hi - grid.lo) / grid.dx
+        assert steps >= 200 - 1e-9
+        if (grid.hi - grid.lo) / h > 204:  # below the cap: h rounded to whole steps
+            assert h / (1.0 + 4.0 / 200) <= grid.dx <= h * (1.0 + 0.5 / 200)
+
+    def test_default_trace_points_per_rule(self):
+        rows = fp.counterexample_trace(2, 2, fp.default_time_grid()).rows
+        simpson = [r.points for r in rows if r.rule == "simpson"]
+        trapezoid = [r.points for r in rows if r.rule == "trapezoid"]
+        assert simpson == [41001] and len(trapezoid) == 60 and sum(trapezoid) == 74036
 
 
 def _full_grid_row(m_big, halfwidth, t):
