@@ -67,7 +67,6 @@ from .sampler import (
     TrialCapExceeded,
     chain_rng,
     expected_trials_bound,
-    fi_certificate_gaussian,
     forward_step,
     rejection_kappa,
     rgo_sample,

@@ -118,14 +118,11 @@ def quadratic_potential(dim: int, alpha: float, center=None) -> QuadraticPotenti
 
 @dataclass(frozen=True, eq=False)
 class ScalarPotential:
-    """A 1-D potential with value, a.e. first and second derivatives, and
-    convexity metadata (a global lower bound on deriv2)."""
+    """A 1-D potential with value and a.e. first and second derivatives."""
 
     value: Callable
     deriv1: Callable
     deriv2: Callable
-    convexity_floor: float
-    description: str = ""
 
 
 def counterexample_potential(m_big: float, halfwidth: float) -> ScalarPotential:
@@ -161,10 +158,7 @@ def counterexample_potential(m_big: float, halfwidth: float) -> ScalarPotential:
         out = np.where(x > L, 1.0, np.where(x > -L, -M, 1.0))
         return out if out.ndim else float(out)
 
-    return ScalarPotential(
-        value=value, deriv1=deriv1, deriv2=deriv2, convexity_floor=-M,
-        description=f"concave well, M={M}, L={L}",
-    )
+    return ScalarPotential(value=value, deriv1=deriv1, deriv2=deriv2)
 
 
 @dataclass(frozen=True)
@@ -226,10 +220,7 @@ def spike_potential(spec: SpikeSpec) -> ScalarPotential:
         out = np.zeros_like(x)
         return out if out.ndim else float(out)
 
-    return ScalarPotential(
-        value=value, deriv1=deriv1, deriv2=deriv2, convexity_floor=0.0,
-        description=f"spike wave, eps={spec.eps}, fi_floor={spec.fi_floor}",
-    )
+    return ScalarPotential(value=value, deriv1=deriv1, deriv2=deriv2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,17 +25,18 @@ Numerical policy
 * Every integral on a uniform grid takes the grid's rule: composite Simpson
   (``EvalGrid``; estimate |fine - coarse|/15, heuristic) or the trapezoid
   rule (``TrapezoidGrid``; estimate |T_h - T_2h|, the coarser rule's error,
-  so pessimistic).  The closed-form trace takes the trapezoid rule on rows
-  with t >= 1.6e-5 (``trapezoid_grid``): their integrands are Gaussian
-  convolutions whose smoothed kinks the grid resolves, on which it
-  converges geometrically.  The t = 0 row, the rows below 1.6e-5 and the
-  Gauss-Hermite oracle stay on Simpson.  The spike gap sums exact Gaussian
-  integrals over the pieces of its piecewise linear potential.
+  so pessimistic).  The spike gap sums exact Gaussian integrals over the
+  pieces of its piecewise linear potential.
+* ``well_grid`` alone picks the closed-form trace's grid, and with it the
+  rule.  Rows with t >= 1.6e-5 take the trapezoid rule: their integrands are
+  Gaussian convolutions whose smoothed kinks the grid resolves (spacing at
+  most sqrt(t)/2), on which it converges geometrically.  The t = 0 row and
+  the rows below 1.6e-5 take Simpson at spacing ``step``, with the well's
+  kinks on the boundaries of coarse Simpson panels.  The Gauss-Hermite
+  oracle smears the kinks over its nodes, so its grids stay Simpson, dense
+  and unaligned.
 * Grids must cover >= 8 standard deviations of every density they
   integrate; the trace producers grow their grids with t accordingly.
-* The closed-form trace's Simpson grids put the well's kinks on the
-  boundaries of coarse Simpson panels (``well_grid``); the Gauss-Hermite
-  oracle smears them over its nodes, so its grids stay dense and unaligned.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ __all__ = [
     "default_time_grid",
     "well_grid",
     "TrapezoidGrid",
-    "trapezoid_grid",
 ]
 
 MIN_GRID_STEPS = 200
@@ -87,7 +87,7 @@ class NormalizationError(ValueError):
 
 
 class GridError(ValueError):
-    """A trace row has no Simpson grid at time ``t``: the grid's own checks
+    """A trace row has no grid at time ``t``: the grid's own checks
     refused it, or sizing it overflowed (the cause)."""
 
     def __init__(self, t: float, cause: Exception):
@@ -180,9 +180,6 @@ class EvalGrid:
                 f"grid [{self.lo}, {self.hi}] does not cover {nsd} standard "
                 f"deviations of a density at ({center}, sd={sd})"
             )
-
-    def refined(self) -> "EvalGrid":
-        return type(self)(self.lo, self.hi, self.step / 2.0)
 
     def integrate(self, y: np.ndarray) -> QuadResult:
         """The integral of the values ``y`` on the points, with the
@@ -552,47 +549,36 @@ def _smoothing_grid(t: float, halfwidth: float, step: float, m_big: float) -> Ev
 
 
 def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
-    """The Simpson grid of the closed-form concave-well trace at time t; the
-    trace takes it where t < 1.6e-5 and ``trapezoid_grid`` from there on.
+    """The grid of the closed-form concave-well trace at time t, and with it
+    the rule of its integrals.
 
     The smoothed density is analytic except near the kinks at +-L, which
     smoothing rounds off over a width sqrt(t); elsewhere it varies on the
-    scale sqrt(1+t) of rho_t.  The spacing follows both,
-    h = step * min(10 sqrt(1+t), max(1, 250 sqrt(t))), which is ``step``
-    itself for t <= 1.6e-5, and is then shrunk until +-L fall on nodes whose
-    index is a multiple of 4: no Simpson panel, fine or coarse, straddles a
-    kink.  The ends move out to the next such node beyond ``_grid_half``,
-    which covers rho_t and the smoothed density's mass around +-(M+1) L.
-    h is linear in ``step``; the realized spacing lies in (h/2, h], up to
-    rounding to a whole number of steps.
+    scale sqrt(1+t) of rho_t.  Both kinds of grid are symmetric about 0 and
+    reach past ``_grid_half``, which covers rho_t and the smoothed density's
+    mass around +-(M+1) L.
 
-    Once h reaches L/2, sqrt(1+t) is at least L/(20 step) (50 L at the default
-    step): the kinks are smoothed flat, and aligning them would cap the
-    spacing at L/2 while the grid keeps widening, so those rows take h on an
-    unaligned grid.
+    * t < 1.6e-5: the kinks are narrower than ``step``.  A Simpson grid of
+      spacing ``step``, shrunk until +-L fall on nodes whose index is a
+      multiple of 4, so that no Simpson panel, fine or coarse, straddles a
+      kink; the ends move out to the next such node.  The realized spacing
+      lies in (step/2, step] for step <= L/2.
+    * From 1.6e-5 on the grid resolves the smoothed kinks, and the trapezoid
+      rule converges geometrically: spacing step * min(30 sqrt(1+t),
+      500 sqrt(t)), at most sqrt(t)/2 and width / MIN_GRID_STEPS (one ulp
+      below, so the grid's own floor passes).
     """
-    h = step * min(10.0 * math.sqrt(1.0 + t), max(1.0, 250.0 * math.sqrt(t)))
-    target = _grid_half(t, halfwidth, m_big)
-    if 2.0 * h >= halfwidth:
-        return EvalGrid(-target, target, h)
+    target, root = _grid_half(t, halfwidth, m_big), math.sqrt(t)
+    if 250.0 * root >= 1.0:
+        h = step * min(30.0 * math.sqrt(1.0 + t), 500.0 * root)
+        cap = math.nextafter(2.0 * target / MIN_GRID_STEPS, 0.0)
+        return TrapezoidGrid(-target, target, min(h, 0.5 * root, cap))
     # the 1e-9 keeps a quotient that is an integer up to rounding from
     # gaining a spurious extra panel
-    inner = math.ceil(halfwidth / (2.0 * h) - 1e-9)  # 4 * inner intervals on [-L, L]
+    inner = math.ceil(halfwidth / (2.0 * step) - 1e-9)  # 4 * inner intervals on [-L, L]
     outer = math.ceil((target - halfwidth) * inner / (2.0 * halfwidth) - 1e-9)
     half = halfwidth * (inner + 2 * outer) / inner  # L + 4 * outer intervals
     return EvalGrid(-half, half, half / (2 * inner + 4 * outer))
-
-
-def trapezoid_grid(t: float, halfwidth: float, step: float, m_big: float) -> TrapezoidGrid:
-    """The trapezoid grid of the closed-form concave-well trace at time t >= 1.6e-5,
-    where ``well_grid``'s spacing grows past ``step``: its smoothed kinks are
-    resolved.  The spacing h = step * min(30 sqrt(1+t), max(1, 500 sqrt(t)))
-    is about 3x ``well_grid``'s, capped at width / MIN_GRID_STEPS (one ulp
-    below, so the grid's own floor passes), on [-half, half] from ``_grid_half``.
-    """
-    half = _grid_half(t, halfwidth, m_big)
-    h = step * min(30.0 * math.sqrt(1.0 + t), max(1.0, 500.0 * math.sqrt(t)))
-    return TrapezoidGrid(-half, half, min(h, math.nextafter(2.0 * half / MIN_GRID_STEPS, 0.0)))
 
 
 def counterexample_trace(
@@ -611,22 +597,19 @@ def counterexample_trace(
     falls later; KL is non-increasing throughout.
 
     The smoothed density comes from ``smoothed_well_logdensity`` (closed
-    form) on ``trapezoid_grid`` for t >= 1.6e-5 and on ``well_grid`` below,
-    unless ``order`` is given, in which case the Gauss-Hermite rule of that
-    order computes it through ``convolved_logdensity`` on Simpson grids: the
-    oracle.  ``threads`` > 1 runs the rows on a thread pool of that size.
+    form) on ``well_grid``, unless ``order`` is given, in which case the
+    Gauss-Hermite rule of that order computes it through
+    ``convolved_logdensity`` on Simpson grids: the oracle.  ``threads`` > 1
+    runs the rows on a thread pool of that size.
     """
     t_vals = [float(t) for t in t_grid]
     if not t_vals or t_vals[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     pot = counterexample_potential(m_big, halfwidth)
     rule = None if order is None else gauss_hermite(order)
+    make_grid = well_grid if rule is None else _smoothing_grid
 
     def row(t: float) -> TraceRow:
-        if rule is not None:
-            make_grid = _smoothing_grid
-        else:  # the trapezoid rule where well_grid's spacing grows past step
-            make_grid = trapezoid_grid if 250.0 * math.sqrt(t) >= 1.0 else well_grid
         try:
             grid = make_grid(t, halfwidth, step, m_big)
         except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size

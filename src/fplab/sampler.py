@@ -1,6 +1,5 @@
 """Proximal sampler: Gaussian forward step, exact backward step by
-rejection sampling, seeded chain driver, and closed-form Fisher
-certificates for Gaussian targets.
+rejection sampling, and seeded chain driver.
 
 One iteration from x_k: draw y_k ~ N(x_k, eta I), then draw
 x_{k+1} ~ nu(x | y_k) proportional to exp(-g(x) - |x - y_k|^2 / (2 eta)).
@@ -30,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import IsoGaussian, Proximal, ProxRate, fi_curve, fisher_information
 from .potentials import SmoothPotential, minimize, prox_objective
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "prox_route",
     "rgo_sample",
     "run_chain",
-    "fi_certificate_gaussian",
     "chain_rng",
 ]
 
@@ -213,18 +210,3 @@ def run_chain(
         mean_trials=float(trials.mean()),
         x_final=x.copy(),
     )
-
-
-def fi_certificate_gaussian(cfg: SamplerConfig, alpha: float, p0: IsoGaussian, k: int):
-    """(fi_k, bound_k) for the closed-form Gaussian chain to N(0, I/alpha).
-
-    fi_k is the exact relative Fisher information of the k-th iterate law, by
-    ``fi_curve`` along ``Proximal`` as ``gaussian-rates --channel prox`` has it;
-    bound_k = fi_0 / (1 + alpha eta)^(2k).  fi_k <= bound_k for all k, and
-    fi_k (1+alpha eta)^(2k) converges to alpha^2 |m_0|^2 when m_0 != 0.
-    """
-    channel = Proximal(alpha, cfg.eta)  # validates alpha before 1/alpha; fi_curve validates k
-    target = IsoGaussian(np.zeros(p0.dim), 1.0 / alpha)
-    fi_k = float(fi_curve(p0, target, channel, [k])[0])
-    bound_k = ProxRate(alpha=alpha, eta=cfg.eta).factor(k) * fisher_information(p0, target)
-    return fi_k, bound_k

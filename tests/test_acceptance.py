@@ -43,11 +43,12 @@ def test_criterion_1_proximal_rate():
     """Closed-form Gaussian chain: fi_k = 4^-k exactly for the unit setup,
     and fi_k <= fi_0 (1+alpha eta)^{-2k} across random parameter draws."""
     with _Timer(1.0) as tm:
-        cfg = fp.SamplerConfig(eta=1.0, iters=10, seed=0)
-        p0 = fp.IsoGaussian([1.0], 1.0)
+        p0, target = fp.IsoGaussian([1.0], 1.0), fp.IsoGaussian([0.0], 1.0)
+        channel = fp.Proximal(1.0, 1.0)
         worst = 0.0
         for k in range(31):
-            fi_k, bound_k = fp.fi_certificate_gaussian(cfg, 1.0, p0, k)
+            fi_k = float(fp.fi_curve(p0, target, channel, [k])[0])
+            bound_k = fp.ProxRate(1.0, 1.0).factor(k) * fp.fisher_information(p0, target)
             worst = max(worst, abs(fi_k - 4.0 ** (-k)) / 4.0 ** (-k))
             assert fi_k <= bound_k * (1 + 1e-12)
         assert worst <= 1e-12
@@ -81,11 +82,11 @@ def test_criterion_2_iteration_complexity():
         for d in (1, 2, 5):
             L = alpha = 1.0
             eta = 1.0 / (d * L)
-            cfg = fp.SamplerConfig(eta=eta, iters=10, seed=0)
             p0 = fp.IsoGaussian(np.zeros(d), 1.0 / L)  # N(x*, I/L), x* = 0
+            target = fp.IsoGaussian(np.zeros(d), 1.0 / alpha)
             for eps in (1e-2, 1e-6):
                 k = fp.iteration_count(d, L, alpha, eps)
-                fi_k, _ = fp.fi_certificate_gaussian(cfg, alpha, p0, k)
+                fi_k = float(fp.fi_curve(p0, target, fp.Proximal(alpha, eta), [k])[0])
                 assert fi_k <= eps
                 checked.append((d, eps, k, fi_k))
     ks = ", ".join(f"d={d} eps={e:g}: k={k}" for d, e, k, _ in checked)
@@ -352,7 +353,7 @@ def test_criterion_10_quadrature_oracle():
     with _Timer(30.0) as tm:
         rng = np.random.default_rng(1234)
         grid = fp.EvalGrid(-42.0, 42.0, 2e-3)
-        fine = grid.refined()
+        fine = fp.EvalGrid(grid.lo, grid.hi, grid.step / 2)
         worst_match = worst_refine = 0.0
         for _ in range(25):
             vq = rng.uniform(0.5, 2.0)

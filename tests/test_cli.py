@@ -160,24 +160,21 @@ class TestCounterexample:
 
     def test_each_grid_is_built_once(self, tmp_path, monkeypatch):
         built = []
+        make = quadrature.well_grid
 
-        def counting(name):
-            make = getattr(quadrature, name)
+        def counted(t, *args):
+            grid = make(t, *args)
+            built.append((t, grid.rule))
+            return grid
 
-            def counted(t, *args):
-                built.append((t, name))
-                return make(t, *args)
-            return counted
-
-        for name in ("well_grid", "trapezoid_grid"):
-            monkeypatch.setattr(quadrature, name, counting(name))
+        monkeypatch.setattr(quadrature, "well_grid", counted)
         code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
                        "--grid-step", "4e-3", "--no-plot")
         assert code == EXIT_OK
         # t = 0 on the Simpson grid; every later row has t >= 1.6e-5, whose
         # smoothed kink the trapezoid grid resolves
         ts = quadrature.default_time_grid(1e-3, 0.5, 4).tolist()
-        assert built == [(0.0, "well_grid")] + [(t, "trapezoid_grid") for t in ts[1:]]
+        assert built == [(0.0, "simpson")] + [(t, "trapezoid") for t in ts[1:]]
 
     def test_grid_failure_names_its_row(self, tmp_path, capsys):
         # the t = 0 grid at step 0.3 has fewer than 200 steps; later rows
@@ -233,9 +230,8 @@ class TestCounterexample:
             # 1.0e-12 and 9.6e-16 here: the trapezoid rows' |T_h - T_2h| is the coarser rule's error
             assert math.isfinite(health[key]) and 0.0 <= health[key] < 2e-11
         ts = quadrature.default_time_grid(1e-3, 0.5, 4)
-        simpson = quadrature.well_grid(0.0, 2.0, 1e-3, 2.0).points.size
-        trapezoid = [quadrature.trapezoid_grid(t, 2.0, 1e-3, 2.0).points.size for t in ts[1:]]
-        sizes = [simpson, *trapezoid]
+        sizes = [quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size for t in ts]
+        simpson, trapezoid = sizes[0], sizes[1:]
         assert health["grid_points_max"] == max(sizes)
         assert health["grid_points_total"] == sum(sizes)
         assert health["rules"] == {"simpson": {"rows": 1, "points": simpson},

@@ -71,7 +71,6 @@ class TestCounterexamplePotential:
         assert pot.deriv2(2.0) == -2.0  # left limit at the kink
         assert pot.deriv2(-2.0) == 1.0
         assert pot.deriv2(2.0 + 1e-12) == 1.0
-        assert pot.convexity_floor == -2.0
 
     def test_derivative_consistency_off_kinks(self):
         pot = fp.counterexample_potential(3, 2)

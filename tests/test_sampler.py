@@ -255,27 +255,33 @@ class TestRunChain:
             fp.run_chain(g, np.zeros(3), cfg)
 
 
+def prox_fi(alpha, eta, p0, k):
+    """(fi_k, bound_k) of the closed-form Gaussian chain to N(0, I/alpha), as
+    ``gaussian-rates --channel prox`` has them: fi_k by ``fi_curve`` along
+    ``Proximal``, bound_k = fi_0 / (1 + alpha eta)^(2k)."""
+    target = fp.IsoGaussian(np.zeros(p0.dim), 1.0 / alpha)
+    fi_k = float(fp.fi_curve(p0, target, fp.Proximal(alpha, eta), [k])[0])
+    return fi_k, fp.ProxRate(alpha, eta).factor(k) * fp.fisher_information(p0, target)
+
+
 class TestFiCertificate:
     def test_bound_factor_is_one_at_zero(self):
-        cfg = fp.SamplerConfig(eta=1.0, iters=10, seed=0)
         p0 = fp.IsoGaussian([1.0], 1.0)
-        fi0, bound0 = fp.fi_certificate_gaussian(cfg, 1.0, p0, 0)
+        fi0, bound0 = prox_fi(1.0, 1.0, p0, 0)
         assert fi0 == bound0
 
     def test_unit_setup_quarters_exactly(self):
-        cfg = fp.SamplerConfig(eta=1.0, iters=10, seed=0)
         p0 = fp.IsoGaussian([1.0], 1.0)
         for k in range(31):
-            fi_k, bound_k = fp.fi_certificate_gaussian(cfg, 1.0, p0, k)
+            fi_k, bound_k = prox_fi(1.0, 1.0, p0, k)
             assert fi_k == pytest.approx(4.0 ** (-k), rel=1e-12)
             assert fi_k <= bound_k * (1 + 1e-12)
 
     def test_centered_start_has_squared_rate(self):
-        cfg = fp.SamplerConfig(eta=1.0, iters=10, seed=0)
         p0 = fp.IsoGaussian([0.0], 2.0)
         cap = (1.0 - 2.0) ** 2 * max(1.0, 0.5)  # limiting constant of fi_k 16^k
         for k in range(1, 20):
-            fi_k, _ = fp.fi_certificate_gaussian(cfg, 1.0, p0, k)
+            fi_k, _ = prox_fi(1.0, 1.0, p0, k)
             assert fi_k * 16.0**k <= cap * (1 + 1e-12)
 
     def test_iteration_budget_reaches_eps(self):
@@ -283,9 +289,8 @@ class TestFiCertificate:
         alpha, L = 0.5, 1.0
         for d in (1, 2, 5):
             eta = 1.0 / (d * L)
-            cfg = fp.SamplerConfig(eta=eta, iters=10, seed=0)
             p0 = fp.IsoGaussian(np.zeros(d), 1.0 / L)
             for eps in (1e-2, 1e-6):
                 k = fp.iteration_count(d, L, alpha, eps)
-                fi_k, _ = fp.fi_certificate_gaussian(cfg, alpha, p0, k)
+                fi_k, _ = prox_fi(alpha, eta, p0, k)
                 assert fi_k <= eps
