@@ -42,9 +42,10 @@ EXIT_USAGE = 64
 _ENVELOPE_SLACK = 1e-9  # relative; Gaussian curves meet their envelopes with equality
 _KL_SLACK = 1e-8  # relative rise between trace rows that counts as quadrature noise
 _T_MIN_FLOOR = 1e-300  # counterexample's least --t-min
-_T_MAX_CAP = 1e6  # counterexample's largest --t-max
+_T_MAX_CAP = 1e5  # counterexample's largest --t-max
 _MAX_STEPS = 10**6  # proxgrad's largest step count, of either run
 _ETA_CAP = 1e100  # proxgrad's largest --eta
+_GAP_TABLE_STEP = 0.05  # gap's density.csv spacing; its certificate is exact at any step
 _SPIKE_PIECES_CAP = 2**17  # gap's most linear pieces of g: one exact integral and row each
 _HEAT_SPAN_CAP = 1e150  # heat's largest --alpha * --t-max: (1 + alpha t)^2 must stay finite
 _OU_RATIO_CAP = 1e15  # ou's largest --alpha / --gamma and --beta / --gamma
@@ -240,7 +241,7 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> None:
 
 
 def cmd_counterexample(params: dict, run: RunDir) -> None:
-    m_big, halfwidth, step = params["M"], params["L"], params["grid_step"]
+    m_big, halfwidth = params["M"], params["L"]
     if m_big < 2.0 or halfwidth < 2.0:
         raise UsageError("need --M >= 2 and --L >= 2")
     if not 0.0 < params["t_min"] < params["t_max"]:
@@ -249,21 +250,22 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
         raise UsageError(f"need --t-min >= {_T_MIN_FLOOR:g}: rows below it equal the t = 0 row, "
                          "and the closed form leaves the float range near 1e-307")
     if params["t_max"] > _T_MAX_CAP:
-        raise UsageError(f"need --t-max <= {_T_MAX_CAP:g}: past it the scores of the two smoothed "
-                         "laws agree to more than 10 of their 16 digits, and fi is their difference")
+        raise UsageError(f"need --t-max <= {_T_MAX_CAP:g}: past it rounding in log(rho/nu) puts "
+                         f"kl's error estimate above the rows' tolerance {quadrature.ROW_TOL:g}")
     t_grid = quadrature.default_time_grid(params["t_min"], params["t_max"], params["t_points"])
     try:
-        trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid, step=step)
+        trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid)
     except quadrature.GridError as exc:
-        raise UsageError(f"no grid at t={exc.t:g} for --M {m_big:g}, --L {halfwidth:g} and "
-                         f"--grid-step {step:g}: {exc.__cause__}") from exc
+        raise UsageError(f"no grid at t={exc.t:g} for --M {m_big:g} and --L {halfwidth:g}: "
+                         f"{exc.__cause__}") from exc
     except (quadrature.NormalizationError, quadrature.QuadratureError) as exc:
-        raise UsageError(f"--M {m_big:g}, --L {halfwidth:g}, --t-min/--t-max and --grid-step "
-                         f"{step:g} are outside the range the trace is computed in: {exc}") from exc
+        raise UsageError(f"--M {m_big:g}, --L {halfwidth:g} and --t-min/--t-max are outside the "
+                         f"range the trace is computed in: {exc}") from exc
     run.health = {
         "smoothing": "closed-form",
         "fi_rel_err_max": max(r.fi_err / abs(r.fi) for r in trace.rows),
         "kl_rel_err_max": max(r.kl_err / abs(r.kl) for r in trace.rows),
+        "row_tol": quadrature.ROW_TOL,
         "grid_points_max": max(r.points for r in trace.rows),
         "grid_points_total": sum(r.points for r in trace.rows),
         "smoothing_points_total": sum(r.smoothed_points for r in trace.rows),
@@ -293,7 +295,10 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
     pair = trace.rows[int(np.argmax(rise)):][:2] if np.any(rise > 0.0) else None
     run.check(pair is None, "PASS kl non-increasing along the whole trace",
               pair and f"FAIL kl monotonicity between t={pair[0].t} and t={pair[1].t}")
-
+    loose = next((r for r in trace.rows if not r.converged()), None)
+    run.check(loose is None, f"PASS fi and kl error estimates within {quadrature.ROW_TOL:g} "
+              f"relative on all {len(trace.rows)} rows", loose and f"FAIL row tolerance: "
+              f"t={loose.t!r} fi_err={loose.fi_err:.2g} kl_err={loose.kl_err:.2g}")
 
 # ---------------------------------------------------------------------------
 # sampler
@@ -365,7 +370,7 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
 
 
 def cmd_gap(params: dict, run: RunDir) -> None:
-    eps, fi_floor, step = params["eps"], params["fi_floor"], params["grid_step"]
+    eps, fi_floor = params["eps"], params["fi_floor"]
     if not (0.0 < eps < 1.0 < fi_floor):
         raise UsageError("need 0 < --eps < 1 < --fi-floor")
     try:
@@ -376,11 +381,8 @@ def cmd_gap(params: dict, run: RunDir) -> None:
     if pieces > _SPIKE_PIECES_CAP:
         raise UsageError(f"need at most {_SPIKE_PIECES_CAP} spike pieces: --eps {eps:.12g} and "
                          f"--fi-floor {fi_floor:.12g} give {pieces}")
-    half = spec.a + 12.0
-    try:
-        grid = quadrature.EvalGrid(-half, half, step)
-    except ValueError as exc:  # only the grid's own validation can raise here
-        raise UsageError(f"--grid-step {step:g}: {exc}") from exc
+    half = spec.a + 12.0  # a < 8.3 for every eps < 1: the grid's step count lies in [480, 820]
+    grid = quadrature.EvalGrid(-half, half, _GAP_TABLE_STEP)
     try:
         (r_inf, fi), failure = quadrature.gap_check(spec, grid), None
     except quadrature.GapBoundError as exc:
@@ -475,7 +477,7 @@ _COMMANDS = {
     }),
     "counterexample": (cmd_counterexample, {
         "M": (_number, 2.0), "L": (_number, 2.0), "t_min": (_number, 1e-3),
-        "t_max": (_number, 50.0), "t_points": (_count(0), 60), "grid_step": (_positive, 1e-3),
+        "t_max": (_number, 50.0), "t_points": (_count(0), 60),
     }),
     "sampler": (cmd_sampler, {
         "d": (_count(1), 5), "alpha": (_positive, 1.0), "L": (_positive, 1.0),
@@ -483,7 +485,7 @@ _COMMANDS = {
         "burn_in": (_count(0), None), "record_every": (_count(1), None),
     }),
     "gap": (cmd_gap, {
-        "eps": (_number, 0.5), "fi_floor": (_number, 10.0), "grid_step": (_positive, 0.05),
+        "eps": (_number, 0.5), "fi_floor": (_number, 10.0),
     }),
     "proxgrad": (cmd_proxgrad, {
         "eta": (_positive, 1.0), "k": (_count(0), 25), "t_end": (_number, 5.0),

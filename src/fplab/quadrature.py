@@ -22,19 +22,19 @@ Numerical policy
   interpreter lock, and one thread ran the default trace faster than two.
   ``threads=`` pools the rows of the Gauss-Hermite oracle, which are
   heavier.
-* Every integral on a uniform grid takes the grid's rule: composite Simpson
-  (``EvalGrid``; estimate |fine - coarse|/15, heuristic) or the trapezoid
-  rule (``TrapezoidGrid``; estimate |T_h - T_2h|, the coarser rule's error,
-  so pessimistic).  The spike gap sums exact Gaussian integrals over the
-  pieces of its piecewise linear potential.
-* ``well_grid`` alone picks the closed-form trace's grid, and with it the
-  rule.  Rows with t >= 1.6e-5 take the trapezoid rule: their integrands are
-  Gaussian convolutions whose smoothed kinks the grid resolves (spacing at
-  most sqrt(t)/2), on which it converges geometrically.  The t = 0 row and
-  the rows below 1.6e-5 take Simpson at spacing ``step``, with the well's
-  kinks on the boundaries of coarse Simpson panels.  The Gauss-Hermite
-  oracle smears the kinks over its nodes, so its grids stay Simpson, dense
-  and unaligned.
+* Every integral on a uniform grid takes the grid's rule, composite Simpson
+  (``EvalGrid``) or trapezoid (``TrapezoidGrid``), and estimates its error
+  as |rule(h) - rule(2h)|.  The spike gap sums exact Gaussian integrals over
+  the pieces of its piecewise linear potential.
+* ``well_grid`` alone picks the closed-form trace's first grid, and with it
+  the rule.  Rows with t >= 1.6e-5 take the trapezoid rule: their integrands
+  are Gaussian convolutions whose smoothed kinks the grid resolves (spacing
+  at most sqrt(t)/2), on which it converges geometrically.  The t = 0 row
+  and the rows below 1.6e-5 take Simpson, with the well's kinks on the
+  boundaries of coarse Simpson panels.  Each row halves its spacing until
+  both estimates are within ROW_TOL of their values or the next grid would
+  pass MAX_GRID_STEPS.  The Gauss-Hermite oracle smears the kinks over its
+  nodes, so its grids stay Simpson, dense, unaligned and unrefined.
 * Grids must cover >= 8 standard deviations of every density they
   integrate; the trace producers grow their grids with t accordingly.
 """
@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 MIN_GRID_STEPS = 200
+ROW_TOL = 1e-10  # relative error estimate that each closed-form trace row refines to
 MAX_GRID_STEPS = 2**20  # ~8 MB per grid array; a trace row holds a few dozen of them
 _CHUNK = 16384  # grid points per Gauss-Hermite block, caps temporaries at ~16 MB
 
@@ -141,6 +142,17 @@ def gauss_hermite(order: int) -> GaussHermiteRule:
     return GaussHermiteRule(order=order, nodes=nodes, weights=weights / math.sqrt(2.0 * math.pi))
 
 
+def _simpson(y: np.ndarray, dx: float) -> float:
+    n = y.size
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd number of points >= 3")
+    return float(dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+
+
+def _trapezoid(y: np.ndarray, dx: float) -> float:
+    return float(dx * (y.sum() - 0.5 * (y[0] + y[-1])))
+
+
 @dataclass(frozen=True, eq=False)
 class EvalGrid:
     """Uniform grid on [lo, hi] whose integrals are composite Simpson.  The
@@ -149,6 +161,7 @@ class EvalGrid:
     spacing.  A grid takes MIN_GRID_STEPS to MAX_GRID_STEPS steps."""
 
     rule = "simpson"
+    _sum = staticmethod(_simpson)  # the rule's sum of values at spacing dx
 
     lo: float
     hi: float
@@ -182,14 +195,14 @@ class EvalGrid:
             )
 
     def integrate(self, y: np.ndarray) -> QuadResult:
-        """The integral of the values ``y`` on the points, with the
-        |fine - coarse|/15 estimate against the rule on every other node."""
-        fine = _simpson(y, self.dx)
-        return QuadResult(fine, abs(fine - _simpson(y[::2], 2.0 * self.dx)) / 15.0)
+        """The integral of the values ``y`` on the points, with the estimate
+        |rule(dx) - rule(2 dx)|: the error of the rule on every other node."""
+        fine = self._sum(y, self.dx)
+        return QuadResult(fine, abs(fine - self._sum(y[::2], 2.0 * self.dx)))
 
     def total(self, y: np.ndarray) -> float:
         """``integrate(y).value``, without the estimate."""
-        return _simpson(y, self.dx)
+        return self._sum(y, self.dx)
 
 
 class TrapezoidGrid(EvalGrid):
@@ -197,27 +210,14 @@ class TrapezoidGrid(EvalGrid):
     analytic in a strip and decaying like a Gaussian they converge
     geometrically in 1/dx (Trefethen & Weideman, SIAM Review 2014); Simpson,
     (4 T_dx - T_2dx)/3, carries T_2dx's error.  The estimate |T_dx - T_2dx|
-    is the error of the rule on every other node: honest, but pessimistic."""
+    is honest there, but pessimistic."""
 
     rule = "trapezoid"
-
-    def integrate(self, y: np.ndarray) -> QuadResult:
-        fine, ends = self.total(y), 0.5 * (y[0] + y[-1])
-        return QuadResult(fine, abs(fine - float(2.0 * self.dx * (y[::2].sum() - ends))))
-
-    def total(self, y: np.ndarray) -> float:
-        return float(self.dx * (y.sum() - 0.5 * (y[0] + y[-1])))
-
-
-def _simpson(y: np.ndarray, dx: float) -> float:
-    n = y.size
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of points >= 3")
-    return float(dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+    _sum = staticmethod(_trapezoid)
 
 
 class QuadResult(NamedTuple):
-    """An integral value with a heuristic refinement estimate of its error."""
+    """An integral value with the refinement estimate of its error."""
 
     value: float
     error: float
@@ -496,6 +496,10 @@ class TraceRow(NamedTuple):
     smoothed_points: Optional[int] = None
     rule: Optional[str] = None
 
+    def converged(self) -> bool:
+        """Both error estimates within ROW_TOL of their values."""
+        return self.fi_err <= ROW_TOL * abs(self.fi) and self.kl_err <= ROW_TOL * abs(self.kl)
+
 
 _NOISE_FLOOR = -1e-9
 
@@ -549,8 +553,8 @@ def _smoothing_grid(t: float, halfwidth: float, step: float, m_big: float) -> Ev
 
 
 def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
-    """The grid of the closed-form concave-well trace at time t, and with it
-    the rule of its integrals.
+    """The first grid of the closed-form well trace at time t, and its rule.
+    Halving its spacing keeps it symmetric and the kinks on panel boundaries.
 
     The smoothed density is analytic except near the kinks at +-L, which
     smoothing rounds off over a width sqrt(t); elsewhere it varies on the
@@ -597,9 +601,10 @@ def counterexample_trace(
     falls later; KL is non-increasing throughout.
 
     The smoothed density comes from ``smoothed_well_logdensity`` (closed
-    form) on ``well_grid``, unless ``order`` is given, in which case the
-    Gauss-Hermite rule of that order computes it through
-    ``convolved_logdensity`` on Simpson grids: the oracle.  ``threads`` > 1
+    form) on ``well_grid``, refined to ROW_TOL (``TraceRow.converged``);
+    ``smoothed_points`` counts every level's evaluations.  Given ``order``,
+    the Gauss-Hermite rule of that order computes it through
+    ``convolved_logdensity`` on one Simpson grid: the oracle.  ``threads`` > 1
     runs the rows on a thread pool of that size.
     """
     t_vals = [float(t) for t in t_grid]
@@ -615,23 +620,28 @@ def counterexample_trace(
         except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
             raise GridError(t, exc) from exc
         grid.require_covers(0.0, math.sqrt(1.0 + t))
-        pts = grid.points
-        if rule is None:
-            # the grid is symmetric about 0, the smoothed density even and its
-            # score odd: evaluate on the nonnegative half and mirror it
-            half = -pts[(pts.size - 1) // 2::-1]
-            lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
-            lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
-            evaluated = half.size
-        else:
-            lognu, nu_score = convolved_logdensity(pot, t, pts, rule)
-            evaluated = pts.size
-        v = 1.0 + t
-        logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
-        fi = fi_functional(logrho, -pts / v - nu_score, grid)
-        kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
-        return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
-                        grid.rule)
+        evaluated = 0
+        while True:
+            pts = grid.points
+            if rule is None:
+                # the grid is symmetric about 0, the smoothed density even and
+                # its score odd: evaluate on the nonnegative half and mirror it
+                half = -pts[(pts.size - 1) // 2::-1]
+                lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
+                lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
+                evaluated += half.size
+            else:
+                lognu, nu_score = convolved_logdensity(pot, t, pts, rule)
+                evaluated += pts.size
+            v = 1.0 + t
+            logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
+            fi = fi_functional(logrho, -pts / v - nu_score, grid)
+            kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+            r = TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
+                         grid.rule)
+            if rule or r.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
+                return r
+            grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -659,9 +669,7 @@ def counterexample_initial_slope(m_big: float, halfwidth: float) -> float:
     return -c * p_in + 2.0 * M * c * second_moment_in - 4.0 * c * L * L * q_tail
 
 
-def perturbed_bound_check(
-    m_big: float, halfwidth: float, t_grid: Sequence[float], *, step: float = 1e-3
-) -> ChannelTrace:
+def perturbed_bound_check(m_big: float, halfwidth: float, t_grid: Sequence[float]) -> ChannelTrace:
     """Counterexample trace with the perturbed heat-flow envelope attached.
 
     The well potential splits as x^2/2 plus an (M+1)L-Lipschitz remainder,
@@ -670,7 +678,7 @@ def perturbed_bound_check(
     the quadrature or the envelope transcription is at fault, and judging
     that is the caller's job, so the trace is always complete.
     """
-    trace = counterexample_trace(m_big, halfwidth, t_grid, step=step)
+    trace = counterexample_trace(m_big, halfwidth, t_grid)
     env = HeatPerturbed(alpha=1.0, lip=(m_big + 1.0) * halfwidth)
     fi0 = trace.rows[0].fi
     return ChannelTrace(rows=tuple(r._replace(bound=env.factor(r.t) * fi0) for r in trace.rows))

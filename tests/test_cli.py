@@ -142,8 +142,7 @@ class TestGaussianRates:
 class TestCounterexample:
     def test_small_grid_run(self, tmp_path):
         code = run_cli(
-            tmp_path, "counterexample", "--t-points", "8", "--t-max", "2",
-            "--grid-step", "4e-3", "--no-plot",
+            tmp_path, "counterexample", "--t-points", "8", "--t-max", "2", "--no-plot",
         )
         assert code == EXIT_OK
         run_dir = only_run_dir(tmp_path, "counterexample")
@@ -168,31 +167,12 @@ class TestCounterexample:
             return grid
 
         monkeypatch.setattr(quadrature, "well_grid", counted)
-        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
-                       "--grid-step", "4e-3", "--no-plot")
+        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot")
         assert code == EXIT_OK
         # t = 0 on the Simpson grid; every later row has t >= 1.6e-5, whose
         # smoothed kink the trapezoid grid resolves
         ts = quadrature.default_time_grid(1e-3, 0.5, 4).tolist()
         assert built == [(0.0, "simpson")] + [(t, "trapezoid") for t in ts[1:]]
-
-    def test_grid_failure_names_its_row(self, tmp_path, capsys):
-        # the t = 0 grid at step 0.3 has fewer than 200 steps; later rows
-        # would never be refused, their spacing is capped at width / 200
-        code = run_cli(tmp_path, "counterexample", "--grid-step", "0.3", "--t-max", "1e6",
-                       "--t-points", "5", "--no-plot")
-        assert code == EXIT_USAGE
-        assert "usage error: no grid at t=0 for --M 2, --L 2 and --grid-step 0.3: " \
-            "grid too coarse" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("step, t_max", [
-        ("2e-3", "1e6"), ("5e-3", "1e6"), ("8e-3", "1e6"), ("1.1e-2", "1e6"), ("1.1e-2", "50"),
-    ])
-    def test_coarse_steps_grid_every_row(self, tmp_path, step, t_max):
-        # the late rows' spacing grows like their width; the width / 200 cap
-        # keeps them gridded at every step the t = 0 row accepts
-        assert run_cli(tmp_path, "counterexample", "--grid-step", step, "--t-max", t_max,
-                       "--no-plot") == EXIT_OK
 
     def test_envelope_failure_writes_the_one_trace(self, tmp_path, monkeypatch, capsys):
         # halving the envelope puts fi(0) above its bound; the run must still
@@ -224,8 +204,12 @@ class TestCounterexample:
         code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot")
         assert code == EXIT_OK
         run_dir = only_run_dir(tmp_path, "counterexample")
-        health = json.load(open(os.path.join(run_dir, "manifest.json")))["health"]
+        manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
+        health = manifest["health"]
         assert health["smoothing"] == "closed-form"
+        assert health["row_tol"] == quadrature.ROW_TOL == 1e-10
+        assert manifest["verdicts"][-1] == \
+            "PASS fi and kl error estimates within 1e-10 relative on all 5 rows"
         for key in ("fi_rel_err_max", "kl_rel_err_max"):
             # 1.0e-12 and 9.6e-16 here: the trapezoid rows' |T_h - T_2h| is the coarser rule's error
             assert math.isfinite(health[key]) and 0.0 <= health[key] < 2e-11
@@ -240,14 +224,17 @@ class TestCounterexample:
         assert health["smoothing_points_total"] == sum((n + 1) // 2 for n in sizes)
 
     @pytest.mark.parametrize("args", [
-        ("--grid-step", "-1"), ("--grid-step", "0"), ("--grid-step", "0.5"),
         ("--t-min", "0"), ("--t-min", "-1"), ("--t-min", "1", "--t-max", "0.1"),
         ("--t-points", "-1"),
         # the well's mass at +-(M+1)L = +-2e8 needs a grid beyond the size cap
         ("--M", "1e8", "--t-points", "2", "--t-max", "0.1"),
         ("--t-max", "1e300"), ("--t-max", "2e6"), ("--t-min", "1e-305"), ("--L", "1e300"),
-        # a grid whose step does not resolve N(0, 1) fails its normalization
-        ("--L", "1e5", "--grid-step", "1"),
+        # past 1e5 the late rows' kl estimates stop at the grid cap above ROW_TOL
+        ("--t-max", "1e6"),
+        # the t = 0 grid of a well at +-1e5 needs more than MAX_GRID_STEPS steps
+        ("--L", "1e5"), ("--L", "1.9"),
+        # the grids refine themselves; there is no step to set
+        ("--grid-step", "1e-3"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
@@ -280,8 +267,9 @@ class TestCounterexample:
         assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
 
     def test_envelope_and_kl_failures_both_print(self, tmp_path, monkeypatch, capsys):
-        # one failed check does not hide the next: both FAIL lines print, in
-        # order, and the manifest records them as they were printed
+        # one failed check does not hide the next: every FAIL line prints, in
+        # order, and the manifest records them as they were printed.  A kl of
+        # 1e-6 also puts the t = 0 row's kl estimate above ROW_TOL
         factor = fp.HeatPerturbed.factor
         monkeypatch.setattr(fp.HeatPerturbed, "factor", lambda self, t: 0.5 * factor(self, t))
         bounded = quadrature.perturbed_bound_check
@@ -302,9 +290,27 @@ class TestCounterexample:
         assert out[0].startswith("FAIL envelope: t=0.0 ")
         assert out[1].startswith("initial fi slope = ")
         assert out[2] == "FAIL kl monotonicity between t=0.0 and t=0.01"
+        assert out[3].startswith("FAIL row tolerance: t=0.0 ")
         manifest = json.load(open(os.path.join(only_run_dir(tmp_path, "counterexample"),
                                                 "manifest.json")))
-        assert manifest["verdicts"] == [out[0], out[2]]
+        assert manifest["verdicts"] == [out[0], out[2], out[3]]
+
+    def test_row_tolerance_failure_names_the_first_loose_row(self, tmp_path, monkeypatch, capsys):
+        # an estimate just above ROW_TOL relative fails the run, and the FAIL
+        # line, printed last, names the first such row
+        bounded = quadrature.perturbed_bound_check
+
+        def loose(*args, **kwargs):
+            rows = bounded(*args, **kwargs).rows
+            return fp.ChannelTrace(rows=rows[:1] + tuple(
+                r._replace(fi_err=1.01 * quadrature.ROW_TOL * r.fi) for r in rows[1:]))
+
+        monkeypatch.setattr(quadrature, "perturbed_bound_check", loose)
+        code = run_cli(tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
+                       "--t-points", "2", "--no-plot")
+        assert code == EXIT_CERT
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "FAIL row tolerance: t=0.01 fi_err=")
 
     def test_kl_check_is_relative(self, tmp_path, monkeypatch, capsys):
         # a rise of 1e-9 on a KL of 1e-6 is 1e-3 relative: a failure at any
@@ -451,7 +457,7 @@ class TestGap:
         assert health["density_rows"] == 519
 
     @pytest.mark.parametrize("args", [
-        ("--eps", "1e-4"), ("--eps", "1e-8", "--fi-floor", "2", "--grid-step", "1e-3"),
+        ("--eps", "1e-4"), ("--eps", "1e-8", "--fi-floor", "2"),
     ])
     def test_spikes_narrower_than_the_grid_step(self, tmp_path, args, capsys):
         # the certificate is exact at any step; no guard ties --eps to the grid
@@ -556,6 +562,15 @@ class TestDriver:
         cfg.write_text(json.dumps({"epsilon": 0.3}))
         assert main(["gap", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("sub", ["gap", "counterexample"])
+    def test_grid_step_config_key_rejected(self, tmp_path, sub, capsys):
+        # neither subcommand takes a grid step: gap tabulates at a fixed one
+        # and the counterexample's rows refine their own grids
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_step": 1e-3}))
+        assert main([sub, "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "unknown config keys: ['grid_step']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub, text", [
         ("counterexample", '{"M": "two"}'), ("sampler", '{"iters": Infinity}'), ("gap", "5"),
     ])
@@ -568,7 +583,8 @@ class TestDriver:
         assert "usage error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
-        ("gap", "--grid-step", "0"), ("gap", "--grid-step", "1"),
+        # gap tabulates at a fixed step; a count must be an integer
+        ("gap", "--grid-step", "0.05"), ("counterexample", "--t-points", "2.5"),
         ("gaussian-rates", "--channel", "heat", "--t-max", "-1"),
         ("gaussian-rates", "--channel", "heat", "--points", "0"),
         ("sampler", "--iters", "0"), ("sampler", "--iters", "10", "--burn-in", "20"),
@@ -793,7 +809,6 @@ class TestDriver:
 
         monkeypatch.setattr(quadrature, "ThreadPoolExecutor", no_pool)
         code = run_cli(
-            tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
-            "--grid-step", "4e-3", "--no-plot",
+            tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot",
         )
         assert code == EXIT_OK

@@ -665,7 +665,7 @@ class TestWellGrid:
     @pytest.mark.parametrize("t", [0.0, 1e-6, 1e-5])
     def test_spacing_follows_the_rule(self, t):
         # the Simpson rows take step, shrunk to put the kinks on nodes (by
-        # less than 2x), so halving --grid-step halves it
+        # less than 2x), so halving step halves it
         for step in (1e-3, 2e-3, 4e-3):
             dx = fp.quadrature.well_grid(t, 2.3, step, 2.0).dx
             assert 0.5 * step < dx <= step
@@ -702,17 +702,32 @@ class TestWellGrid:
     def test_matches_an_eighth_step_reference(self):
         # t where the smoothed kink is sharp (t < 1e-3), at the ladder's
         # start, at the concave/convex switch t = 1/M, and late.  Sharp-kink
-        # rows carry the O(h^2) error of a kink narrower than the spacing;
-        # the rest are analytic between nodes
+        # rows carry the O(h^2) error of a kink narrower than the spacing
+        # until they refine it away; the rest are analytic between nodes
         for m_big, halfwidth in ((2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)):
             ts = sorted([0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 0.1, 1.0 / m_big,
                          1.0, 10.0, 50.0])
             a = fp.counterexample_trace(m_big, halfwidth, ts)
             b = fp.counterexample_trace(m_big, halfwidth, ts, step=1e-3 / 8)
             for ra, rb in zip(a.rows, b.rows):
-                tol = 3e-8 if 0.0 < ra.t < 1e-3 else 1e-13
-                assert abs(ra.fi - rb.fi) <= tol * rb.fi, (m_big, halfwidth, ra.t)
-                assert abs(ra.kl - rb.kl) <= tol * rb.kl, (m_big, halfwidth, ra.t)
+                assert abs(ra.fi - rb.fi) <= 1e-13 * rb.fi, (m_big, halfwidth, ra.t)
+                assert abs(ra.kl - rb.kl) <= 1e-13 * rb.kl, (m_big, halfwidth, ra.t)
+
+    @pytest.mark.parametrize("m_big, halfwidth", [(10.0, 2.0), (2.0, 20.0)])
+    def test_steep_wells_match_a_quarter_step_reference(self, m_big, halfwidth):
+        # past t = 1/M the smoothed score swings by +-L/t over a width of
+        # about t/L, which the first grid's spacing does not follow: on it
+        # alone fi was off by 2.9e-7 at (10, 2), t = 0.1414, and by 4.5e-4 at
+        # (2, 20), t = 0.6131.  A quarter step, since at L = 20 an
+        # eighth-step Simpson grid for t = 0 has more than MAX_GRID_STEPS steps
+        ts = [0.0, *fp.default_time_grid()[[28, 36]]]
+        assert ts[1:] == [pytest.approx(0.1414, abs=1e-4), pytest.approx(0.6131, abs=1e-4)]
+        a = fp.counterexample_trace(m_big, halfwidth, ts)
+        b = fp.counterexample_trace(m_big, halfwidth, ts, step=1e-3 / 4)
+        for ra, rb in zip(a.rows, b.rows):
+            assert abs(ra.fi - rb.fi) <= 1e-13 * rb.fi, ra.t
+            assert abs(ra.kl - rb.kl) <= 1e-13 * rb.kl, ra.t
+            assert ra.converged(), ra.t
 
 
 class TestTrapezoidGrid:
@@ -742,8 +757,10 @@ class TestTrapezoidGrid:
     def test_coarse_steps_resolve_the_smoothed_kink(self, step):
         # for 1e-3 <= t <= 1e-2 a spacing of 500 step sqrt(t) would outgrow
         # the smoothed kink's width sqrt(t) past the default step; capped at
-        # sqrt(t)/2 these rows stay at the eighth-step reference
-        ts = [0.0, 1e-3, 3e-3, 1e-2]
+        # sqrt(t)/2 these rows stay at the eighth-step reference.  From
+        # t = 0.3 on the rows start at or near the 200-step floor, too wide
+        # at a coarse step, and halve it until their estimates meet ROW_TOL
+        ts = [0.0, 1e-3, 3e-3, 1e-2] + [t for t in fp.default_time_grid().tolist() if t > 0.3]
         for m_big, halfwidth in ((2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)):
             a = fp.counterexample_trace(m_big, halfwidth, ts, step=step)
             b = fp.counterexample_trace(m_big, halfwidth, ts, step=step / 8)
@@ -752,17 +769,24 @@ class TestTrapezoidGrid:
                 assert abs(ra.kl - rb.kl) <= 1e-13 * rb.kl, (m_big, halfwidth, ra.t)
 
 
-def _full_grid_row(m_big, halfwidth, t):
-    """(fi, kl) of a closed-form trace row with the smoothed well evaluated at
-    every grid point: the oracle of the trace's half-grid mirror."""
+def _full_grid_row(m_big, halfwidth, t, points):
+    """(fi, kl, sizes) of a closed-form trace row whose last grid has
+    ``points`` points, with the smoothed well evaluated at every point of it:
+    the oracle of the trace's half-grid mirror.  ``sizes`` are the point
+    counts of the row's grids, from ``well_grid`` halved down to that one."""
     grid = fp.quadrature.well_grid(t, halfwidth, 1e-3, m_big)
+    sizes = [grid.points.size]
+    while grid.points.size < points:
+        grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)
+        sizes.append(grid.points.size)
     pts = grid.points
+    assert pts.size == points
     lognu, nu_score = fp.smoothed_well_logdensity(m_big, halfwidth, t, pts)
     v = 1.0 + t
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
     fi = fp.fi_functional(logrho, -pts / v - nu_score, grid)
     kl = fp.kl_functional(logrho, _grid_normalized(lognu, grid), grid)
-    return fi.value, kl.value
+    return fi.value, kl.value, sizes
 
 
 class TestMirroredTrace:
@@ -772,10 +796,11 @@ class TestMirroredTrace:
         t0 = 1.0 / m_big
         ts = sorted([0.0, 1e-7, 1e-3, t0 * (1.0 - 1e-9), t0, t0 * (1.0 + 1e-9), 50.0])
         for r in fp.counterexample_trace(m_big, halfwidth, ts).rows:
-            fi, kl = _full_grid_row(m_big, halfwidth, r.t)
+            fi, kl, sizes = _full_grid_row(m_big, halfwidth, r.t, r.points)
             assert abs(r.fi - fi) <= 1e-13 * fi, r.t
             assert abs(r.kl - kl) <= 1e-13 * kl, r.t
-            assert r.smoothed_points == (r.points + 1) // 2
+            # each level evaluates the nonnegative half of its grid
+            assert r.smoothed_points == sum((n + 1) // 2 for n in sizes)
 
 
 class TestChannelTraceContainer:
