@@ -43,7 +43,6 @@ from .potentials import (
 from .quadrature import (
     ChannelTrace,
     EvalGrid,
-    GapBoundError,
     GaussHermiteRule,
     NormalizationError,
     QuadratureError,

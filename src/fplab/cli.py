@@ -44,7 +44,9 @@ _KL_SLACK = 1e-8  # relative rise between trace rows that counts as quadrature n
 _T_MIN_FLOOR = 1e-300  # counterexample's least --t-min
 _T_MAX_CAP = 1e5  # counterexample's largest --t-max
 _MAX_STEPS = 10**6  # proxgrad's largest step count, of either run
+_MAX_PROPOSALS = 10**8  # sampler's most expected proposals, --iters times kappa^(d/2)
 _ETA_CAP = 1e100  # proxgrad's largest --eta
+_GAP_SLACK = 8.0 * 2.0**-52  # relative, 8 ulp: gap's r_inf and fi are within 8e-16
 _GAP_TABLE_STEP = 0.05  # gap's density.csv spacing; its certificate is exact at any step
 _SPIKE_PIECES_CAP = 2**17  # gap's most linear pieces of g: one exact integral and row each
 _HEAT_SPAN_CAP = 1e150  # heat's largest --alpha * --t-max: (1 + alpha t)^2 must stay finite
@@ -178,6 +180,29 @@ def _dominates(fi, bound):
     return bound is None or fi <= bound * (1.0 + _ENVELOPE_SLACK)
 
 
+def _gap_failure(spec: potentials.SpikeSpec, r_inf: float, fi: float) -> str | None:
+    """The first of r_inf <= eps (1 + s) and fi >= fi_floor (1 - s), s =
+    _GAP_SLACK, that the figures break, as a FAIL text; None where both hold."""
+    if r_inf > spec.eps * (1.0 + _GAP_SLACK):
+        return f"r_inf={r_inf!r} exceeds eps={spec.eps}"
+    if fi < spec.fi_floor * (1.0 - _GAP_SLACK):
+        return f"fi={fi!r} below floor={spec.fi_floor}"
+    return None
+
+
+def _decay_failure(gsq: np.ndarray, alpha: float, eta: float) -> str | None:
+    """The first step k at which gsq_k > max(gsq_0 (1 + alpha eta)^{-2k} (1 +
+    _ENVELOPE_SLACK), least normal double), as a FAIL text; None where none is."""
+    bound = gsq[0] * ga.Proximal(alpha, eta).contraction(np.arange(gsq.size))
+    bad = np.flatnonzero(~(gsq <= np.maximum(bound * (1.0 + _ENVELOPE_SLACK),
+                                             np.finfo(float).tiny)))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return (f"decay certificate violated at step {k}: {float(gsq[k])!r} > {float(bound[k])!r} "
+            f"(1 + {_ENVELOPE_SLACK:g})")
+
+
 # ---------------------------------------------------------------------------
 # gaussian-rates
 
@@ -192,6 +217,9 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> None:
     q0 = ga.IsoGaussian([0.0], 1.0 / alpha)
     if channel == "prox":
         eta = params["eta"]
+        if not math.isfinite(alpha * eta):
+            raise UsageError(f"need a finite --alpha times --eta (--alpha {alpha:g}, --eta "
+                             f"{eta:g}): past it 1 + alpha eta in the prox envelope overflows")
         ts = np.arange(params["k"] + 1)  # integer k: the t column prints as %d
         p0 = ga.IsoGaussian([params["m0"]], params["var0"])
         chan = ga.Proximal(alpha, eta)
@@ -220,7 +248,11 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> None:
             p0 = ga.IsoGaussian([m], 1.0 / beta)
             chan = ga.OU(gamma=gamma)
             env = ga.OuSLCPoincare(alpha, beta, gamma) if m == 0.0 else ga.OuSLC(alpha, gamma)
-    fi0 = ga.fisher_information(p0, q0)
+    with np.errstate(over="ignore"):  # an overflowing FI is refused just below
+        fi0 = ga.fisher_information(p0, q0)
+    if not math.isfinite(fi0):
+        raise UsageError("the start pair's FI(p0 || q0) overflows: every fi, kl and bound cell "
+                         "would be inf")
     fis, kls = ga.fi_curve(p0, q0, chan, ts), ga.kl_curve(p0, q0, chan, ts)
     # the envelope is scalar in t; None (an empty cell) when fi0 = 0
     bound = [env.factor(t) * fi0 for t in ts.tolist()] if fi0 > 0 else [None] * ts.size
@@ -319,6 +351,13 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
     if iters - burn < 2:  # the variance check needs two kept samples
         raise UsageError("need --iters - --burn-in >= 2 (--burn-in defaults to --iters // 4)")
     every = max(1, iters // 1000) if params["record_every"] is None else params["record_every"]
+    try:
+        proposals = iters * sampler.expected_trials_bound(eta, L, d)
+    except OverflowError:  # kappa^(d/2) past the float range
+        proposals = math.inf
+    if proposals > _MAX_PROPOSALS:
+        raise UsageError(f"need --iters times kappa^(d/2) <= {_MAX_PROPOSALS:g} expected "
+                         f"proposals, not {proposals:.4g}: take a smaller --eta or --iters")
     cfg = sampler.SamplerConfig(eta=eta, iters=iters, seed=seed, burn_in=burn)
     target = potentials.quadratic_potential(d, alpha)
     # stream 1 seeds the stationary start; stream 0 drives the chain itself
@@ -328,7 +367,7 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
     n = out.samples.shape[0]
     a = 1.0 / (1.0 + alpha * eta)  # lag-1 autocorrelation of the Gaussian chain
     se_mean = math.sqrt((1.0 / alpha) / n * (1.0 + a) / (1.0 - a))
-    se_var = math.sqrt(2.0 / (alpha**2 * n) * (1.0 + a * a) / (1.0 - a * a))
+    se_var = math.sqrt(2.0 / n * (1.0 + a * a) / (1.0 - a * a)) / alpha
     kappa_bound = sampler.expected_trials_bound(eta, L, d)
     se_trials = float(out.trial_counts.std(ddof=1)) / math.sqrt(iters)
 
@@ -383,10 +422,8 @@ def cmd_gap(params: dict, run: RunDir) -> None:
                          f"--fi-floor {fi_floor:.12g} give {pieces}")
     half = spec.a + 12.0  # a < 8.3 for every eps < 1: the grid's step count lies in [480, 820]
     grid = quadrature.EvalGrid(-half, half, _GAP_TABLE_STEP)
-    try:
-        (r_inf, fi), failure = quadrature.gap_check(spec, grid), None
-    except quadrature.GapBoundError as exc:
-        r_inf, fi, failure = exc.r_inf, exc.fi, exc
+    r_inf, fi = quadrature.gap_check(spec, grid)
+    failure = _gap_failure(spec, r_inf, fi)
     run.check(failure is None,
               f"PASS r_inf={r_inf:.8f} <= eps={eps}  and  fi={fi:.6f} >= fi_floor={fi_floor}",
               f"FAIL gap certificate: {failure}")
@@ -422,6 +459,8 @@ def cmd_proxgrad(params: dict, run: RunDir) -> None:
     quad = potentials.quadratic_potential(1, 1.0)
     quad_trace = optim.prox_grad_run(quad, [1.0], eta, k_max)
     gsq = quad_trace.grad_sq_norms
+    failure = _decay_failure(gsq, quad.alpha, eta)
+    run.check(failure is None, None, f"FAIL quadratic proximal-gradient envelope: {failure}")
     target_ratio = 1.0 / (1.0 + eta) ** 2
     live = gsq[:-1] > 1e-280
     ratios = gsq[1:][live] / gsq[:-1][live]
@@ -435,12 +474,8 @@ def cmd_proxgrad(params: dict, run: RunDir) -> None:
     run.check(not np.any(flow_gsq > envelope * (1.0 + 1e-6)),
               "PASS quartic gradient-flow decay within e^{-2 alpha t}",
               "FAIL quartic gradient-flow envelope")
-    # the run enforces its own (1+alpha eta)^{-2k} certificate; a failure
-    # carries the run's norms and residual, which are tabulated all the same
-    try:
-        quartic_trace, failure = optim.prox_grad_run(quartic, [1.0], eta, k_max), None
-    except optim.DecayCertificateError as exc:
-        quartic_trace = failure = exc
+    quartic_trace = optim.prox_grad_run(quartic, [1.0], eta, k_max)
+    failure = _decay_failure(quartic_trace.grad_sq_norms, quartic.alpha, eta)
     run.check(failure is None,
               "PASS quartic proximal-gradient decay within (1+alpha eta)^{-2k}",
               f"FAIL quartic proximal-gradient envelope: {failure}")

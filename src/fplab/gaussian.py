@@ -192,8 +192,11 @@ _SERIES_TERMS = 17
 
 
 def _u_minus_log1p(u: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    u = np.atleast_1d(u)
-    out = u - np.where(u < -0.5, np.log(ratio), np.log1p(u))
+    u, ratio = np.atleast_1d(u, ratio)
+    low = u < -0.5  # each log only where it is taken: log1p(-1) would warn
+    out = np.empty_like(u)
+    out[low] = u[low] - np.log(ratio[low])
+    out[~low] = u[~low] - np.log1p(u[~low])
     small = np.abs(u) < _SERIES_CUT
     w = -u[small]
     acc = np.full_like(w, 1.0 / _SERIES_TERMS)

@@ -1,5 +1,5 @@
 """Finite-dimensional analogues: gradient flow and the proximal gradient
-algorithm, with squared-gradient-norm decay certificates.
+algorithm, traced by their squared gradient norms.
 
 For an alpha-strongly convex f, |grad f|^2 decays like e^{-2 alpha t}
 along the flow dX/dt = -grad f(X) and like (1 + alpha eta)^{-2k} along the
@@ -16,49 +16,20 @@ import numpy as np
 
 from .potentials import SmoothPotential, minimize, prox_objective
 
-__all__ = ["DecayCertificateError", "ProxGradTrace", "prox_grad_step", "gradient_flow",
-           "prox_grad_run"]
-
-_SLACK = 1e-9  # relative slack of the decay certificate
-_TINY = np.finfo(float).tiny  # smallest normal float: the certificate's floor
-
-
-class DecayCertificateError(ValueError):
-    """A proximal-gradient run broke its decay certificate at ``step``; carries
-    the run's ``grad_sq_norms`` and ``residual_max``."""
-
-    def __init__(self, msg: str, step: int, grad_sq_norms: np.ndarray, residual_max: float):
-        super().__init__(msg)
-        self.step, self.grad_sq_norms, self.residual_max = step, grad_sq_norms, residual_max
+__all__ = ["ProxGradTrace", "prox_grad_step", "gradient_flow", "prox_grad_run"]
 
 
 @dataclass(frozen=True, eq=False)
 class ProxGradTrace:
     """Iterates and squared gradient norms of a proximal-gradient run.
 
-    Construction enforces the decay certificate
-    grad_sq_norms[k] <= max(grad_sq_norms[0] (1 + alpha eta)^(-2k) (1 + 1e-9), tiny),
-    tiny the smallest normal float, and raises DecayCertificateError where it
-    fails.  ``residual_max`` is the largest implicit-step residual
+    ``residual_max`` is the largest implicit-step residual
     |x_k - (x_{k-1} - eta grad f(x_k))| / (1 + |x_{k-1}|).
     """
 
     iterates: np.ndarray  # (k_max + 1, d)
     grad_sq_norms: np.ndarray  # (k_max + 1,)
-    eta: float
-    alpha: float
-    residual_max: float = 0.0
-
-    def __post_init__(self):
-        gsq = self.grad_sq_norms
-        with np.errstate(over="ignore"):  # past the float range the envelope is 0
-            bound = gsq[0] / (1.0 + self.alpha * self.eta) ** (2 * np.arange(gsq.size))
-        bad = np.flatnonzero(~(gsq <= np.maximum(bound * (1.0 + _SLACK), _TINY)))
-        if bad.size:
-            k = int(bad[0])
-            raise DecayCertificateError(
-                f"decay certificate violated at step {k}: {float(gsq[k])!r} > "
-                f"{float(bound[k])!r} (1 + {_SLACK:g})", k, gsq, self.residual_max)
+    residual_max: float
 
 
 def prox_grad_step(f: SmoothPotential, x: np.ndarray, eta: float) -> np.ndarray:
@@ -104,8 +75,7 @@ def gradient_flow(f: SmoothPotential, x0, t_end: float, dt: float):
 
 
 def prox_grad_run(f: SmoothPotential, x0, eta: float, k_max: int) -> ProxGradTrace:
-    """k_max implicit gradient steps from x0; the trace constructor enforces
-    the per-run decay certificate."""
+    """k_max implicit gradient steps from x0."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -120,5 +90,5 @@ def prox_grad_run(f: SmoothPotential, x0, eta: float, k_max: int) -> ProxGradTra
     prev = iterates[:-1]
     residuals = np.linalg.norm(iterates[1:] - (prev - eta * grads[1:]), axis=1)
     residual_max = float(np.max(residuals / (1.0 + np.linalg.norm(prev, axis=1)), initial=0.0))
-    return ProxGradTrace(iterates=iterates, grad_sq_norms=np.sum(grads**2, axis=1), eta=eta,
-                         alpha=f.alpha, residual_max=residual_max)
+    return ProxGradTrace(iterates=iterates, grad_sq_norms=np.sum(grads**2, axis=1),
+                         residual_max=residual_max)

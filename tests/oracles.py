@@ -15,7 +15,11 @@ import numpy as np
 
 from fplab.gaussian import OU, Heat, IsoGaussian, _check_dims, fisher_information
 from fplab.potentials import SmoothPotential, spike_potential
-from fplab.quadrature import EvalGrid, GapBoundError, _simpson
+from fplab.quadrature import EvalGrid, _simpson
+
+
+class GapBoundError(RuntimeError):
+    """The Simpson oracle's figures break one of the spike construction's bounds."""
 
 
 def rk4_flow(f: SmoothPotential, x0, t_end: float, dt: float):
@@ -45,9 +49,9 @@ def rk4_flow(f: SmoothPotential, x0, t_end: float, dt: float):
 
 def simpson_gap_check(spec, grid: EvalGrid):
     """The spike certificate by composite Simpson on ``grid``: (r_inf, fi),
-    r_inf the grid maximum of log(rho/nu).  Raises GapBoundError like
-    ``fplab.gap_check``.  Simpson falls to O(h) at the kinks of g, which are
-    not grid nodes."""
+    r_inf the grid maximum of log(rho/nu).  Raises GapBoundError where
+    r_inf > eps + 1e-6 or fi < fi_floor - 1e-6.  Simpson falls to O(h) at the
+    kinks of g, which are not grid nodes."""
     if grid.lo > -(spec.a + 8.0) or grid.hi < spec.a + 8.0:
         raise ValueError("grid must cover [-a-8, a+8]")
     pot = spike_potential(spec)

@@ -305,7 +305,7 @@ def test_criterion_8_gap_lemma():
         for eps, floor in [(0.5, 10.0), (0.1, 100.0)]:
             spec = fp.spike_spec(eps, floor)
             grid = fp.EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 2e-4)
-            r_inf, fi = fp.gap_check(spec, grid)  # raises on violation
+            r_inf, fi = fp.gap_check(spec, grid)
             assert r_inf <= eps + 1e-6 and fi >= floor - 1e-6
             results.append((eps, floor, r_inf, fi))
     detail = "; ".join(f"eps={e:g}: r_inf={r:.4f}, fi={f:.2f}>={fl:g}" for e, fl, r, f in results)

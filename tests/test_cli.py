@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ class TestGaussianRates:
 
     def test_bad_channel_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "gaussian-rates", "--channel", "warp") == EXIT_USAGE
+
+    @pytest.mark.parametrize("args", [
+        ("--channel", "heat", "--m", "1e300"), ("--channel", "ou", "--m", "1e300"),
+        ("--channel", "prox", "--m0", "1e200"),
+    ])
+    def test_overflowing_start_fi_is_usage_error(self, tmp_path, args, capsys):
+        # every fi, kl and bound cell would be inf, and _dominates(inf, inf) holds
+        assert run_cli(tmp_path, "gaussian-rates", *args, "--no-plot") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "FI(p0 || q0) overflows" in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == []
+
+    def test_tiny_alpha_warns_of_nothing(self, tmp_path):
+        # u rounds to -1 there, where log1p(u), the branch kl_curve does not take, divides by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(tmp_path, "gaussian-rates", "--channel", "heat", "--alpha", "1e-300",
+                           "--no-plot") == EXIT_OK
 
     def test_envelope_check_is_relative_at_every_scale(self):
         # an absolute slack would pass any fi below it, whatever the bound
@@ -410,6 +429,27 @@ class TestSampler:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("scale", ["1e-300", "1e-200", "1e200", "1e300"])
+    def test_extreme_curvature_runs(self, tmp_path, scale):
+        # alpha**2 in the variance's standard error would underflow to 0 or overflow
+        assert run_cli(tmp_path, "sampler", "--alpha", scale, "--L", scale, "--iters", "2000",
+                       "--no-plot") == EXIT_OK
+
+    @pytest.mark.parametrize("args", [
+        ("--eta", "0.999", "--iters", "10"),  # kappa^(d/2) = 1.8e8 proposals per iteration
+        ("--d", "1000", "--eta", "0.999"),  # kappa^(d/2) leaves the float range
+    ])
+    def test_proposal_budget_is_usage_error(self, tmp_path, args):
+        # in a subprocess with a timeout: an unrefused run would take days
+        src = os.path.dirname(os.path.dirname(fp.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "fplab.cli", "sampler", *args, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == EXIT_USAGE
+        assert "expected proposals" in out.stderr and os.listdir(tmp_path) == []
+
     def test_alpha_l_mismatch_usage_error(self, tmp_path):
         code = run_cli(
             tmp_path, "sampler", "--d", "1", "--alpha", "1", "--L", "2",
@@ -434,12 +474,9 @@ class TestGap:
         assert cols["fi"][0] >= 10.0 - 1e-6
 
     def test_certificate_failure_writes_its_figures(self, tmp_path, monkeypatch, capsys):
-        def failed(spec, grid):
-            raise quadrature.GapBoundError("r_inf=0.75 > eps=0.5", 0.75, 12.5)
-
-        monkeypatch.setattr(quadrature, "gap_check", failed)
+        monkeypatch.setattr(quadrature, "gap_check", lambda spec, grid: (0.75, 12.5))
         assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_CERT
-        assert capsys.readouterr().out.startswith("FAIL gap certificate: r_inf=0.75 > eps=0.5\n")
+        assert capsys.readouterr().out.startswith("FAIL gap certificate: r_inf=0.75 exceeds eps=0.5\n")
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gap"), "gap.csv"))
         assert (cols["r_inf"], cols["fi"]) == ([0.75], [12.5])
 
@@ -514,6 +551,18 @@ class TestProxgrad:
         run_dir = only_run_dir(tmp_path, "proxgrad")
         cols = read_csv_columns(os.path.join(run_dir, "proxgrad_quartic.csv"))
         assert cols["k"] == list(range(26)) and cols["grad_sq_norm"][0] == 4.0
+
+    def test_quadratic_certificate_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an overdeclared alpha = 2 breaks the quadratic run's decay envelope:
+        # its FAIL line prints, the other three verdicts still print their PASS
+        quadratic = potentials.quadratic_potential
+        monkeypatch.setattr(potentials, "quadratic_potential", lambda d, a: dataclasses.replace(
+            quadratic(d, a), alpha=2.0 * a, smoothness=2.0 * a))
+        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_CERT
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("FAIL quadratic proximal-gradient envelope: decay certificate violated "
+                          "at step 1: 0.25 > 0.11111111111111115 (1 + 1e-09)")
+        assert [line.split()[0] for line in out[1:]] == ["PASS"] * 3
 
     def test_manifest_reports_numerical_health(self, tmp_path):
         assert run_cli(tmp_path, "proxgrad", "--k", "10", "--t-end", "1", "--no-plot") == EXIT_OK
@@ -614,6 +663,8 @@ class TestDriver:
         # gamma - beta (gamma - alpha) would round to -beta and the OU envelope divide by 0
         (("--channel", "ou", "--beta", "1e300"), "--beta"),
         (("--channel", "ou", "--alpha", "1e300"), "--alpha"),
+        # 1 + alpha eta in the prox envelope would overflow
+        (("--channel", "prox", "--alpha", "1e10", "--eta", "1e300"), "--eta"),
     ])
     def test_envelope_range_is_usage_error(self, tmp_path, args, flag, capsys):
         assert run_cli(tmp_path, "gaussian-rates", *args, "--no-plot") == EXIT_USAGE

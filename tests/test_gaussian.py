@@ -398,6 +398,14 @@ class TestKlCurve:
         p = fp.IsoGaussian([0.4], 2.0)
         assert np.all(fp.kl_curve(p, p, fp.OU(1.0), [0.0, 1.0, 30.0]) == 0.0)
 
+    def test_rounded_u_of_minus_one_takes_the_log_of_the_ratio(self):
+        # vp / vq = 2e-300 rounds u to -1, where log1p(u) would divide by zero
+        from fplab.gaussian import _u_minus_log1p
+
+        with np.errstate(all="raise"):
+            got = _u_minus_log1p(np.array([-1.0, 0.5]), np.array([2e-300, 1.5]))
+        assert got.tolist() == [-1.0 - math.log(2e-300), 0.5 - math.log1p(0.5)]
+
 
 class TestOuCurves:
     """The OU rows of ``gaussian-rates --channel ou``: fi_curve, kl_curve and

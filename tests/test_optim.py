@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fplab as fp
-from fplab.optim import ProxGradTrace
+from fplab.cli import _decay_failure
 from oracles import rk4_flow
 
 
@@ -168,35 +168,30 @@ class TestProxGradRun:
     @pytest.mark.parametrize("make_f", [lambda: fp.quadratic_potential(1, 1.0), fp.quartic_1d])
     @pytest.mark.parametrize("eta", [1e-6, 1e-2, 1.0, 3.0, 1e3, 1e100])
     def test_long_runs_hold_relative_certificate(self, make_f, eta):
-        trace = fp.prox_grad_run(make_f(), [1.0], eta, 400)  # the constructor checks every step
+        f = make_f()
+        trace = fp.prox_grad_run(f, [1.0], eta, 400)
+        assert _decay_failure(trace.grad_sq_norms, f.alpha, eta) is None  # at every step
         assert trace.residual_max <= 1e-15
 
     def test_certificate_is_relative(self):
         # 9e-11 is far above the envelope 2.5e-11, though within 1e-9 of it
-        with pytest.raises(ValueError):
-            ProxGradTrace(iterates=np.zeros((2, 1)), grad_sq_norms=np.array([1e-10, 9e-11]),
-                          eta=1.0, alpha=1.0)
-        with pytest.raises(ValueError):
-            ProxGradTrace(iterates=np.zeros((3, 1)),
-                          grad_sq_norms=np.array([1.0, 0.25, 0.0625 * (1.0 + 1e-8)]),
-                          eta=1.0, alpha=1.0)
+        assert _decay_failure(np.array([1e-10, 9e-11]), 1.0, 1.0) == (
+            "decay certificate violated at step 1: 9e-11 > 2.5e-11 (1 + 1e-09)")
+        above = 0.0625 * (1.0 + 1e-8)
+        assert _decay_failure(np.array([1.0, 0.25, above]), 1.0, 1.0) == (
+            f"decay certificate violated at step 2: {above!r} > 0.0625 (1 + 1e-09)")
+        assert _decay_failure(np.array([1.0, 0.25, 0.0625 * (1.0 + 1e-10)]), 1.0, 1.0) is None
 
     def test_certificate_floor_is_smallest_normal(self):
         # the envelope underflows to 0 at k = 2; subnormal values pass, normal ones do not
-        ProxGradTrace(iterates=np.zeros((3, 1)), grad_sq_norms=np.array([1.0, 1e-200, 1e-310]),
-                      eta=1e100, alpha=1.0)
-        with pytest.raises(ValueError):
-            ProxGradTrace(iterates=np.zeros((3, 1)), grad_sq_norms=np.array([1.0, 1e-200, 1e-300]),
-                          eta=1e100, alpha=1.0)
+        assert _decay_failure(np.array([1.0, 1e-200, 1e-310]), 1.0, 1e100) is None
+        assert _decay_failure(np.array([1.0, 1e-200, 1e-300]), 1.0, 1e100) == (
+            "decay certificate violated at step 2: 1e-300 > 0.0 (1 + 1e-09)")
 
     def test_trace_certificate_enforced(self):
-        with pytest.raises(ValueError):
-            ProxGradTrace(
-                iterates=np.zeros((2, 1)),
-                grad_sq_norms=np.array([1.0, 0.9]),  # too slow for alpha=1, eta=1
-                eta=1.0,
-                alpha=1.0,
-            )
+        # too slow for alpha=1, eta=1
+        assert _decay_failure(np.array([1.0, 0.9]), 1.0, 1.0) == (
+            "decay certificate violated at step 1: 0.9 > 0.25 (1 + 1e-09)")
 
     def test_mirror_of_sampler_mean_recursion(self):
         # the Gaussian-chain means and the implicit gradient steps on the

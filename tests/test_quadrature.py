@@ -7,14 +7,13 @@ from scipy import integrate
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
-from oracles import simpson_gap_check, well_trace_at_zero
+from oracles import GapBoundError, simpson_gap_check, well_trace_at_zero
+from fplab.cli import _GAP_SLACK, _gap_failure
 from fplab.quadrature import (
     EvalGrid,
-    GapBoundError,
     GridError,
     NormalizationError,
     QuadratureError,
-    _GAP_SLACK,
     _grid_normalized,
 )
 
@@ -472,6 +471,7 @@ class TestGapCheck:
         r_inf, fi = fp.gap_check(spec, grid)
         assert r_inf <= eps + 1e-6
         assert fi >= floor - 1e-6
+        assert _gap_failure(spec, r_inf, fi) is None
 
     @pytest.mark.parametrize("eps,floor", [
         (0.5, 10.0), (0.1, 100.0), (1e-3, 10.0), (1e-8, 2.0), (0.999999, 1.5), (0.5, 1e4),
@@ -491,13 +491,18 @@ class TestGapCheck:
         # r_inf = 3.7e-9 is within any absolute slack of 1e-6 of eps = 1e-9
         spec = dataclasses.replace(fp.spike_spec(1e-8, 2.0), eps=1e-9)
         grid = EvalGrid(-(spec.a + 12.0), spec.a + 12.0, 0.05)
-        with pytest.raises(GapBoundError, match="exceeds eps=1e-09") as info:
-            fp.gap_check(spec, grid)
-        assert info.value.r_inf == pytest.approx(3.68e-9, rel=1e-2)
+        r_inf, fi = fp.gap_check(spec, grid)
+        assert r_inf == pytest.approx(3.68e-9, rel=1e-2)
+        assert _gap_failure(spec, r_inf, fi) == f"r_inf={r_inf!r} exceeds eps=1e-09"
         # an r_inf four ulp above its eps passes
-        r_inf, _ = fp.gap_check(fp.spike_spec(1e-8, 2.0), grid)
         close = dataclasses.replace(spec, eps=r_inf * (1.0 - 2.0**-50))
-        assert fp.gap_check(close, grid)[0] == r_inf
+        assert fp.gap_check(close, grid) == (r_inf, fi)
+        assert _gap_failure(close, r_inf, fi) is None
+        # so does an fi four ulp below its floor; one 1.4e-14 below it fails
+        assert _gap_failure(dataclasses.replace(spec, eps=1.0, fi_floor=fi * (1.0 + 2.0**-50)),
+                            r_inf, fi) is None
+        assert _gap_failure(dataclasses.replace(spec, eps=1.0, fi_floor=fi * (1.0 + 2.0**-46)),
+                            r_inf, fi) == f"fi={fi!r} below floor={fi * (1.0 + 2.0**-46)}"
 
     def test_r_inf_identity(self):
         # sup of log(rho/nu) is attained where the perturbation vanishes, so
@@ -551,9 +556,10 @@ class TestGapCheck:
             m_big=good.m_big, k_count=good.k_count, width=good.width * 4.0,
         )
         grid = EvalGrid(-(good.a + 12.0), good.a + 12.0, 2e-4)
-        for check in (fp.gap_check, simpson_gap_check):
-            with pytest.raises(GapBoundError):
-                check(doctored, grid)
+        r_inf, fi = fp.gap_check(doctored, grid)
+        assert _gap_failure(doctored, r_inf, fi) == f"fi={fi!r} below floor=10.0"
+        with pytest.raises(GapBoundError, match="below floor=10.0"):
+            simpson_gap_check(doctored, grid)
 
     def test_pieces_of_a_consistent_spec(self):
         spec = fp.spike_spec(0.5, 10.0)
