@@ -375,9 +375,9 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
     trials_cap = kappa_bound + 3.0 * se_trials
     for ok, claim in (
         (mean_dev <= 3.0 * se_mean,
-         f"mean within 3 se: max|mean|={mean_dev:.5f} (3 se = {3 * se_mean:.5f})"),
+         f"mean within 3 se: max|mean|={mean_dev:.5g} (3 se = {3 * se_mean:.5g})"),
         (var_dev <= 3.0 * se_var,
-         f"variance within 3 se: max|var-{1 / alpha:g}|={var_dev:.5f} (3 se = {3 * se_var:.5f})"),
+         f"variance within 3 se: max|var-{1 / alpha:g}|={var_dev:.5g} (3 se = {3 * se_var:.5g})"),
         (out.mean_trials <= trials_cap,
          f"mean trials {out.mean_trials:.4f} <= kappa^(d/2) + 3 se = {trials_cap:.4f}"),
     ):

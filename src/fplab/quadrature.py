@@ -13,28 +13,32 @@ Numerical policy
   from numerically differentiating the log-density.
 * The concave-well trace uses the closed form; Gauss-Hermite, which
   converges only algebraically across the well's kinks, is its oracle.
-  The smoothed well is even and its score odd, and its grids are symmetric
-  about 0 up to rounding, so the closed form is evaluated on the
-  nonnegative half of each grid and mirrored; the oracle evaluates every
-  point.
-* Closed-form trace rows are a few thousand points of numpy work each, too
-  little for a thread pool to gain on: pool threads contend for the
-  interpreter lock, and one thread ran the default trace faster than two.
-  ``threads=`` pools the rows of the Gauss-Hermite oracle, which are
-  heavier.
+  Its t = 0 row, FI and KL of N(0, 1) against exp(-g)/Z, is in closed
+  form too (erf, Dawson, log Phi) and takes no grid.  The smoothed well is
+  even and its score odd, and its grids are symmetric about 0 up to
+  rounding, so the closed form is evaluated on the nonnegative half of each
+  grid and mirrored; the oracle evaluates every point.
+* A closed-form smoothing call costs about 60 numpy and scipy calls
+  whatever its size, and a row's half-grid is a few hundred to a few
+  thousand points, so the trace evaluates the rows still refining in
+  batches of about _BATCH half-grid points, one call each with a time per
+  point; a row of more than half a batch takes its own call with a float
+  t.  Threads gained nothing there, contending for the interpreter lock;
+  ``threads=`` pools the heavier rows of the Gauss-Hermite oracle.
 * Every integral on a uniform grid takes the grid's rule, composite Simpson
   (``EvalGrid``) or trapezoid (``TrapezoidGrid``), and estimates its error
   as |rule(h) - rule(2h)|.  The spike gap sums exact Gaussian integrals over
   the pieces of its piecewise linear potential.
-* ``well_grid`` alone picks the closed-form trace's first grid, and with it
-  the rule.  Rows with t >= 1.6e-5 take the trapezoid rule: their integrands
-  are Gaussian convolutions whose smoothed kinks the grid resolves (spacing
-  at most sqrt(t)/2), on which it converges geometrically.  The t = 0 row
-  and the rows below 1.6e-5 take Simpson, with the well's kinks on the
-  boundaries of coarse Simpson panels.  Each row halves its spacing until
-  both estimates are within ROW_TOL of their values or the next grid would
-  pass MAX_GRID_STEPS.  The Gauss-Hermite oracle smears the kinks over its
-  nodes, so its grids stay Simpson, dense, unaligned and unrefined.
+* ``well_grid`` alone picks the closed-form trace's first grid at t > 0,
+  and with it the rule.  Rows with t >= 1.6e-5 take the trapezoid rule:
+  their integrands are Gaussian convolutions whose smoothed kinks the grid
+  resolves (spacing at most sqrt(t)/2), on which it converges
+  geometrically.  Rows below 1.6e-5 take Simpson, with the well's kinks on
+  the boundaries of coarse Simpson panels.  Each row halves its spacing
+  until both estimates are within ROW_TOL of their values or the next grid
+  would pass MAX_GRID_STEPS.  The Gauss-Hermite oracle smears the kinks
+  over its nodes, so its grids stay Simpson, dense, unaligned and
+  unrefined.
 * Grids must cover >= 8 standard deviations of every density they
   integrate; the trace producers grow their grids with t accordingly.
 """
@@ -42,6 +46,7 @@ Numerical policy
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -284,10 +289,40 @@ def convolved_logdensity(pot: ScalarPotential, t: float, x, rule: GaussHermiteRu
 # its integral has a closed form.  Each piece's mass is assembled in log
 # space, the well's factored at the maximum of its exponent, so no
 # exponential overflows.
+#
+# t may be one float or one time per point.  Every function of t alone is
+# arithmetic, a square root (both round alike on arrays and floats) or comes
+# from ``_per_t``, which calls math's function once per run of equal times,
+# so each point gets the bits that a call with its own float t gives it.
 
 _SERIES_TAU = 0.1  # |c| w^2 below which the endpoint integral is expanded in c
 _SERIES_TERMS = 13  # 0.1^n / n! < 1e-19 for n >= 13
 _SMALL_KAPPA_TERMS = 21  # 1/21! < 2e-20
+
+
+def _runs(t: np.ndarray):
+    """Start indices and lengths of the runs of equal values in a nonempty 1-D array."""
+    bounds = np.concatenate(([0], np.flatnonzero(t[1:] != t[:-1]) + 1, [t.size]))
+    return bounds[:-1], np.diff(bounds)
+
+
+def _per_t(fn, t):
+    """fn(t) for a float t; for an array, fn at each run of equal values."""
+    if np.ndim(t) == 0:
+        return fn(t)
+    starts, lengths = _runs(t)
+    return np.repeat([fn(v) for v in t[starts].tolist()], lengths)
+
+
+def _at(t, mask: np.ndarray):
+    """The times of the points in ``mask``; a float t is every point's."""
+    return t if np.ndim(t) == 0 else t[mask]
+
+
+def _termwise_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, one term after another: unlike a BLAS
+    product or a pairwise sum, it rounds every point alike at any size."""
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def _unit_moments(m: int, kappa: np.ndarray) -> np.ndarray:
@@ -305,31 +340,52 @@ def _unit_moments(m: int, kappa: np.ndarray) -> np.ndarray:
     powers = (-kappa[small]) ** i / np.cumprod(np.r_[1.0, i[1:, 0]])[:, None]
     kb = kappa[~small]
     for j in range(m):
-        out[j, small] = (powers / (j + 1.0 + i)).sum(axis=0)
+        out[j, small] = _termwise_sum(powers / (j + 1.0 + i))
         out[j, ~small] = gammainc(j + 1.0, kb) * np.exp(math.lgamma(j + 1.0) - (j + 1.0) * np.log(kb))
     return out
 
 
-def _endpoint_integral(kappa: np.ndarray, gamma: float):
+def _endpoint_integral(kappa: np.ndarray, gamma):
     """(j, e): j = int_0^1 exp(-kappa s + gamma s^2) ds and e = the mean of s
     under that weight, for exponents whose maximum over [0, 1] is at s = 0
-    (kappa >= max(0, gamma), up to rounding).
+    (kappa >= max(0, gamma), up to rounding).  ``gamma`` is a float or one
+    value per point.
 
     Small |gamma| expands exp(gamma s^2) in powers of gamma, which avoids the
     division by gamma that the erfcx / Dawson forms below need for the mean.
     """
+    if np.ndim(gamma) == 0:
+        return (_endpoint_series if abs(gamma) <= _SERIES_TAU else _endpoint_closed)(kappa, gamma)
+    series = np.abs(gamma) <= _SERIES_TAU
+    if not series.any() and (np.all(gamma < 0.0) or np.all(gamma > 0.0)):
+        return _endpoint_closed(kappa, gamma)  # one closed form for every point: no masks
+    # the series once per run of one gamma, each closed form once for all its points
+    j, e = np.empty_like(kappa), np.empty_like(kappa)
+    for lo, n in zip(*(a.tolist() for a in _runs(gamma))):
+        if series[lo]:
+            j[lo:lo + n], e[lo:lo + n] = _endpoint_series(kappa[lo:lo + n], float(gamma[lo]))
+    for part in (gamma < -_SERIES_TAU, gamma > _SERIES_TAU):
+        if part.any():
+            j[part], e[part] = _endpoint_closed(kappa[part], gamma[part])
+    return j, e
+
+
+def _endpoint_series(kappa: np.ndarray, gamma: float):
+    n = np.arange(_SERIES_TERMS)
+    coef = (gamma**n / np.cumprod(np.r_[1.0, n[1:]]))[:, None]
+    g = _unit_moments(2 * _SERIES_TERMS, kappa)
+    j = _termwise_sum(coef * g[0::2])
+    return j, _termwise_sum(coef * g[1::2]) / j
+
+
+def _endpoint_closed(kappa: np.ndarray, gamma):
+    """``_endpoint_integral`` for a gamma of one sign, by erfcx or Dawson."""
     from scipy.special import dawsn, erfcx
 
-    if abs(gamma) <= _SERIES_TAU:
-        n = np.arange(_SERIES_TERMS)
-        coef = gamma**n / np.cumprod(np.r_[1.0, n[1:]])
-        g = _unit_moments(2 * _SERIES_TERMS, kappa)
-        j = coef @ g[0::2]
-        return j, (coef @ g[1::2]) / j
     drop = kappa - gamma  # -exponent at s = 1, >= 0
-    root = math.sqrt(abs(gamma))
+    root = np.sqrt(np.abs(gamma))
     z1 = kappa / (2.0 * root)
-    if gamma < 0.0:
+    if np.all(gamma < 0.0):
         j = math.sqrt(math.pi) / (2.0 * root) * (erfcx(z1) - np.exp(-drop) * erfcx(z1 + root))
     else:
         j = (dawsn(z1) - np.exp(-drop) * dawsn(z1 - root)) / root
@@ -337,15 +393,16 @@ def _endpoint_integral(kappa: np.ndarray, gamma: float):
     return j, (kappa + np.expm1(-drop) / j) / (2.0 * gamma)
 
 
-def _outer_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
-    """Log-mass and mean of -g' of the smoothing integrand over y > L."""
+def _outer_piece(m_big: float, halfwidth: float, t, x: np.ndarray):
+    """Log-mass and mean of -g' of the smoothing integrand over y > L, where
+    the times t broadcast against x."""
     from scipy.special import erfcx, log_ndtr
 
     ml, xr = m_big * halfwidth, x - halfwidth
-    z = (ml * t + xr) / math.sqrt(t * (1.0 + t))
+    z = (ml * t + xr) / np.sqrt(t * (1.0 + t))
     logphi = log_ndtr(z)
     logmass = (0.5 * ml * halfwidth + (ml * ml * t + 2.0 * ml * xr - xr * xr) / (2.0 * (1.0 + t))
-               - 0.5 * math.log1p(t) + logphi)
+               - 0.5 * _per_t(math.log1p, t) + logphi)
     # y - L | piece ~ N(z s, s^2) truncated to y > L, with s^2 = t/(1+t)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan only where z < -1e4
         mills = np.exp(-0.5 * z * z - logphi) / math.sqrt(2.0 * math.pi)
@@ -354,10 +411,10 @@ def _outer_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
         # sqrt(t) is below 1e-3 of the grid's reach): phi(z)/Phi(z) by erfcx
         far = z < -1e4
         mills[far] = math.sqrt(2.0 / math.pi) / erfcx(-z[far] / math.sqrt(2.0))
-    return logmass, ml - math.sqrt(t / (1.0 + t)) * (z + mills)
+    return logmass, ml - np.sqrt(t / (1.0 + t)) * (z + mills)
 
 
-def _well_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
+def _well_piece(m_big: float, halfwidth: float, t, x: np.ndarray):
     """Log-mass and mean of -g' = M y of the smoothing integrand over |y| <= L.
 
     The exponent M y^2/2 - (x-y)^2/(2t) has curvature 2c, c = (M - 1/t)/2.
@@ -372,26 +429,26 @@ def _well_piece(m_big: float, halfwidth: float, t: float, x: np.ndarray):
     slack = 1.0 - M * t
     inside = (np.abs(x) <= L * slack) & (slack > 0.0)
     if inside.any():
-        xi = x[inside]
-        mu = xi / slack
-        root_q = math.sqrt(slack / (2.0 * t))
+        xi, si = x[inside], _at(slack, inside)
+        mu = xi / si
+        root_q = np.sqrt(si / (2.0 * _at(t, inside)))
         a, b = (L + mu) * root_q, (L - mu) * root_q
         mass = erf(a) + erf(b)
-        logmass[inside] = 0.5 * M * xi * mu - 0.5 * math.log(slack) + np.log(0.5 * mass)
+        logmass[inside] = 0.5 * M * xi * mu - 0.5 * _per_t(math.log, si) + np.log(0.5 * mass)
         mean_y[inside] = mu + (np.expm1(-a * a) - np.expm1(-b * b)) / (
             math.sqrt(math.pi) * root_q * mass)
     out = ~inside
     if out.any():
-        xo = np.abs(x[out])
+        xo, to = np.abs(x[out]), _at(t, out)
         width = 2.0 * L
-        j, e = _endpoint_integral(width * (M * L + (xo - L) / t), 0.5 * (M - 1.0 / t) * width**2)
-        logmass[out] = (0.5 * M * L * L - (xo - L) ** 2 / (2.0 * t)
-                        - 0.5 * math.log(2.0 * math.pi * t) + np.log(width * j))
+        j, e = _endpoint_integral(width * (M * L + (xo - L) / to), 0.5 * (M - 1.0 / to) * width**2)
+        logmass[out] = (0.5 * M * L * L - (xo - L) ** 2 / (2.0 * to)
+                        - 0.5 * _per_t(math.log, 2.0 * math.pi * to) + np.log(width * j))
         mean_y[out] = np.where(x[out] < 0.0, -1.0, 1.0) * (L - width * e)
     return logmass, M * mean_y
 
 
-def smoothed_well_logdensity(m_big: float, halfwidth: float, t: float, x):
+def smoothed_well_logdensity(m_big: float, halfwidth: float, t, x):
     """Log-density and score of exp(-g) smoothed by N(0, t), g the concave well.
 
     Returns (logval, score) under the contract of ``convolved_logdensity``
@@ -401,27 +458,51 @@ def smoothed_well_logdensity(m_big: float, halfwidth: float, t: float, x):
     smoothed expectations of -g', a mass-weighted mix of truncated-Gaussian
     means, never a numerical derivative.  At t = 0 both reduce to
     (-g(x), -g'(x)) exactly.
+
+    ``t`` may be an array broadcast against ``x``: one call then evaluates
+    many rows' grids, and every point gets the bits of a call with its own
+    float t.  Its per-call cost (about 60 numpy and scipy calls) is then
+    paid once for all of them.
     """
+    pot = counterexample_potential(m_big, halfwidth)  # validates M, L >= 2
+    M, L = float(m_big), float(halfwidth)
+    if np.ndim(t):
+        t_b, x_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        t_arr, x_arr = t_b.ravel(), x_b.ravel()
+        if not np.all(t_arr >= 0.0):
+            raise ValueError("t must be nonnegative")
+        if t_arr.size and np.all(t_arr > 0.0):
+            logval, score = _smoothed_well(M, L, t_arr, x_arr)
+        else:  # t = 0 points keep the potential itself
+            logval, score = -pot.value(x_arr), -pot.deriv1(x_arr)
+            some = t_arr > 0.0
+            if some.any():
+                logval[some], score[some] = _smoothed_well(M, L, t_arr[some], x_arr[some])
+        return logval.reshape(t_b.shape), score.reshape(t_b.shape)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    pot = counterexample_potential(m_big, halfwidth)  # validates M, L >= 2
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
         logval, score = -pot.value(x_arr), -pot.deriv1(x_arr)
     else:
-        M, L = float(m_big), float(halfwidth)
-        log_r, s_r = _outer_piece(M, L, t, x_arr)
-        log_l, s_l = _outer_piece(M, L, t, -x_arr)
-        log_w, s_w = _well_piece(M, L, t, x_arr)
-        top = np.maximum(np.maximum(log_l, log_w), log_r)
-        w_l, w_w, w_r = np.exp(log_l - top), np.exp(log_w - top), np.exp(log_r - top)
-        mass = w_l + w_w + w_r
-        logval = top + np.log(mass)
-        score = (w_l * -s_l + w_w * s_w + w_r * s_r) / mass
-        if not (np.all(np.isfinite(logval)) and np.all(np.isfinite(score))):
-            raise QuadratureError("non-finite smoothed well density")
+        logval, score = _smoothed_well(M, L, float(t), x_arr)
     if np.ndim(x) == 0:
         return float(logval[0]), float(score[0])
+    return logval, score
+
+
+def _smoothed_well(M: float, L: float, t, x: np.ndarray):
+    """``smoothed_well_logdensity`` where every t is positive."""
+    # y > L at x and y < -L as y > L at -x, in one call: the times' work once
+    (log_r, log_l), (s_r, s_l) = _outer_piece(M, L, t, np.stack([x, -x]))
+    log_w, s_w = _well_piece(M, L, t, x)
+    top = np.maximum(np.maximum(log_l, log_w), log_r)
+    w_l, w_w, w_r = np.exp(log_l - top), np.exp(log_w - top), np.exp(log_r - top)
+    mass = w_l + w_w + w_r
+    logval = top + np.log(mass)
+    score = (w_l * -s_l + w_w * s_w + w_r * s_r) / mass
+    if not (np.all(np.isfinite(logval)) and np.all(np.isfinite(score))):
+        raise QuadratureError("non-finite smoothed well density")
     return logval, score
 
 
@@ -591,48 +672,26 @@ def counterexample_trace(
     both evolve by Gaussian smoothing.  FI rises on an initial segment and
     falls later; KL is non-increasing throughout.
 
-    The smoothed density comes from ``smoothed_well_logdensity`` (closed
-    form) on ``well_grid``, refined to ROW_TOL (``TraceRow.converged``);
+    The t = 0 row is ``_well_row_at_zero``, in closed form.  Later rows take
+    the smoothed density from ``smoothed_well_logdensity`` (closed form) on
+    ``well_grid``, refined to ROW_TOL (``TraceRow.converged``);
     ``smoothed_points`` counts every level's evaluations.  Given ``order``,
-    the Gauss-Hermite rule of that order computes it through
+    the Gauss-Hermite rule of that order computes every row through
     ``convolved_logdensity`` on one Simpson grid: the oracle.  ``threads`` > 1
-    runs the rows on a thread pool of that size.
+    runs its rows on a thread pool of that size.
     """
     t_vals = [float(t) for t in t_grid]
     if not t_vals or t_vals[0] != 0.0:
         raise ValueError("t_grid must start at 0")
-    pot = counterexample_potential(m_big, halfwidth)
-    rule = None if order is None else gauss_hermite(order)
-    make_grid = well_grid if rule is None else _smoothing_grid
+    pot = counterexample_potential(m_big, halfwidth)  # validates M, L >= 2
+    if order is None:
+        rows = [_well_row_at_zero(m_big, halfwidth), *_well_rows(m_big, halfwidth, t_vals[1:], step)]
+        return ChannelTrace(rows=tuple(rows))
+    rule = gauss_hermite(order)
 
     def row(t: float) -> TraceRow:
-        try:
-            grid = make_grid(t, halfwidth, step, m_big)
-        except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
-            raise GridError(t, exc) from exc
-        grid.require_covers(0.0, math.sqrt(1.0 + t))
-        evaluated = 0
-        while True:
-            pts = grid.points
-            if rule is None:
-                # the grid is symmetric about 0, the smoothed density even and
-                # its score odd: evaluate on the nonnegative half and mirror it
-                half = -pts[(pts.size - 1) // 2::-1]
-                lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
-                lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
-                evaluated += half.size
-            else:
-                lognu, nu_score = convolved_logdensity(pot, t, pts, rule)
-                evaluated += pts.size
-            v = 1.0 + t
-            logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
-            fi = fi_functional(logrho, -pts / v - nu_score, grid)
-            kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
-            r = TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
-                         grid.rule)
-            if rule or r.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
-                return r
-            grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)
+        grid = _first_grid(_smoothing_grid, t, halfwidth, step, m_big)
+        return _grid_row(t, grid, *convolved_logdensity(pot, t, grid.points, rule), grid.points.size)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -640,6 +699,131 @@ def counterexample_trace(
     else:
         rows = [row(t) for t in t_vals]
     return ChannelTrace(rows=tuple(rows))
+
+
+_BATCH = 4096  # half-grid points per smoothed-density call in the closed-form trace
+_CLOSED_FORM_REL_ERR = 1e-15  # rounding bound of the t = 0 row's closed forms
+
+
+def _first_grid(make_grid, t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
+    try:
+        grid = make_grid(t, halfwidth, step, m_big)
+    except (ValueError, OverflowError) as exc:  # the grid's own checks, or its size
+        raise GridError(t, exc) from exc
+    grid.require_covers(0.0, math.sqrt(1.0 + t))
+    return grid
+
+
+def _grid_row(t: float, grid: EvalGrid, lognu: np.ndarray, nu_score: np.ndarray,
+              evaluated: int) -> TraceRow:
+    """The row at time t from the smoothed density's log and score on the grid."""
+    pts = grid.points
+    v = 1.0 + t
+    logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
+    fi = fi_functional(logrho, -pts / v - nu_score, grid)
+    kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+    return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated, grid.rule)
+
+
+def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: float) -> list:
+    """The closed-form trace's rows at the times t_vals, a batch of rows at a time.
+
+    A batch takes rows until their half-grids reach about _BATCH points.  A
+    point costs about half as much again in a shared call as in a call of its
+    own, a call about what a thousand points cost, so a row of more than half
+    a batch takes a call of its own, with a float t.  A row that misses
+    ROW_TOL goes back to the queue at half its spacing.  The queue holds
+    spacings, not grids, so only the batch in hand has grids and memory stays
+    bounded by the batch.
+    """
+    rows = [None] * len(t_vals)
+    # (row, points evaluated, next grid): None for well_grid's, else its type, ends, spacing
+    # and size.  Halving the spacing of a grid of n points gives one of 2n - 1 points
+    queue = deque((i, 0, None) for i in range(len(t_vals)))
+    while queue:
+        batch, size = [], 0
+        while queue:
+            i, evaluated, spec = queue.popleft()
+            if spec is None:
+                grid = _first_grid(well_grid, t_vals[i], halfwidth, step, m_big)
+                spec = (type(grid), grid.lo, grid.hi, grid.step, grid.points.size)
+            else:
+                grid = None
+            n = (spec[4] + 1) // 2
+            alone = n > _BATCH // 2
+            if batch and (alone or size + n > _BATCH):  # the next batch builds this grid again
+                queue.appendleft((i, evaluated, spec))
+                break
+            batch.append((i, spec[0](*spec[1:4]) if grid is None else grid, evaluated))
+            size += n
+            if alone:
+                break
+        for (i, grid, _), r in zip(batch, _batch_rows(m_big, halfwidth, t_vals, batch)):
+            if r.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
+                rows[i] = r
+            else:
+                queue.append((i, r.smoothed_points,
+                              (type(grid), grid.lo, grid.hi, grid.dx / 2, 2 * r.points - 1)))
+    return rows
+
+
+def _batch_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], batch: list) -> list:
+    """The rows of a batch of (row, grid, points evaluated) from one
+    smoothed-density call.  Each grid is symmetric about 0, the smoothed
+    density even and its score odd: the call takes the nonnegative half of
+    each grid, and each row mirrors its part."""
+    halves = [-grid.points[(grid.points.size - 1) // 2::-1] for _, grid, _ in batch]
+    if len(batch) == 1:  # a float t: no per-point times
+        lv_all, sc_all = smoothed_well_logdensity(m_big, halfwidth, t_vals[batch[0][0]], halves[0])
+    else:
+        times = np.repeat([t_vals[i] for i, _, _ in batch], [h.size for h in halves])
+        lv_all, sc_all = smoothed_well_logdensity(m_big, halfwidth, times, np.concatenate(halves))
+    rows, stop = [], 0
+    for (i, grid, evaluated), half in zip(batch, halves):
+        lv, sc = lv_all[stop:stop + half.size], sc_all[stop:stop + half.size]
+        stop += half.size
+        lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
+        rows.append(_grid_row(t_vals[i], grid, lognu, nu_score, evaluated + half.size))
+    return rows
+
+
+def _well_row_at_zero(m_big: float, halfwidth: float) -> TraceRow:
+    """The concave-well trace's t = 0 row: FI and KL of N(0, 1) against
+    exp(-g)/Z in closed form.
+
+    With X ~ N(0, 1), phi its density and P = P(X > L), g' - x is -(M+1)x
+    on |x| <= L and +-(M+1)L outside, and g is -M x^2/2 inside and
+    (|x| - (M+1)L)^2/2 - M(M+1)L^2/2 outside, so
+
+        FI = (M+1)^2 [E(X^2; |X| <= L) + 2 L^2 P],
+        E(X^2; |X| <= L) = erf(L/sqrt 2) - 2 L phi(L),
+        E g(X) = -M/2 E(X^2; |X| <= L) + (1 + (M+1) L^2) P - (2M+1) L phi(L),
+        KL = -log(2 pi e)/2 + E g(X) + log Z,
+        Z  = 2 sqrt(2/M) e^{M L^2/2} D(L sqrt(M/2))
+             + 2 sqrt(2 pi) Phi(M L) e^{M (M+1) L^2/2},
+
+    D Dawson's function; Z is summed in log space.  Its error estimates are
+    the rounding bound _CLOSED_FORM_REL_ERR of each value.
+    """
+    from scipy.special import dawsn, log_ndtr
+
+    M, L = float(m_big), float(halfwidth)
+    phi = math.exp(-0.5 * L * L) / math.sqrt(2.0 * math.pi)
+    tail = 0.5 * math.erfc(L / math.sqrt(2.0))  # P(X > L)
+    inner_sq = math.erf(L / math.sqrt(2.0)) - 2.0 * L * phi  # E(X^2; |X| <= L)
+    fi = (M + 1.0) * (M + 1.0) * (inner_sq + 2.0 * L * L * tail)
+    mean_g = -0.5 * M * inner_sq + (1.0 + (M + 1.0) * L * L) * tail - (2.0 * M + 1.0) * L * phi
+    with np.errstate(divide="ignore"):  # D underflows to 0 only where Z leaves the float range
+        log_d = float(np.log(dawsn(L * math.sqrt(0.5 * M))))
+    log_well = math.log(2.0 * math.sqrt(2.0 / M)) + log_d + 0.5 * M * L * L
+    log_outer = (math.log(2.0 * math.sqrt(2.0 * math.pi)) + float(log_ndtr(M * L))
+                 + 0.5 * M * (M + 1.0) * L * L)
+    log_z = max(log_well, log_outer) + math.log1p(math.exp(-abs(log_well - log_outer)))
+    kl = -0.5 * math.log(2.0 * math.pi * math.e) + mean_g + log_z
+    if not (math.isfinite(fi) and math.isfinite(kl)):
+        raise QuadratureError("the t = 0 row's closed form leaves the float range")
+    return TraceRow(0.0, fi, kl, None, _CLOSED_FORM_REL_ERR * fi, _CLOSED_FORM_REL_ERR * kl, 0, 0,
+                    "closed-form")
 
 
 def counterexample_initial_slope(m_big: float, halfwidth: float) -> float:

@@ -2,10 +2,11 @@
 
 Numerical references that the exact forms in fplab replaced stay here as
 independent checks of those forms: a classical RK4 integration of the
-gradient flow, and composite Simpson on the spike gap's densities.  Beside
-them are closed forms that no program path needs: the time derivatives of
-FI and KL along the Gaussian channels, and the concave-well trace's t = 0
-row at 50 digits.
+gradient flow, composite Simpson on the spike gap's densities, and the
+concave-well trace evaluated one row at a time, whose t = 0 row is the
+Simpson row that the closed form replaced.  Beside them are closed forms
+that no program path needs: the time derivatives of FI and KL along the
+Gaussian channels, and the concave-well trace's t = 0 row at 50 digits.
 """
 
 import math
@@ -15,7 +16,17 @@ import numpy as np
 
 from fplab.gaussian import OU, Heat, IsoGaussian, _check_dims, fisher_information
 from fplab.potentials import SmoothPotential, spike_potential
-from fplab.quadrature import EvalGrid, _simpson
+from fplab.quadrature import (
+    MAX_GRID_STEPS,
+    EvalGrid,
+    TraceRow,
+    _grid_normalized,
+    _simpson,
+    fi_functional,
+    kl_functional,
+    smoothed_well_logdensity,
+    well_grid,
+)
 
 
 class GapBoundError(RuntimeError):
@@ -66,6 +77,33 @@ def simpson_gap_check(spec, grid: EvalGrid):
     if fi < spec.fi_floor - 1e-6:
         raise GapBoundError(f"fi={fi!r} below floor={spec.fi_floor}", r_inf, fi)
     return r_inf, fi
+
+
+def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3) -> TraceRow:
+    """One row of the closed-form concave-well trace, evaluated on its own:
+    ``well_grid``'s grid, its spacing halved until both error estimates meet
+    ROW_TOL or the next grid would pass MAX_GRID_STEPS, and one
+    smoothed-density call per grid, on its nonnegative half, mirrored.  The
+    trace, which evaluates batches of rows in one call, must equal it bit
+    for bit at every t > 0.  At t = 0 it is the Simpson row on the kink-aligned
+    grid, which the trace's closed-form row replaced."""
+    grid = well_grid(t, halfwidth, step, m_big)
+    evaluated = 0
+    while True:
+        pts = grid.points
+        half = -pts[(pts.size - 1) // 2::-1]
+        lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
+        evaluated += half.size
+        lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
+        v = 1.0 + t
+        logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
+        fi = fi_functional(logrho, -pts / v - nu_score, grid)
+        kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+        row = TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
+                       grid.rule)
+        if row.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
+            return row
+        grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)
 
 
 def _generator(channel) -> tuple:

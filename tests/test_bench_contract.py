@@ -79,11 +79,13 @@ def test_light_certs_load_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_statistics():
     # statistics pulls in fractions and decimal, several ms of every setup;
-    # only spike_spec needs it, and imports it when called
+    # only spike_spec needs it, and imports it when called.  scipy is most of
+    # fplab's import time: the functions that need it import it when called
     script = (
         "import sys\n"
         "import fplab.cli\n"
-        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules))\n"
+        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules)\n"
+        "      + sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -188,10 +189,10 @@ class TestCounterexample:
         monkeypatch.setattr(quadrature, "well_grid", counted)
         code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot")
         assert code == EXIT_OK
-        # t = 0 on the Simpson grid; every later row has t >= 1.6e-5, whose
-        # smoothed kink the trapezoid grid resolves
+        # t = 0 is in closed form, on no grid; every later row has t >= 1.6e-5,
+        # whose smoothed kink the trapezoid grid resolves
         ts = quadrature.default_time_grid(1e-3, 0.5, 4).tolist()
-        assert built == [(0.0, "simpson")] + [(t, "trapezoid") for t in ts[1:]]
+        assert built == [(t, "trapezoid") for t in ts[1:]]
 
     def test_envelope_failure_writes_the_one_trace(self, tmp_path, monkeypatch, capsys):
         # halving the envelope puts fi(0) above its bound; the run must still
@@ -202,7 +203,8 @@ class TestCounterexample:
         smoothed_at = []
 
         def counted(m_big, halfwidth, t, x):
-            smoothed_at.append(t)
+            # a call takes a batch of rows: one float t, or one time per point
+            smoothed_at.extend(np.unique(t).tolist())
             return smooth(m_big, halfwidth, t, x)
 
         monkeypatch.setattr(quadrature, "smoothed_well_logdensity", counted)
@@ -212,7 +214,8 @@ class TestCounterexample:
         )
         assert code == EXIT_CERT
         assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
-        assert len(smoothed_at) == len(set(smoothed_at)) == 3
+        # the t = 0 row is in closed form; each later row is smoothed once
+        assert sorted(smoothed_at) == [0.01, 0.1]
         run_dir = only_run_dir(tmp_path, "counterexample")
         for name in ("trace.csv", "bound.csv"):
             assert os.path.getsize(os.path.join(run_dir, name)) > 0
@@ -230,15 +233,16 @@ class TestCounterexample:
         assert manifest["verdicts"][-1] == \
             "PASS fi and kl error estimates within 1e-10 relative on all 5 rows"
         for key in ("fi_rel_err_max", "kl_rel_err_max"):
-            # 1.0e-12 and 9.6e-16 here: the trapezoid rows' |T_h - T_2h| is the coarser rule's error
+            # 1.0e-12 and 1e-15 here: the trapezoid rows' |T_h - T_2h| is the
+            # coarser rule's error, and the closed-form t = 0 row's its rounding bound
             assert math.isfinite(health[key]) and 0.0 <= health[key] < 2e-11
+        assert health["kl_rel_err_max"] == pytest.approx(1e-15, rel=1e-9)
         ts = quadrature.default_time_grid(1e-3, 0.5, 4)
-        sizes = [quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size for t in ts]
-        simpson, trapezoid = sizes[0], sizes[1:]
+        sizes = [quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size for t in ts[1:]]
         assert health["grid_points_max"] == max(sizes)
         assert health["grid_points_total"] == sum(sizes)
-        assert health["rules"] == {"simpson": {"rows": 1, "points": simpson},
-                                   "trapezoid": {"rows": 4, "points": sum(trapezoid)}}
+        assert health["rules"] == {"closed-form": {"rows": 1, "points": 0},
+                                   "trapezoid": {"rows": 4, "points": sum(sizes)}}
         # the smoothed well is evaluated on the nonnegative half of each grid
         assert health["smoothing_points_total"] == sum((n + 1) // 2 for n in sizes)
 
@@ -252,6 +256,8 @@ class TestCounterexample:
         ("--t-max", "1e6"),
         # the t = 0 grid of a well at +-1e5 needs more than MAX_GRID_STEPS steps
         ("--L", "1e5"), ("--L", "1.9"),
+        # the t = 0 row alone: its closed form leaves the float range
+        ("--L", "1e300", "--t-points", "0"), ("--M", "1e300", "--t-points", "0"),
         # the grids refine themselves; there is no step to set
         ("--grid-step", "1e-3"),
     ])
@@ -268,9 +274,10 @@ class TestCounterexample:
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "counterexample"),
                                              "trace.csv"))
         assert cols["t"][:3] == [0.0, 1e-300, pytest.approx(math.sqrt(1e-301), rel=1e-12)]
+        # rows 1 and 2 take the Simpson grid of t = 0, 1.5e-14 from the closed-form row 0
         for name in ("fi", "kl"):
-            assert cols[name][1] == pytest.approx(cols[name][0], rel=1e-15)
-            assert cols[name][2] == pytest.approx(cols[name][0], rel=1e-15)
+            assert cols[name][1] == pytest.approx(cols[name][0], rel=2e-14, abs=0.0)
+            assert cols[name][2] == pytest.approx(cols[name][1], rel=1e-15, abs=0.0)
 
     def test_envelope_check_is_relative(self, tmp_path, monkeypatch, capsys):
         # fi(0) = bound(0) (1 + 1e-8): below any absolute slack of 1e-6, but
@@ -434,6 +441,21 @@ class TestSampler:
         # alpha**2 in the variance's standard error would underflow to 0 or overflow
         assert run_cli(tmp_path, "sampler", "--alpha", scale, "--L", scale, "--iters", "2000",
                        "--no-plot") == EXIT_OK
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_check_figures_show_the_margin_at_every_scale(self, tmp_path, scale, capsys):
+        # five significant digits: fixed-point figures read 0.00000 at 1e300
+        # and integers of over 100 digits at 1e-300
+        assert run_cli(tmp_path, "sampler", "--alpha", repr(scale), "--L", repr(scale),
+                       "--iters", "2000", "--no-plot") == EXIT_OK
+        out = capsys.readouterr().out
+        figures = re.findall(r"\|=(\S+) \(3 se = (\S+)\)", out)
+        assert len(figures) == 2, out
+        # the mean's standard error scales as alpha^-1/2, the variance's as 1/alpha
+        for (dev, bound), unit in zip(figures, (1.0 / math.sqrt(scale), 1.0 / scale)):
+            assert all(len(text) <= 11 for text in (dev, bound)), out
+            assert 0.0 < float(dev) <= float(bound), out
+            assert 1e-3 < float(bound) / unit < 1.0, out
 
     @pytest.mark.parametrize("args", [
         ("--eta", "0.999", "--iters", "10"),  # kappa^(d/2) = 1.8e8 proposals per iteration

@@ -7,7 +7,7 @@ from scipy import integrate
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
-from oracles import GapBoundError, simpson_gap_check, well_trace_at_zero
+from oracles import GapBoundError, simpson_gap_check, well_trace_at_zero, well_trace_row
 from fplab.cli import _GAP_SLACK, _gap_failure
 from fplab.quadrature import (
     EvalGrid,
@@ -293,6 +293,22 @@ class TestSmoothedWellClosedForm:
             assert abs(logval[j] - logval[0] - ref_diff) <= 1e-10 * max(1.0, abs(ref_diff))
             assert abs(score[j] - ref_score) <= 1e-10 * max(1.0, abs(ref_score))
 
+    @pytest.mark.parametrize("m_big, halfwidth", [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0)])
+    def test_array_of_times_is_the_scalar_calls_bit_for_bit(self, m_big, halfwidth):
+        # the cases above, t = 0 among them, in one call: each time's points
+        # in a run, and every point a run of its own (the transpose)
+        ts = np.array([0.0, 1e-3, 0.1, 1.0, 50.0] + _near_inverse_m(m_big))
+        end = fp.quadrature.well_grid(50.0, halfwidth, 1e-3, m_big).hi
+        xs = np.concatenate([np.linspace(-end, end, 401), [0.0, halfwidth, -halfwidth]])
+        scalar = [fp.smoothed_well_logdensity(m_big, halfwidth, t, xs) for t in ts.tolist()]
+        runs = fp.smoothed_well_logdensity(m_big, halfwidth, ts[:, None], xs)
+        spread = fp.smoothed_well_logdensity(m_big, halfwidth, ts, xs[:, None])
+        for k in range(2):  # logval, then score
+            expected = np.stack([out[k] for out in scalar])
+            assert runs[k].shape == spread[k].T.shape == expected.shape
+            assert runs[k].tobytes() == expected.tobytes()
+            assert np.ascontiguousarray(spread[k].T).tobytes() == expected.tobytes()
+
     def test_zero_time_is_the_potential_bit_for_bit(self):
         pot = fp.counterexample_potential(2, 2)
         xs = np.linspace(-25.0, 25.0, 2001)
@@ -322,6 +338,8 @@ class TestSmoothedWellClosedForm:
             fp.smoothed_well_logdensity(2, 2, -0.5, 1.0)
         with pytest.raises(ValueError):
             fp.smoothed_well_logdensity(1.5, 2, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            fp.smoothed_well_logdensity(2, 2, np.array([0.5, -0.5]), 1.0)
 
 
 # frozen from the closed form via erf/erfc and confirmed by mpmath quadrature
@@ -612,20 +630,63 @@ def _well_kl_at_zero(m_big, halfwidth):
 @pytest.mark.parametrize("m_big, halfwidth", [(6.0, 2.0), (10.0, 2.0), (4.0, 3.0)])
 def test_well_trace_kl_counts_the_mass_at_the_outer_vertices(m_big, halfwidth):
     # the grid reaches past +-(M+1)L: a grid that stops short normalizes the
-    # well density on the part it sees (at M = 10, L = 2 the KL was 1.3% low)
+    # well density on the part it sees (at M = 10, L = 2 the KL was 1.3% low).
+    # The trace's t = 0 row is in closed form; the Simpson row on its grid is
+    # the oracle's
+    kl = _well_kl_at_zero(m_big, halfwidth)
     (row,) = fp.counterexample_trace(m_big, halfwidth, [0.0]).rows
-    assert row.kl == pytest.approx(_well_kl_at_zero(m_big, halfwidth), rel=1e-10)
+    assert row.kl == pytest.approx(kl, rel=1e-10)
+    assert well_trace_row(m_big, halfwidth, 0.0).kl == pytest.approx(kl, rel=1e-10)
 
 
-@pytest.mark.parametrize("m_big, halfwidth", [
-    (2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3), (10.0, 2.0), (6.0, 2.0), (4.0, 3.0)])
+_SIMPSON_ZERO_PAIRS = [
+    (2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3), (10.0, 2.0), (6.0, 2.0), (4.0, 3.0)]
+
+
+@pytest.mark.parametrize("m_big, halfwidth", _SIMPSON_ZERO_PAIRS + [
+    (2.0, 20.0), (50.0, 2.0), (1e8, 2.0), (2.0, 1e5), (1e150, 1e3)])
 def test_well_trace_at_zero_matches_its_closed_form(m_big, halfwidth):
-    # the t = 0 row stays on the Simpson grid; 50-digit closed forms of FI
-    # and KL (Dawson's function in Z) check it to 2e-14 relative
+    # the trace's t = 0 row is the closed form in double precision; 50-digit
+    # closed forms of FI and KL (Dawson's function in Z) hold it to the
+    # rounding bound it reports as its error estimates, out to wells whose
+    # grids would pass MAX_GRID_STEPS
     (row,) = fp.counterexample_trace(m_big, halfwidth, [0.0]).rows
     fi, kl = well_trace_at_zero(m_big, halfwidth)
+    assert (row.rule, row.points, row.smoothed_points) == ("closed-form", 0, 0)
+    assert row.fi_err == 1e-15 * row.fi and row.kl_err == 1e-15 * row.kl
+    assert abs(row.fi - fi) <= row.fi_err
+    assert abs(row.kl - kl) <= row.kl_err
+
+
+def test_t0_closed_form_refuses_what_leaves_the_float_range():
+    for m_big, halfwidth in ((1e300, 2.0), (2.0, 1e300), (2.0, 1e155)):
+        with pytest.raises(QuadratureError, match="leaves the float range"):
+            fp.counterexample_trace(m_big, halfwidth, [0.0])
+
+
+@pytest.mark.parametrize("m_big, halfwidth", _SIMPSON_ZERO_PAIRS)
+def test_simpson_row_at_zero_matches_the_closed_form(m_big, halfwidth):
+    # the Simpson row that the closed form replaced, on well_grid's kink-aligned
+    # grid and the shared functionals, sits within 2e-14 relative of it
+    row = well_trace_row(m_big, halfwidth, 0.0)
+    fi, kl = well_trace_at_zero(m_big, halfwidth)
+    assert row.rule == "simpson"
     assert abs(row.fi - fi) <= 2e-14 * fi
     assert abs(row.kl - kl) <= 2e-14 * kl
+
+
+@pytest.mark.parametrize("m_big, halfwidth", [(2.0, 2.0), (10.0, 2.0), (2.0, 20.0)])
+def test_batched_trace_is_the_per_row_evaluation_bit_for_bit(m_big, halfwidth):
+    # the trace evaluates batches of rows in one smoothed-density call; at
+    # (10, 2) and (2, 20) rows refine, and some batches hold a single row
+    ts = fp.default_time_grid()
+    rows = fp.counterexample_trace(m_big, halfwidth, ts).rows
+    assert len(rows) == ts.size
+    for r in rows[1:]:
+        ref = well_trace_row(m_big, halfwidth, r.t)
+        assert [x.hex() for x in (r.fi, r.kl, r.fi_err, r.kl_err)] == \
+            [x.hex() for x in (ref.fi, ref.kl, ref.fi_err, ref.kl_err)], r.t
+        assert (r.points, r.smoothed_points, r.rule) == (ref.points, ref.smoothed_points, ref.rule)
 
 
 def test_gauss_hermite_route_is_bit_for_bit():
@@ -682,14 +743,15 @@ class TestWellGrid:
             assert fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size <= 2000
 
     def test_trace_names_the_row_without_a_grid(self):
-        # at step 0.3 the t = 0 grid has fewer than 200 steps; the later rows'
-        # trapezoid spacing is capped at width / 200, so none of them is refused
-        with pytest.raises(GridError, match="no grid at t=0: grid too coarse") as info:
-            fp.counterexample_trace(2, 2, [0.0, 31.6, 5623.41], step=0.3)
-        assert info.value.t == 0.0
+        # at step 0.3 the Simpson grid of t = 1e-6 has fewer than 200 steps; the
+        # later rows' trapezoid spacing is capped at width / 200, so none of
+        # them is refused, and the t = 0 row takes no grid
+        with pytest.raises(GridError, match="no grid at t=1e-06: grid too coarse") as info:
+            fp.counterexample_trace(2, 2, [0.0, 1e-6, 31.6, 5623.41], step=0.3)
+        assert info.value.t == 1e-6
         assert isinstance(info.value.__cause__, ValueError)
-        rows = fp.counterexample_trace(2, 2, [0.0, 31.6, 5623.41], step=0.011).rows
-        assert [r.rule for r in rows] == ["simpson", "trapezoid", "trapezoid"]
+        rows = fp.counterexample_trace(2, 2, [0.0, 1e-6, 31.6, 5623.41], step=0.011).rows
+        assert [r.rule for r in rows] == ["closed-form", "simpson", "trapezoid", "trapezoid"]
 
     def test_default_trace_point_budget(self):
         total = sum(fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size
@@ -754,10 +816,12 @@ class TestTrapezoidGrid:
             assert h / (1.0 + 4.0 / 200) <= grid.dx <= h * (1.0 + 0.5 / 200)
 
     def test_default_trace_points_per_rule(self):
+        # the t = 0 row is in closed form; the Simpson row it replaced had 41,001
         rows = fp.counterexample_trace(2, 2, fp.default_time_grid()).rows
-        simpson = [r.points for r in rows if r.rule == "simpson"]
+        closed = [r.points for r in rows if r.rule == "closed-form"]
         trapezoid = [r.points for r in rows if r.rule == "trapezoid"]
-        assert simpson == [41001] and len(trapezoid) == 60 and sum(trapezoid) == 74036
+        assert closed == [0] and len(trapezoid) == 60 and sum(trapezoid) == 74036
+        assert well_trace_row(2, 2, 0.0).points == 41001
 
     @pytest.mark.parametrize("step", [4e-3, 8e-3])
     def test_coarse_steps_resolve_the_smoothed_kink(self, step):
@@ -799,9 +863,11 @@ class TestMirroredTrace:
     @pytest.mark.parametrize("m_big, halfwidth", [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)])
     def test_matches_full_grid_evaluation(self, m_big, halfwidth):
         # t = 1/M and its neighbours take the well piece's series path
+        # t = 0 is the oracle's Simpson row: the trace's is in closed form
         t0 = 1.0 / m_big
         ts = sorted([0.0, 1e-7, 1e-3, t0 * (1.0 - 1e-9), t0, t0 * (1.0 + 1e-9), 50.0])
-        for r in fp.counterexample_trace(m_big, halfwidth, ts).rows:
+        rows = fp.counterexample_trace(m_big, halfwidth, ts).rows
+        for r in (well_trace_row(m_big, halfwidth, 0.0),) + rows[1:]:
             fi, kl, sizes = _full_grid_row(m_big, halfwidth, r.t, r.points)
             assert abs(r.fi - fi) <= 1e-13 * fi, r.t
             assert abs(r.kl - kl) <= 1e-13 * kl, r.t
