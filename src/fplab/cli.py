@@ -360,7 +360,7 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
                          f"proposals, not {proposals:.4g}: take a smaller --eta or --iters")
     cfg = sampler.SamplerConfig(eta=eta, iters=iters, seed=seed, burn_in=burn)
     target = potentials.quadratic_potential(d, alpha)
-    # stream 1 seeds the stationary start; stream 0 drives the chain itself
+    # stream 1 seeds the stationary start; stream 0 (and its two jumps) drives the chain
     x0 = sampler.chain_rng(seed, 1).standard_normal(d) / math.sqrt(alpha)
 
     out = sampler.run_chain(target, x0, cfg)  # TrialCapExceeded aborts the run in main
@@ -398,6 +398,7 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
         json.dump({**params, "eta": eta, "burn_in": burn}, fh, indent=2)
     run.health = {
         "prox_point": sampler.prox_route(target),
+        "acceptance": sampler.acceptance_route(target),
         "trial_cap": cfg.resolved_max_trials(target),
         "trials_mean": out.mean_trials,
         "trials_histogram": np.bincount(out.trial_counts).tolist(),

@@ -16,7 +16,25 @@ which does not keep acceptance probabilities <= 1; the form above is the
 one forced by the domination argument (f_y is (1/eta - L)-strongly convex
 when eta L < 1), and the sampler asserts exponent <= 0 on every proposal.
 
-Randomness is counter-based (Philox) keyed by (seed, chain); identical
+For a ``QuadraticPotential`` of curvature c the exponent does not depend on
+the chain's state: f_y(z) - f_y(x*_y) = (c + 1/eta) |z - x*_y|^2 / 2, so the
+proposal x*_y + s xi, s^2 = eta/(1 - eta L), has exponent
+
+    -(c + L) s^2 |xi|^2 / 2,
+
+and at c = L each proposal is accepted with probability exactly
+kappa^(-d/2), kappa = (1 + eta L)/(1 - eta L).  ``run_chain`` therefore
+decides a quadratic chain's proposals a pool at a time from their
+directions and uniforms alone, and each step only moves the state:
+y = x + sqrt(eta) F_k, x = x*_y + s xi_accepted.  Every other target takes
+the per-step loop (``forward_step`` then ``rgo_sample``), which the tests
+hold the pooled route to, sample for sample.
+
+Randomness is counter-based (Philox) keyed by (seed, chain), in three
+streams: ``chain_rng(seed, chain)`` draws the forward noise, its bit
+generator jumped once the proposal directions and jumped twice the
+uniforms.  numpy draws the same numbers from a stream one at a time as in
+a block, so both routes consume identical numbers.  Identical
 configurations reproduce bit-identical runs, and distinct chains are
 independent streams safe to run in parallel.
 """
@@ -25,11 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .potentials import SmoothPotential, minimize, prox_objective
+from .potentials import QuadraticPotential, SmoothPotential, minimize, prox_objective
 
 __all__ = [
     "SamplerConfig",
@@ -40,6 +59,7 @@ __all__ = [
     "expected_trials_bound",
     "forward_step",
     "prox_route",
+    "acceptance_route",
     "rgo_sample",
     "run_chain",
     "chain_rng",
@@ -47,6 +67,7 @@ __all__ = [
 
 
 _RGO_TOL = 1e-10  # prox-point gradient tolerance, relative to 1 + |y|
+_BLOCK_FLOATS = 2**16  # floats in one pool of proposal directions or chunk of forward noise
 
 
 class TrialCapExceeded(RuntimeError):
@@ -70,6 +91,10 @@ def expected_trials_bound(eta: float, smoothness: float, dim: int) -> float:
     return rejection_kappa(eta, smoothness) ** (dim / 2.0)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Chain parameters; burn_in None means iters // 4."""
@@ -82,12 +107,13 @@ class SamplerConfig:
     def __post_init__(self):
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
-        if not (isinstance(self.iters, (int, np.integer)) and self.iters >= 1):
+        if not (_is_integer(self.iters) and self.iters >= 1):
             raise ValueError("iters must be a positive integer")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.burn_in is not None and not (0 <= self.burn_in < self.iters):
-            raise ValueError("burn_in must lie in [0, iters)")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
+        if self.burn_in is not None and not (
+                _is_integer(self.burn_in) and 0 <= self.burn_in < self.iters):
+            raise ValueError("burn_in must be an integer in [0, iters)")
 
     def resolved_burn_in(self) -> int:
         return self.iters // 4 if self.burn_in is None else self.burn_in
@@ -139,6 +165,20 @@ def prox_route(g: SmoothPotential) -> str:
     return "gradient-descent" if g.prox_point is None else "closed-form"
 
 
+def acceptance_route(g: SmoothPotential) -> str:
+    """How ``run_chain`` decides g's proposals: ``state-free`` for a quadratic,
+    whose acceptance exponent does not depend on the chain's state, a pool at
+    a time; ``per-step`` for every other target, one ``rgo_sample`` per step."""
+    return "state-free" if isinstance(g, QuadraticPotential) else "per-step"
+
+
+def _proposal_sd(eta: float, smoothness: float) -> float:
+    """sqrt(eta / (1 - eta L)), the standard deviation of a rejection proposal."""
+    if not eta * smoothness < 1.0:
+        raise ValueError("rejection sampling needs eta * smoothness < 1")
+    return math.sqrt(eta / (1.0 - eta * smoothness))
+
+
 def rgo_sample(
     g: SmoothPotential,
     y: np.ndarray,
@@ -153,8 +193,7 @@ def rgo_sample(
     inequality leaves no room for positive exponents beyond inner-solver
     noise).
     """
-    if not eta * g.smoothness < 1.0:
-        raise ValueError("rejection sampling needs eta * smoothness < 1")
+    prop_sd = _proposal_sd(eta, g.smoothness)
     y = np.asarray(y, dtype=float)
     f_y = prox_objective(g, y, eta)
     if g.prox_point is not None:
@@ -162,7 +201,6 @@ def rgo_sample(
     else:
         x_star = minimize(f_y, y, _RGO_TOL * (1.0 + float(np.linalg.norm(y))))
     f_star = f_y.value(x_star)
-    prop_sd = math.sqrt(eta / (1.0 - eta * g.smoothness))
     reject_coeff = (1.0 - eta * g.smoothness) / (2.0 * eta)
     cap = cfg.resolved_max_trials(g)
     for trials in range(1, cap + 1):
@@ -179,6 +217,58 @@ def rgo_sample(
     raise TrialCapExceeded(f"no acceptance within {cap} proposals")
 
 
+def _state_free_draws(g: QuadraticPotential, cfg: SamplerConfig, directions, uniforms):
+    """Yield (z - x*, trials) for each step of a quadratic chain, its
+    proposals decided a pool at a time by the state-free exponent
+    -(c + L) s^2 |xi|^2 / 2.  Raises as ``rgo_sample`` does, at the same
+    proposal; a run of rejections counts across pools."""
+    eta, d = cfg.eta, g.dim
+    prop_sd = _proposal_sd(eta, g.smoothness)
+    rate = -0.5 * (g.curvature + g.smoothness) * eta / (1.0 - eta * g.smoothness)
+    cap = cfg.resolved_max_trials(g)
+    per_step = expected_trials_bound(eta, g.smoothness, d)
+    left, last = cfg.iters, -1  # steps still to decide; pool index of the last acceptance
+    while True:
+        # a pool holds at most _BLOCK_FLOATS floats, and past the proposals the
+        # steps left expect little more, so a short chain draws little it discards
+        n = min(max(1, _BLOCK_FLOATS // d), math.ceil(1.25 * per_step * left) + 32)
+        xi = directions.standard_normal((n, d))
+        exponent = rate * np.einsum("ij,ij->i", xi, xi)
+        bad = exponent > 1e-9
+        xi *= prop_sd  # each row now z - x*, as rgo_sample forms it
+        for i in np.flatnonzero(bad | (np.log(uniforms.random(n)) <= exponent)):
+            if i - last > cap:
+                break
+            if bad[i]:
+                raise AcceptanceExponentError(
+                    f"acceptance exponent {exponent[i]!r} > 0; declared smoothness "
+                    f"{g.smoothness!r} does not dominate the target"
+                )
+            yield xi[i], i - last
+            last, left = i, left - 1
+        if n - 1 - last >= cap:
+            raise TrialCapExceeded(f"no acceptance within {cap} proposals")
+        last -= n
+
+
+def _state_free_steps(g: QuadraticPotential, x, cfg: SamplerConfig, fwd, directions, uniforms):
+    """Yield (x, trials) per step: y = x + sqrt(eta) F_k, x = prox(y) + s xi,
+    with the arithmetic of ``forward_step`` and ``rgo_sample``."""
+    draws = _state_free_draws(g, cfg, directions, uniforms)
+    root_eta, rows = math.sqrt(cfg.eta), max(1, _BLOCK_FLOATS // g.dim)
+    for start in range(0, cfg.iters, rows):
+        for step in root_eta * fwd.standard_normal((min(rows, cfg.iters - start), g.dim)):
+            offset, n = next(draws)
+            x = g.prox_point(x + step, cfg.eta) + offset
+            yield x, n
+
+
+def _per_step_steps(g: SmoothPotential, x, cfg: SamplerConfig, fwd, proposals):
+    for _ in range(cfg.iters):
+        x, n = rgo_sample(g, forward_step(x, cfg.eta, fwd), cfg.eta, cfg, proposals)
+        yield x, n
+
+
 def run_chain(
     g: SmoothPotential,
     x0: np.ndarray,
@@ -186,21 +276,27 @@ def run_chain(
     *,
     chain: int = 0,
 ) -> SamplerRun:
-    """Alternate forward and backward steps for cfg.iters iterations.
+    """Alternate forward and backward steps for cfg.iters iterations, by the
+    route ``acceptance_route(g)`` names.
 
     Deterministic given (cfg.seed, chain).  Samples are recorded after
     burn-in; trial counts are recorded for every iteration.
     """
-    rng = chain_rng(cfg.seed, chain)
+    fwd = chain_rng(cfg.seed, chain)
+    directions, uniforms = (np.random.Generator(fwd.bit_generator.jumped(j)) for j in (1, 2))
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.size != g.dim:
         raise ValueError("x0 length must equal the target dimension")
     burn = cfg.resolved_burn_in()
     kept = np.empty((cfg.iters - burn, g.dim))
     trials = np.empty(cfg.iters, dtype=np.int64)
-    for k in range(cfg.iters):
-        y = forward_step(x, cfg.eta, rng)
-        x, n = rgo_sample(g, y, cfg.eta, cfg, rng)
+    if acceptance_route(g) == "state-free":
+        steps = _state_free_steps(g, x, cfg, fwd, directions, uniforms)
+    else:
+        proposals = SimpleNamespace(standard_normal=directions.standard_normal,
+                                    random=uniforms.random)
+        steps = _per_step_steps(g, x, cfg, fwd, proposals)
+    for k, (x, n) in enumerate(steps):
         trials[k] = n
         if k >= burn:
             kept[k - burn] = x

@@ -383,6 +383,7 @@ class TestSampler:
         assert manifest["wall_time_ms"] >= 0
         health = manifest["health"]
         assert health["prox_point"] == "closed-form"
+        assert health["acceptance"] == "state-free"
         # max(100, 50 ceil(kappa^(d/2))) with kappa = 1.5, d = 5
         assert health["trial_cap"] == 150
         hist = health["trials_histogram"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ class TestConfig:
             fp.SamplerConfig(eta=0.1, iters=0, seed=0)
         with pytest.raises(ValueError):
             fp.SamplerConfig(eta=0.1, iters=10, seed=0, burn_in=10)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, -1, 2**64])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            fp.SamplerConfig(eta=0.1, iters=10, seed=seed)
+
+    @pytest.mark.parametrize("burn_in", [2.5, "2", True, -1])
+    def test_burn_in_must_be_an_integer(self, burn_in):
+        with pytest.raises(ValueError, match="burn_in"):
+            fp.SamplerConfig(eta=0.1, iters=10, seed=0, burn_in=burn_in)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = fp.SamplerConfig(eta=0.1, iters=np.int64(10), seed=np.uint64(2**64 - 1),
+                               burn_in=np.int32(2))
+        assert cfg.resolved_burn_in() == 2
 
     def test_kappa(self):
         assert fp.rejection_kappa(0.2, 1.0) == pytest.approx(1.5, abs=1e-15)
@@ -253,6 +269,140 @@ class TestRunChain:
         cfg = fp.SamplerConfig(eta=0.2, iters=10, seed=0)
         with pytest.raises(ValueError):
             fp.run_chain(g, np.zeros(3), cfg)
+
+
+def quadratic(d, c, L, center):
+    """c/2 |x - center|^2 as a QuadraticPotential declaring smoothness L,
+    which may differ from its curvature c."""
+    center = np.asarray(center, dtype=float)
+    return fp.potentials.QuadraticPotential(
+        dim=d, value=lambda x: 0.5 * c * float(np.dot(x - center, x - center)),
+        gradient=lambda x: c * (x - center), alpha=L, smoothness=L,
+        center=center, curvature=c,
+    )
+
+
+def per_step(q):
+    """q's value, gradient and closed-form prox point without the
+    QuadraticPotential type, so run_chain takes the per-step loop."""
+    p = fp.SmoothPotential(dim=q.dim, value=q.value, gradient=q.gradient,
+                           alpha=q.alpha, smoothness=q.smoothness)
+    object.__setattr__(p, "prox_point", q.prox_point)
+    return p
+
+
+def assert_same_run(a, b):
+    assert a.trial_counts.tobytes() == b.trial_counts.tobytes()
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.x_final.tobytes() == b.x_final.tobytes()
+
+
+class TestStateFreeRoute:
+    """The quadratic's pooled route against the per-step loop it replaces."""
+
+    def test_routes(self):
+        q = fp.quadratic_potential(2, 1.0)
+        assert fp.sampler.acceptance_route(q) == "state-free"
+        assert fp.sampler.acceptance_route(per_step(q)) == "per-step"
+        assert fp.sampler.acceptance_route(fp.potentials.quartic_1d()) == "per-step"
+
+    @pytest.mark.parametrize("d,eta", [(5, 0.2), (1, 0.5), (3, 1 / 3), (10, 0.05), (2, 0.45)])
+    def test_matches_per_step_loop(self, d, eta):
+        q = fp.quadratic_potential(d, 1.0, 2.0 - np.arange(d))
+        cfg = fp.SamplerConfig(eta=eta, iters=5000, seed=2024)
+        x0 = 3.0 + np.arange(d)
+        assert_same_run(fp.run_chain(q, x0, cfg), fp.run_chain(per_step(q), x0, cfg))
+
+    @pytest.mark.parametrize("d,iters", [(20, 4000), (30_000, 5), (3, 2)])
+    def test_matches_across_pools_and_chunks(self, d, iters):
+        # pools and forward chunks of 2^16 floats: the first two chains span
+        # several of each, and (30_000, 5) carries a step's rejections over
+        # pools of two proposals
+        q = quadratic(d, 0.7, 1.0, np.linspace(-1.0, 2.0, d))
+        cfg = fp.SamplerConfig(eta=1.0 / d if d > 3 else 0.3, iters=iters, seed=5, burn_in=0)
+        x0 = np.full(d, 0.5)
+        pooled = fp.run_chain(q, x0, cfg, chain=3)
+        assert_same_run(pooled, fp.run_chain(per_step(q), x0, cfg, chain=3))
+        rows = fp.sampler._BLOCK_FLOATS // d
+        if d > 3:
+            assert iters > rows and pooled.trial_counts.sum() > 2 * rows
+
+    @pytest.mark.parametrize("c,L", [(0.3, 1.7), (2.5, 0.4), (-1.0, 1.5), (1.0, 1.0)])
+    def test_exponent_is_state_free(self, c, L):
+        # -(c + L) s^2 |xi|^2 / 2 is rgo_sample's exponent at every y
+        rng = np.random.default_rng(17)
+        d, eta = 4, 0.25
+        q = quadratic(d, c, L, [1.0, -2.0, 0.5, 3.0])
+        s2 = eta / (1.0 - eta * L)
+        for _ in range(200):
+            y, xi = 3.0 * rng.standard_normal(d), rng.standard_normal(d)
+            f_y = fp.potentials.prox_objective(q, y, eta)
+            x_star = q.prox_point(y, eta)
+            z = x_star + math.sqrt(s2) * xi
+            exponent = (-f_y.value(z) + f_y.value(x_star)
+                        + (1.0 - eta * L) / (2.0 * eta) * float(np.dot(z - x_star, z - x_star)))
+            assert exponent == pytest.approx(-0.5 * (c + L) * s2 * float(np.dot(xi, xi)),
+                                             rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 30_000])
+    def test_curvature_below_minus_smoothness_trips_the_guard(self, d):
+        q = quadratic(d, -3.0, 1.0, np.ones(d))
+        cfg = fp.SamplerConfig(eta=0.1 / d, iters=10, seed=0)
+        for g in (q, per_step(q)):
+            with pytest.raises(AcceptanceExponentError):
+                fp.run_chain(g, np.zeros(d), cfg)
+
+    @pytest.mark.parametrize("d", [1, 30_000])
+    def test_trial_cap_raises(self, d):
+        # curvature far above the declared smoothness: acceptance near zero
+        q = quadratic(d, 1e6, 1.0, np.zeros(d))
+        cfg = fp.SamplerConfig(eta=0.5 / d, iters=10, seed=0)
+        for g in (q, per_step(q)):
+            with pytest.raises(TrialCapExceeded, match=f"within {cfg.resolved_max_trials(q)} "):
+                fp.run_chain(g, np.zeros(d), cfg)
+
+    @pytest.mark.parametrize("d,iters", [(3, 400), (30_000, 6)])
+    def test_cap_is_exact_across_pools(self, d, iters, monkeypatch):
+        # a cap of the longest step's trials passes and one less aborts, on
+        # both routes; at d = 30_000 a pool holds two proposals
+        q = quadratic(d, 1.0, 1.0, np.zeros(d))
+        cfg = fp.SamplerConfig(eta=1.0 / d if d > 3 else 0.3, iters=iters, seed=8)
+        longest = int(fp.run_chain(q, np.zeros(d), cfg).trial_counts.max())
+        assert longest > (2 if d > 3 else 1)
+        for cap in (longest, longest - 1):
+            monkeypatch.setattr(fp.SamplerConfig, "resolved_max_trials", lambda self, g: cap)
+            for g in (q, per_step(q)):
+                if cap == longest:
+                    assert fp.run_chain(g, np.zeros(d), cfg).trial_counts.max() == longest
+                else:
+                    with pytest.raises(TrialCapExceeded):
+                        fp.run_chain(g, np.zeros(d), cfg)
+
+    def test_large_dimension_allocates_a_bounded_pool(self):
+        # pools and chunks hold 2^16 floats: a pool of 4,096 rows would take 655 MB here
+        d = 20_000
+        cfg = fp.SamplerConfig(eta=1.0 / d, iters=3, seed=3)
+        q = fp.quadratic_potential(d, 1.0)
+        tracemalloc.start()
+        try:
+            fp.run_chain(q, np.zeros(d), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * d * 8
+
+    def test_philox_draws_do_not_depend_on_block_size(self):
+        # both routes consume identical numbers only while numpy draws the
+        # same values one at a time as in a block
+        def streams():
+            return fp.chain_rng(99), fp.chain_rng(99)
+
+        blocked, single = streams()
+        rows = np.concatenate([blocked.standard_normal((n, 3)) for n in (1, 7, 64)])
+        np.testing.assert_array_equal(rows, [single.standard_normal(3) for _ in range(72)])
+        blocked, single = streams()
+        u = np.concatenate([blocked.random(n) for n in (1, 5, 130)])
+        np.testing.assert_array_equal(u, [single.random() for _ in range(136)])
 
 
 def prox_fi(alpha, eta, p0, k):
