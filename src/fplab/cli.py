@@ -285,6 +285,13 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
         raise UsageError(f"need --t-max <= {_T_MAX_CAP:g}: past it rounding in log(rho/nu) puts "
                          f"kl's error estimate above the rows' tolerance {quadrature.ROW_TOL:g}")
     t_grid = quadrature.default_time_grid(params["t_min"], params["t_max"], params["t_points"])
+    steps, t_wide = max(((quadrature.well_reach_steps(t, halfwidth, m_big), t)
+                         for t in t_grid[1:].tolist()), default=(0.0, 0.0))
+    if steps > quadrature.MAX_GRID_STEPS:
+        raise UsageError(f"--M {m_big:g} and --L {halfwidth:g} give a well too wide or steep for "
+                         f"the trace to resolve: a grid reaching its outer vertices "
+                         f"+-{(m_big + 1.0) * halfwidth:g} at the spacing of the row at "
+                         f"t={t_wide:g} needs more than {quadrature.MAX_GRID_STEPS} steps")
     try:
         trace = quadrature.perturbed_bound_check(m_big, halfwidth, t_grid)
     except quadrature.GridError as exc:
@@ -301,6 +308,8 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
         "grid_points_max": max(r.points for r in trace.rows),
         "grid_points_total": sum(r.points for r in trace.rows),
         "smoothing_points_total": sum(r.smoothed_points for r in trace.rows),
+        "nu_grid_mass_min": min((r.nu_mass for r in trace.rows if r.nu_mass is not None),
+                                default=None),
         "rules": {rule: {"rows": sum(r.rule == rule for r in trace.rows),
                          "points": sum(r.points for r in trace.rows if r.rule == rule)}
                   for rule in dict.fromkeys(r.rule for r in trace.rows)},

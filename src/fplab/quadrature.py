@@ -39,8 +39,13 @@ Numerical policy
   would pass MAX_GRID_STEPS.  The Gauss-Hermite oracle smears the kinks
   over its nodes, so its grids stay Simpson, dense, unaligned and
   unrefined.
-* Grids must cover >= 8 standard deviations of every density they
-  integrate; the trace producers grow their grids with t accordingly.
+* Grids must cover >= 8 standard deviations of rho_t, whose weight every
+  FI and KL integrand carries; the trace producers grow their grids with t
+  accordingly.  The closed-form trace divides the smoothed density by the
+  well's exact mass, which smoothing conserves, so its trapezoid grids
+  reach 8.5 sd of rho_t and no further, and hold only part of nu where the
+  well's mass lies beyond.  Its Simpson rows and the Gauss-Hermite oracle's
+  grids reach past that mass too; the oracle normalizes on its grid.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ __all__ = [
     "spike_pieces",
     "default_time_grid",
     "well_grid",
+    "well_reach_steps",
     "TrapezoidGrid",
 ]
 
@@ -514,10 +520,15 @@ def _smoothed_well(M: float, L: float, t, x: np.ndarray):
 # Each integral, normalization checks included, is the rule of the grid.
 
 
-def _require_normalized(dens: np.ndarray, grid: EvalGrid, tol: float = 1e-6) -> None:
+def _require_normalized(dens: np.ndarray, grid: EvalGrid, tol: float = 1e-6,
+                        partial: bool = False) -> None:
+    """Raise NormalizationError unless ``dens`` integrates to 1 +- tol on the
+    grid, or to at most 1 + tol if ``partial``: a grid need not hold all of
+    such a density, but no grid holds more than all of it."""
     mass = grid.total(dens)
-    if abs(mass - 1.0) > tol:
-        raise NormalizationError(f"density integrates to {mass!r} on the grid, not 1 +- {tol:g}")
+    if mass - 1.0 > tol or (not partial and 1.0 - mass > tol):
+        bound = f"at most 1 + {tol:g}" if partial else f"1 +- {tol:g}"
+        raise NormalizationError(f"density integrates to {mass!r} on the grid, not {bound}")
 
 
 def _grid_normalized(logval: np.ndarray, grid: EvalGrid) -> np.ndarray:
@@ -542,11 +553,12 @@ def kl_functional(logrho: np.ndarray, lognu: np.ndarray, grid: EvalGrid) -> Quad
     """integral rho(x) log(rho(x)/nu(x)) dx by the grid's rule.
 
     Both normalized log-densities are given on grid.points; raises
-    NormalizationError unless each integrates to 1 on the grid.
+    NormalizationError unless rho integrates to 1 on the grid and nu to at
+    most 1.  nu enters weighted by rho, so the grid need hold only rho.
     """
     dens = np.exp(logrho)
     _require_normalized(dens, grid)
-    _require_normalized(np.exp(lognu), grid)
+    _require_normalized(np.exp(lognu), grid, partial=True)
     integrand = np.where(dens > 0.0, dens * (logrho - lognu), 0.0)
     return grid.integrate(integrand)
 
@@ -567,6 +579,7 @@ class TraceRow(NamedTuple):
     points: Optional[int] = None
     smoothed_points: Optional[int] = None
     rule: Optional[str] = None
+    nu_mass: Optional[float] = None  # the share of nu's mass on the row's last grid
 
     def converged(self) -> bool:
         """Both error estimates within ROW_TOL of their values."""
@@ -608,10 +621,12 @@ def default_time_grid(t_min: float = 1e-3, t_max: float = 50.0, points: int = 60
 
 
 def _grid_half(t: float, halfwidth: float, m_big: float) -> float:
-    # rho_t = N(0, 1+t) needs 8 sd.  exp(-g) holds nearly all its mass in
-    # unit-variance bumps at +-(M+1) L, the vertices of the outer quadratics,
-    # which smoothing widens to sd sqrt(1+t): the grid reaches 8.5 of those sd
-    # past the well plus 10, or past the bumps plus 2, whichever is further.
+    # The reach of a grid that holds the smoothed well's mass, for the rows
+    # that normalize it on their grid.  rho_t = N(0, 1+t) needs 8 sd.
+    # exp(-g) holds nearly all its mass in unit-variance bumps at +-(M+1) L,
+    # the vertices of the outer quadratics, which smoothing widens to sd
+    # sqrt(1+t): the grid reaches 8.5 of those sd past the well plus 10, or
+    # past the bumps plus 2, whichever is further.
     tails = 8.5 * math.sqrt(1.0 + t)
     return max(20.0, tails + halfwidth + 10.0, tails + (m_big + 1.0) * halfwidth + 2.0)
 
@@ -624,33 +639,59 @@ def _smoothing_grid(t: float, halfwidth: float, step: float, m_big: float) -> Ev
     return EvalGrid(-half, half, step * math.sqrt(1.0 + t))
 
 
+def _trapezoid_row(t: float) -> bool:
+    """Whether the row at time t takes the trapezoid rule: its smoothed
+    kinks, of width sqrt(t), are wide enough for the grid to resolve."""
+    return 250.0 * math.sqrt(t) >= 1.0
+
+
+def _trapezoid_step(t: float, step: float, half: float) -> float:
+    """A trapezoid row's first spacing on a grid reaching +-half (see ``well_grid``)."""
+    root = math.sqrt(t)
+    h = step * min(30.0 * math.sqrt(1.0 + t), 500.0 * root)
+    return min(h, 0.5 * root, math.nextafter(2.0 * half / MIN_GRID_STEPS, 0.0))
+
+
+def well_reach_steps(t: float, halfwidth: float, m_big: float, step: float = 1e-3) -> float:
+    """The steps of a grid at the trapezoid row's first spacing at time t
+    that reached past the well's mass around +-(M+1)L (``_grid_half``)
+    rather than rho_t's 8.5 sd; 0 for the Simpson rows (t < 1.6e-5), whose
+    grids reach that far and check their own size.  Where it passes
+    MAX_GRID_STEPS the well is too wide or steep for its rows to be
+    resolved within that cap."""
+    if not _trapezoid_row(t):
+        return 0.0
+    half = _grid_half(t, halfwidth, m_big)
+    return 2.0 * half / _trapezoid_step(t, step, half)
+
+
 def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
     """The first grid of the closed-form well trace at time t, and its rule.
     Halving its spacing keeps it symmetric and the kinks on panel boundaries.
 
     The smoothed density is analytic except near the kinks at +-L, which
     smoothing rounds off over a width sqrt(t); elsewhere it varies on the
-    scale sqrt(1+t) of rho_t.  Both kinds of grid are symmetric about 0 and
-    reach past ``_grid_half``, which covers rho_t and the smoothed density's
-    mass around +-(M+1) L.
+    scale sqrt(1+t) of rho_t.  Both kinds of grid are symmetric about 0.
 
     * t < 1.6e-5: the kinks are narrower than ``step``.  A Simpson grid of
       spacing ``step``, shrunk until +-L fall on nodes whose index is a
       multiple of 4, so that no Simpson panel, fine or coarse, straddles a
-      kink; the ends move out to the next such node.  The realized spacing
-      lies in (step/2, step] for step <= L/2.
+      kink; the ends move out to the next such node past ``_grid_half``,
+      which covers rho_t and the smoothed density's mass around +-(M+1) L.
+      The realized spacing lies in (step/2, step] for step <= L/2.
     * From 1.6e-5 on the grid resolves the smoothed kinks, and the trapezoid
       rule converges geometrically: spacing step * min(30 sqrt(1+t),
       500 sqrt(t)), at most sqrt(t)/2 and width / MIN_GRID_STEPS (one ulp
-      below, so the grid's own floor passes).
+      below, so the grid's own floor passes).  The grid reaches 8.5 sd of
+      rho_t and no further: the trace normalizes the smoothed density by
+      its exact mass, and every integrand is rho_t-weighted.
     """
-    target, root = _grid_half(t, halfwidth, m_big), math.sqrt(t)
-    if 250.0 * root >= 1.0:
-        h = step * min(30.0 * math.sqrt(1.0 + t), 500.0 * root)
-        cap = math.nextafter(2.0 * target / MIN_GRID_STEPS, 0.0)
-        return TrapezoidGrid(-target, target, min(h, 0.5 * root, cap))
+    if _trapezoid_row(t):
+        target = 8.5 * math.sqrt(1.0 + t)
+        return TrapezoidGrid(-target, target, _trapezoid_step(t, step, target))
     # the 1e-9 keeps a quotient that is an integer up to rounding from
     # gaining a spurious extra panel
+    target = _grid_half(t, halfwidth, m_big)
     inner = math.ceil(halfwidth / (2.0 * step) - 1e-9)  # 4 * inner intervals on [-L, L]
     outer = math.ceil((target - halfwidth) * inner / (2.0 * halfwidth) - 1e-9)
     half = halfwidth * (inner + 2 * outer) / inner  # L + 4 * outer intervals
@@ -691,7 +732,8 @@ def counterexample_trace(
 
     def row(t: float) -> TraceRow:
         grid = _first_grid(_smoothing_grid, t, halfwidth, step, m_big)
-        return _grid_row(t, grid, *convolved_logdensity(pot, t, grid.points, rule), grid.points.size)
+        logval, score = convolved_logdensity(pot, t, grid.points, rule)
+        return _grid_row(t, grid, _grid_normalized(logval, grid), score, grid.points.size)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -716,13 +758,15 @@ def _first_grid(make_grid, t: float, halfwidth: float, step: float, m_big: float
 
 def _grid_row(t: float, grid: EvalGrid, lognu: np.ndarray, nu_score: np.ndarray,
               evaluated: int) -> TraceRow:
-    """The row at time t from the smoothed density's log and score on the grid."""
+    """The row at time t from the smoothed density's normalized log and its
+    score on the grid."""
     pts = grid.points
     v = 1.0 + t
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
     fi = fi_functional(logrho, -pts / v - nu_score, grid)
-    kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
-    return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated, grid.rule)
+    kl = kl_functional(logrho, lognu, grid)
+    return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated, grid.rule,
+                    grid.total(np.exp(lognu)))
 
 
 def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: float) -> list:
@@ -734,8 +778,10 @@ def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: fl
     a batch takes a call of its own, with a float t.  A row that misses
     ROW_TOL goes back to the queue at half its spacing.  The queue holds
     spacings, not grids, so only the batch in hand has grids and memory stays
-    bounded by the batch.
+    bounded by the batch.  Every row divides the smoothed density by the
+    well's exact mass, which smoothing conserves.
     """
+    log_z = _well_log_mass(m_big, halfwidth)
     rows = [None] * len(t_vals)
     # (row, points evaluated, next grid): None for well_grid's, else its type, ends, spacing
     # and size.  Halving the spacing of a grid of n points gives one of 2n - 1 points
@@ -758,7 +804,7 @@ def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: fl
             size += n
             if alone:
                 break
-        for (i, grid, _), r in zip(batch, _batch_rows(m_big, halfwidth, t_vals, batch)):
+        for (i, grid, _), r in zip(batch, _batch_rows(m_big, halfwidth, log_z, t_vals, batch)):
             if r.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
                 rows[i] = r
             else:
@@ -767,11 +813,13 @@ def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: fl
     return rows
 
 
-def _batch_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], batch: list) -> list:
+def _batch_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[float],
+                batch: list) -> list:
     """The rows of a batch of (row, grid, points evaluated) from one
-    smoothed-density call.  Each grid is symmetric about 0, the smoothed
-    density even and its score odd: the call takes the nonnegative half of
-    each grid, and each row mirrors its part."""
+    smoothed-density call, normalized by the log mass ``log_z``.  Each grid
+    is symmetric about 0, the smoothed density even and its score odd: the
+    call takes the nonnegative half of each grid, and each row mirrors its
+    part."""
     halves = [-grid.points[(grid.points.size - 1) // 2::-1] for _, grid, _ in batch]
     if len(batch) == 1:  # a float t: no per-point times
         lv_all, sc_all = smoothed_well_logdensity(m_big, halfwidth, t_vals[batch[0][0]], halves[0])
@@ -780,7 +828,7 @@ def _batch_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], batch: 
         lv_all, sc_all = smoothed_well_logdensity(m_big, halfwidth, times, np.concatenate(halves))
     rows, stop = [], 0
     for (i, grid, evaluated), half in zip(batch, halves):
-        lv, sc = lv_all[stop:stop + half.size], sc_all[stop:stop + half.size]
+        lv, sc = lv_all[stop:stop + half.size] - log_z, sc_all[stop:stop + half.size]
         stop += half.size
         lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
         rows.append(_grid_row(t_vals[i], grid, lognu, nu_score, evaluated + half.size))
@@ -799,31 +847,41 @@ def _well_row_at_zero(m_big: float, halfwidth: float) -> TraceRow:
         E(X^2; |X| <= L) = erf(L/sqrt 2) - 2 L phi(L),
         E g(X) = -M/2 E(X^2; |X| <= L) + (1 + (M+1) L^2) P - (2M+1) L phi(L),
         KL = -log(2 pi e)/2 + E g(X) + log Z,
-        Z  = 2 sqrt(2/M) e^{M L^2/2} D(L sqrt(M/2))
-             + 2 sqrt(2 pi) Phi(M L) e^{M (M+1) L^2/2},
 
-    D Dawson's function; Z is summed in log space.  Its error estimates are
-    the rounding bound _CLOSED_FORM_REL_ERR of each value.
+    log Z from ``_well_log_mass``.  Its error estimates are the rounding bound
+    _CLOSED_FORM_REL_ERR of each value.
     """
-    from scipy.special import dawsn, log_ndtr
-
     M, L = float(m_big), float(halfwidth)
     phi = math.exp(-0.5 * L * L) / math.sqrt(2.0 * math.pi)
     tail = 0.5 * math.erfc(L / math.sqrt(2.0))  # P(X > L)
     inner_sq = math.erf(L / math.sqrt(2.0)) - 2.0 * L * phi  # E(X^2; |X| <= L)
     fi = (M + 1.0) * (M + 1.0) * (inner_sq + 2.0 * L * L * tail)
     mean_g = -0.5 * M * inner_sq + (1.0 + (M + 1.0) * L * L) * tail - (2.0 * M + 1.0) * L * phi
+    kl = -0.5 * math.log(2.0 * math.pi * math.e) + mean_g + _well_log_mass(M, L)
+    if not (math.isfinite(fi) and math.isfinite(kl)):
+        raise QuadratureError("the t = 0 row's closed form leaves the float range")
+    return TraceRow(0.0, fi, kl, None, _CLOSED_FORM_REL_ERR * fi, _CLOSED_FORM_REL_ERR * kl, 0, 0,
+                    "closed-form")
+
+
+def _well_log_mass(m_big: float, halfwidth: float) -> float:
+    """log Z, Z the mass of exp(-g) for the concave well g, in closed form:
+
+        Z = 2 sqrt(2/M) e^{M L^2/2} D(L sqrt(M/2)) + 2 sqrt(2 pi) Phi(M L) e^{M (M+1) L^2/2},
+
+    D Dawson's function, summed in log space.  Smoothing by a probability
+    kernel conserves mass, so it is the log mass of the smoothed well at
+    every t.  Not finite where Z leaves the float range.
+    """
+    from scipy.special import dawsn, log_ndtr
+
+    M, L = float(m_big), float(halfwidth)
     with np.errstate(divide="ignore"):  # D underflows to 0 only where Z leaves the float range
         log_d = float(np.log(dawsn(L * math.sqrt(0.5 * M))))
     log_well = math.log(2.0 * math.sqrt(2.0 / M)) + log_d + 0.5 * M * L * L
     log_outer = (math.log(2.0 * math.sqrt(2.0 * math.pi)) + float(log_ndtr(M * L))
                  + 0.5 * M * (M + 1.0) * L * L)
-    log_z = max(log_well, log_outer) + math.log1p(math.exp(-abs(log_well - log_outer)))
-    kl = -0.5 * math.log(2.0 * math.pi * math.e) + mean_g + log_z
-    if not (math.isfinite(fi) and math.isfinite(kl)):
-        raise QuadratureError("the t = 0 row's closed form leaves the float range")
-    return TraceRow(0.0, fi, kl, None, _CLOSED_FORM_REL_ERR * fi, _CLOSED_FORM_REL_ERR * kl, 0, 0,
-                    "closed-form")
+    return max(log_well, log_outer) + math.log1p(math.exp(-abs(log_well - log_outer)))
 
 
 def counterexample_initial_slope(m_big: float, halfwidth: float) -> float:

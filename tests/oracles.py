@@ -2,9 +2,10 @@
 
 Numerical references that the exact forms in fplab replaced stay here as
 independent checks of those forms: a classical RK4 integration of the
-gradient flow, composite Simpson on the spike gap's densities, and the
+gradient flow, composite Simpson on the spike gap's densities, the
 concave-well trace evaluated one row at a time, whose t = 0 row is the
-Simpson row that the closed form replaced.  Beside them are closed forms
+Simpson row that the closed form replaced, and the smoothed well's mass on
+a grid wide enough to hold it, which the closed-form log mass replaced.  Beside them are closed forms
 that no program path needs: the time derivatives of FI and KL along the
 Gaussian channels, and the concave-well trace's t = 0 row at 50 digits.
 """
@@ -20,8 +21,11 @@ from fplab.quadrature import (
     MAX_GRID_STEPS,
     EvalGrid,
     TraceRow,
-    _grid_normalized,
+    TrapezoidGrid,
+    _grid_half,
     _simpson,
+    _trapezoid_step,
+    _well_log_mass,
     fi_functional,
     kl_functional,
     smoothed_well_logdensity,
@@ -83,27 +87,42 @@ def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3)
     """One row of the closed-form concave-well trace, evaluated on its own:
     ``well_grid``'s grid, its spacing halved until both error estimates meet
     ROW_TOL or the next grid would pass MAX_GRID_STEPS, and one
-    smoothed-density call per grid, on its nonnegative half, mirrored.  The
-    trace, which evaluates batches of rows in one call, must equal it bit
-    for bit at every t > 0.  At t = 0 it is the Simpson row on the kink-aligned
-    grid, which the trace's closed-form row replaced."""
+    smoothed-density call per grid, on its nonnegative half, divided by the
+    well's closed-form mass and mirrored.  The trace, which evaluates
+    batches of rows in one call, must equal it bit for bit at every t > 0.
+    At t = 0 it is the Simpson row on the kink-aligned grid, which the
+    trace's closed-form row replaced."""
     grid = well_grid(t, halfwidth, step, m_big)
+    log_z = _well_log_mass(m_big, halfwidth)
     evaluated = 0
     while True:
         pts = grid.points
         half = -pts[(pts.size - 1) // 2::-1]
         lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
+        lv = lv - log_z
         evaluated += half.size
         lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
         v = 1.0 + t
         logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
         fi = fi_functional(logrho, -pts / v - nu_score, grid)
-        kl = kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+        kl = kl_functional(logrho, lognu, grid)
         row = TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
-                       grid.rule)
+                       grid.rule, grid.total(np.exp(lognu)))
         if row.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
             return row
         grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)
+
+
+def wide_grid_log_mass(m_big: float, halfwidth: float, t: float, step: float = 1e-3) -> float:
+    """The log mass of the concave well smoothed by N(0, t), t >= 1.6e-5, by
+    the trapezoid rule at the trapezoid rows' first spacing on a grid that
+    reaches past the mass around +-(M+1)L (``_grid_half``): the grid
+    normalization that the closed-form log mass replaced."""
+    half = _grid_half(t, halfwidth, m_big)
+    grid = TrapezoidGrid(-half, half, _trapezoid_step(t, step, half))
+    logval, _ = smoothed_well_logdensity(m_big, halfwidth, t, grid.points)
+    shift = float(logval.max())
+    return math.log(grid.total(np.exp(logval - shift))) + shift
 
 
 def _generator(channel) -> tuple:

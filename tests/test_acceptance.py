@@ -76,17 +76,20 @@ def test_criterion_1_proximal_rate():
 
 
 def test_criterion_2_iteration_complexity():
-    """k = ceil((dL/alpha) ln(dL/eps)) closed-form steps reach fi <= eps."""
+    """k = ceil((dL/alpha) ln(dL/eps)) closed-form steps reach fi <= eps
+    from a start whose fi is above eps."""
     with _Timer(1.0) as tm:
         checked = []
         for d in (1, 2, 5):
-            L = alpha = 1.0
+            # alpha < L: the start N(x*, I/L) is not the target N(x*, I/alpha)
+            alpha, L = 0.5, 1.0
             eta = 1.0 / (d * L)
             p0 = fp.IsoGaussian(np.zeros(d), 1.0 / L)  # N(x*, I/L), x* = 0
             target = fp.IsoGaussian(np.zeros(d), 1.0 / alpha)
             for eps in (1e-2, 1e-6):
                 k = fp.iteration_count(d, L, alpha, eps)
-                fi_k = float(fp.fi_curve(p0, target, fp.Proximal(alpha, eta), [k])[0])
+                fi_0, fi_k = fp.fi_curve(p0, target, fp.Proximal(alpha, eta), [0, k])
+                assert fi_0 > eps
                 assert fi_k <= eps
                 checked.append((d, eps, k, fi_k))
     ks = ", ".join(f"d={d} eps={e:g}: k={k}" for d, e, k, _ in checked)

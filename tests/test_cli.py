@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import ndtr
 
 import fplab as fp
 from fplab import cli, potentials, quadrature, sampler, svgplot
@@ -245,6 +247,20 @@ class TestCounterexample:
                                    "trapezoid": {"rows": 4, "points": sum(sizes)}}
         # the smoothed well is evaluated on the nonnegative half of each grid
         assert health["smoothing_points_total"] == sum((n + 1) // 2 for n in sizes)
+        # the grids reach rho_t's 8.5 sd, so they hold least of nu, whose
+        # bumps sit at +-(M+1)L = +-6, at the first row: P(|Y + sqrt(t) Z| <= R)
+        # for Y ~ exp(-g)/Z, R = 8.5 sqrt(1+t) the grid's reach
+        t, pot = ts[1], fp.counterexample_potential(2.0, 2.0)
+        reach, log_z = 8.5 * math.sqrt(1.0 + t), quadrature._well_log_mass(2.0, 2.0)
+
+        def held(y):
+            inside = ndtr((reach - y) / math.sqrt(t)) - ndtr((-reach - y) / math.sqrt(t))
+            return math.exp(-float(pot.value(y)) - log_z) * inside
+
+        share = integrate.quad(held, -40.0, 40.0, points=[-reach, -6.0, -2.0, 2.0, 6.0, reach],
+                               limit=200, epsabs=0.0, epsrel=1e-12)[0]
+        assert share == pytest.approx(0.99384, abs=1e-5)
+        assert health["nu_grid_mass_min"] == pytest.approx(share, rel=1e-6)
 
     @pytest.mark.parametrize("args", [
         ("--t-min", "0"), ("--t-min", "-1"), ("--t-min", "1", "--t-max", "0.1"),
@@ -264,6 +280,33 @@ class TestCounterexample:
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
         assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("--M", "200", "--L", "50"),
+        ("--M", "1e8", "--t-points", "2", "--t-max", "0.1"),
+        ("--L", "1e5"),
+    ])
+    def test_wells_too_wide_to_resolve_are_refused(self, tmp_path, args, capsys):
+        # a trapezoid grid at the first row's spacing that reached the outer
+        # vertices +-(M+1)L would need more than MAX_GRID_STEPS steps: past
+        # that the rows of such wells stop at the cap above ROW_TOL
+        assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "too wide or steep for the trace to resolve" in err and "t=0.001" in err
+
+    @pytest.mark.parametrize("m_big, halfwidth", [("20", "20"), ("50", "5"), ("200", "2")])
+    def test_steep_wells_meet_the_row_tolerance(self, tmp_path, m_big, halfwidth, capsys):
+        # the first rows past t = 1/M refine far: on grids reaching past
+        # +-(M+1)L they would stop at the 2^20-step cap above ROW_TOL, on
+        # grids reaching rho_t's 8.5 sd they meet it.  Those grids hold next
+        # to none of nu
+        code = run_cli(tmp_path, "counterexample", "--M", m_big, "--L", halfwidth, "--no-plot")
+        assert code == EXIT_OK
+        assert "PASS fi and kl error estimates within 1e-10 relative on all 61 rows" in \
+            capsys.readouterr().out
+        health = json.load(open(os.path.join(only_run_dir(tmp_path, "counterexample"),
+                                             "manifest.json")))["health"]
+        assert 0.0 <= health["nu_grid_mass_min"] < 1e-6
 
     def test_rows_near_zero_time_equal_the_first(self, tmp_path):
         # sqrt(t) far below the grid step: the smoothed well is exp(-g) to

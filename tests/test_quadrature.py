@@ -7,7 +7,13 @@ from scipy import integrate
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
-from oracles import GapBoundError, simpson_gap_check, well_trace_at_zero, well_trace_row
+from oracles import (
+    GapBoundError,
+    simpson_gap_check,
+    well_trace_at_zero,
+    well_trace_row,
+    wide_grid_log_mass,
+)
 from fplab.cli import _GAP_SLACK, _gap_failure
 from fplab.quadrature import (
     EvalGrid,
@@ -15,6 +21,7 @@ from fplab.quadrature import (
     NormalizationError,
     QuadratureError,
     _grid_normalized,
+    _well_log_mass,
 )
 
 RULE = fp.gauss_hermite(128)
@@ -629,10 +636,10 @@ def _well_kl_at_zero(m_big, halfwidth):
 
 @pytest.mark.parametrize("m_big, halfwidth", [(6.0, 2.0), (10.0, 2.0), (4.0, 3.0)])
 def test_well_trace_kl_counts_the_mass_at_the_outer_vertices(m_big, halfwidth):
-    # the grid reaches past +-(M+1)L: a grid that stops short normalizes the
-    # well density on the part it sees (at M = 10, L = 2 the KL was 1.3% low).
-    # The trace's t = 0 row is in closed form; the Simpson row on its grid is
-    # the oracle's
+    # a grid that stops short of +-(M+1)L and normalizes the well density on
+    # it misses the mass there (at M = 10, L = 2 the KL was 1.3% low).  The
+    # trace's t = 0 row is in closed form; the oracle's Simpson row is on a
+    # grid that reaches past +-(M+1)L
     kl = _well_kl_at_zero(m_big, halfwidth)
     (row,) = fp.counterexample_trace(m_big, halfwidth, [0.0]).rows
     assert row.kl == pytest.approx(kl, rel=1e-10)
@@ -656,6 +663,29 @@ def test_well_trace_at_zero_matches_its_closed_form(m_big, halfwidth):
     assert row.fi_err == 1e-15 * row.fi and row.kl_err == 1e-15 * row.kl
     assert abs(row.fi - fi) <= row.fi_err
     assert abs(row.kl - kl) <= row.kl_err
+
+
+_README_PAIRS = [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3), (10.0, 2.0), (2.0, 20.0)]
+
+
+@pytest.mark.parametrize("m_big, halfwidth", _README_PAIRS)
+@pytest.mark.parametrize("t", [1e-3, 1.0, 50.0])
+def test_well_log_mass_is_the_wide_grid_mass(m_big, halfwidth, t):
+    # smoothing conserves mass: the closed-form log Z that normalizes every
+    # row is the smoothed well's log mass on a grid that holds all of it
+    log_z = _well_log_mass(m_big, halfwidth)
+    assert abs(log_z - wide_grid_log_mass(m_big, halfwidth, t)) <= 1e-14 * abs(log_z)
+
+
+def test_underestimated_log_mass_is_rejected():
+    # nu divided by a mass e^0.1 too small integrates to more than 1 on any
+    # grid that holds nearly all of it, which kl_functional refuses
+    grid = fp.quadrature.well_grid(1.0, 2.0, 1e-3, 2.0)
+    lognu, _ = fp.smoothed_well_logdensity(2.0, 2.0, 1.0, grid.points)
+    logrho = -0.25 * grid.points**2 - 0.5 * math.log(4.0 * math.pi)
+    fp.kl_functional(logrho, lognu - _well_log_mass(2.0, 2.0), grid)
+    with pytest.raises(NormalizationError):
+        fp.kl_functional(logrho, lognu - (_well_log_mass(2.0, 2.0) - 0.1), grid)
 
 
 def test_t0_closed_form_refuses_what_leaves_the_float_range():
@@ -684,8 +714,8 @@ def test_batched_trace_is_the_per_row_evaluation_bit_for_bit(m_big, halfwidth):
     assert len(rows) == ts.size
     for r in rows[1:]:
         ref = well_trace_row(m_big, halfwidth, r.t)
-        assert [x.hex() for x in (r.fi, r.kl, r.fi_err, r.kl_err)] == \
-            [x.hex() for x in (ref.fi, ref.kl, ref.fi_err, ref.kl_err)], r.t
+        assert [x.hex() for x in (r.fi, r.kl, r.fi_err, r.kl_err, r.nu_mass)] == \
+            [x.hex() for x in (ref.fi, ref.kl, ref.fi_err, ref.kl_err, ref.nu_mass)], r.t
         assert (r.points, r.smoothed_points, r.rule) == (ref.points, ref.smoothed_points, ref.rule)
 
 
@@ -816,11 +846,12 @@ class TestTrapezoidGrid:
             assert h / (1.0 + 4.0 / 200) <= grid.dx <= h * (1.0 + 0.5 / 200)
 
     def test_default_trace_points_per_rule(self):
-        # the t = 0 row is in closed form; the Simpson row it replaced had 41,001
+        # the t = 0 row is in closed form; the Simpson row it replaced had
+        # 41,001.  The trapezoid grids reach rho_t's 8.5 sd and no further
         rows = fp.counterexample_trace(2, 2, fp.default_time_grid()).rows
         closed = [r.points for r in rows if r.rule == "closed-form"]
         trapezoid = [r.points for r in rows if r.rule == "trapezoid"]
-        assert closed == [0] and len(trapezoid) == 60 and sum(trapezoid) == 74036
+        assert closed == [0] and len(trapezoid) == 60 and sum(trapezoid) == 35996
         assert well_trace_row(2, 2, 0.0).points == 41001
 
     @pytest.mark.parametrize("step", [4e-3, 8e-3])
@@ -855,7 +886,7 @@ def _full_grid_row(m_big, halfwidth, t, points):
     v = 1.0 + t
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
     fi = fp.fi_functional(logrho, -pts / v - nu_score, grid)
-    kl = fp.kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+    kl = fp.kl_functional(logrho, lognu - _well_log_mass(m_big, halfwidth), grid)
     return fi.value, kl.value, sizes
 
 
