@@ -361,9 +361,10 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
         raise UsageError("need --iters - --burn-in >= 2 (--burn-in defaults to --iters // 4)")
     every = max(1, iters // 1000) if params["record_every"] is None else params["record_every"]
     try:
-        proposals = iters * sampler.expected_trials_bound(eta, L, d)
+        kappa_bound = sampler.expected_trials_bound(eta, L, d)
     except OverflowError:  # kappa^(d/2) past the float range
-        proposals = math.inf
+        kappa_bound = math.inf
+    proposals = iters * kappa_bound
     if proposals > _MAX_PROPOSALS:
         raise UsageError(f"need --iters times kappa^(d/2) <= {_MAX_PROPOSALS:g} expected "
                          f"proposals, not {proposals:.4g}: take a smaller --eta or --iters")
@@ -377,7 +378,6 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
     a = 1.0 / (1.0 + alpha * eta)  # lag-1 autocorrelation of the Gaussian chain
     se_mean = math.sqrt((1.0 / alpha) / n * (1.0 + a) / (1.0 - a))
     se_var = math.sqrt(2.0 / n * (1.0 + a * a) / (1.0 - a * a)) / alpha
-    kappa_bound = sampler.expected_trials_bound(eta, L, d)
     se_trials = float(out.trial_counts.std(ddof=1)) / math.sqrt(iters)
 
     mean_dev, var_dev = np.max(np.abs(out.mean)), np.max(np.abs(out.var - 1.0 / alpha))

@@ -25,7 +25,9 @@ proposal x*_y + s xi, s^2 = eta/(1 - eta L), has exponent
 and at c = L each proposal is accepted with probability exactly
 kappa^(-d/2), kappa = (1 + eta L)/(1 - eta L).  ``run_chain`` therefore
 decides a quadratic chain's proposals a pool at a time from their
-directions and uniforms alone, and each step only moves the state:
+directions and uniforms alone: each pool gives the offsets s xi of the
+steps it accepts and their trial counts as arrays, and ``run_chain`` draws
+those steps' forward noise in one call and moves the state,
 y = x + sqrt(eta) F_k, x = x*_y + s xi_accepted.  Every other target takes
 the per-step loop (``forward_step`` then ``rgo_sample``), which the tests
 hold the pooled route to, sample for sample.
@@ -67,7 +69,7 @@ __all__ = [
 
 
 _RGO_TOL = 1e-10  # prox-point gradient tolerance, relative to 1 + |y|
-_BLOCK_FLOATS = 2**16  # floats in one pool of proposal directions or chunk of forward noise
+_BLOCK_FLOATS = 2**16  # floats in one pool of proposal directions
 
 
 class TrialCapExceeded(RuntimeError):
@@ -217,56 +219,42 @@ def rgo_sample(
     raise TrialCapExceeded(f"no acceptance within {cap} proposals")
 
 
-def _state_free_draws(g: QuadraticPotential, cfg: SamplerConfig, directions, uniforms):
-    """Yield (z - x*, trials) for each step of a quadratic chain, its
-    proposals decided a pool at a time by the state-free exponent
-    -(c + L) s^2 |xi|^2 / 2.  Raises as ``rgo_sample`` does, at the same
-    proposal; a run of rejections counts across pools."""
+def _state_free_blocks(g: QuadraticPotential, cfg: SamplerConfig, directions, uniforms):
+    """Yield (offsets, trials) for each pool of a quadratic chain's proposals:
+    the rows z - x* of the steps the pool accepts and their proposal counts,
+    decided by the state-free exponent -(c + L) s^2 |xi|^2 / 2.  Raises as
+    ``rgo_sample`` does, at the same proposal; a run of rejections counts
+    across pools."""
     eta, d = cfg.eta, g.dim
     prop_sd = _proposal_sd(eta, g.smoothness)
     rate = -0.5 * (g.curvature + g.smoothness) * eta / (1.0 - eta * g.smoothness)
     cap = cfg.resolved_max_trials(g)
     per_step = expected_trials_bound(eta, g.smoothness, d)
     left, last = cfg.iters, -1  # steps still to decide; pool index of the last acceptance
-    while True:
+    while left:
         # a pool holds at most _BLOCK_FLOATS floats, and past the proposals the
         # steps left expect little more, so a short chain draws little it discards
         n = min(max(1, _BLOCK_FLOATS // d), math.ceil(1.25 * per_step * left) + 32)
         xi = directions.standard_normal((n, d))
         exponent = rate * np.einsum("ij,ij->i", xi, xi)
         bad = exponent > 1e-9
-        xi *= prop_sd  # each row now z - x*, as rgo_sample forms it
-        for i in np.flatnonzero(bad | (np.log(uniforms.random(n)) <= exponent)):
-            if i - last > cap:
-                break
-            if bad[i]:
-                raise AcceptanceExponentError(
-                    f"acceptance exponent {exponent[i]!r} > 0; declared smoothness "
-                    f"{g.smoothness!r} does not dominate the target"
-                )
-            yield xi[i], i - last
-            last, left = i, left - 1
-        if n - 1 - last >= cap:
+        # a step ends at its acceptance or at a positive exponent, where
+        # rgo_sample raises; only the steps still left are decided
+        ends = np.flatnonzero(bad | (np.log(uniforms.random(n)) <= exponent))[:left]
+        trials = np.diff(ends, prepend=last)
+        # the first step past the cap or ending on a positive exponent stops the chain
+        stop = np.flatnonzero((trials > cap) | bad[ends])
+        if stop.size and trials[stop[0]] <= cap:
+            raise AcceptanceExponentError(
+                f"acceptance exponent {exponent[ends[stop[0]]]!r} > 0; declared smoothness "
+                f"{g.smoothness!r} does not dominate the target"
+            )
+        last = ends[-1] if ends.size else last
+        # so does a pool that leaves steps undecided and ends in cap rejections
+        if stop.size or (ends.size < left and n - 1 - last >= cap):
             raise TrialCapExceeded(f"no acceptance within {cap} proposals")
-        last -= n
-
-
-def _state_free_steps(g: QuadraticPotential, x, cfg: SamplerConfig, fwd, directions, uniforms):
-    """Yield (x, trials) per step: y = x + sqrt(eta) F_k, x = prox(y) + s xi,
-    with the arithmetic of ``forward_step`` and ``rgo_sample``."""
-    draws = _state_free_draws(g, cfg, directions, uniforms)
-    root_eta, rows = math.sqrt(cfg.eta), max(1, _BLOCK_FLOATS // g.dim)
-    for start in range(0, cfg.iters, rows):
-        for step in root_eta * fwd.standard_normal((min(rows, cfg.iters - start), g.dim)):
-            offset, n = next(draws)
-            x = g.prox_point(x + step, cfg.eta) + offset
-            yield x, n
-
-
-def _per_step_steps(g: SmoothPotential, x, cfg: SamplerConfig, fwd, proposals):
-    for _ in range(cfg.iters):
-        x, n = rgo_sample(g, forward_step(x, cfg.eta, fwd), cfg.eta, cfg, proposals)
-        yield x, n
+        yield prop_sd * xi[ends], trials
+        left, last = left - ends.size, last - n
 
 
 def run_chain(
@@ -291,15 +279,23 @@ def run_chain(
     kept = np.empty((cfg.iters - burn, g.dim))
     trials = np.empty(cfg.iters, dtype=np.int64)
     if acceptance_route(g) == "state-free":
-        steps = _state_free_steps(g, x, cfg, fwd, directions, uniforms)
+        # y = x + sqrt(eta) F_k, x = prox(y) + s xi: the arithmetic of
+        # forward_step and rgo_sample, a pool's steps at a time
+        k, root_eta = 0, math.sqrt(cfg.eta)
+        for offsets, counts in _state_free_blocks(g, cfg, directions, uniforms):
+            trials[k:k + counts.size] = counts
+            for step, offset in zip(root_eta * fwd.standard_normal(offsets.shape), offsets):
+                x = g.prox_point(x + step, cfg.eta) + offset
+                if k >= burn:
+                    kept[k - burn] = x
+                k += 1
     else:
         proposals = SimpleNamespace(standard_normal=directions.standard_normal,
                                     random=uniforms.random)
-        steps = _per_step_steps(g, x, cfg, fwd, proposals)
-    for k, (x, n) in enumerate(steps):
-        trials[k] = n
-        if k >= burn:
-            kept[k - burn] = x
+        for k in range(cfg.iters):
+            x, trials[k] = rgo_sample(g, forward_step(x, cfg.eta, fwd), cfg.eta, cfg, proposals)
+            if k >= burn:
+                kept[k - burn] = x
     return SamplerRun(
         samples=kept,
         trial_counts=trials,

@@ -213,7 +213,6 @@ def plot_csv(
     y_cols: Sequence[str],
     title: str = "",
     logy: bool = False,
-    ylabel: Optional[str] = None,
 ) -> None:
     """Draw ``y_cols`` against ``x_col`` into ``svg_path``.
 
@@ -228,7 +227,7 @@ def plot_csv(
     labels = [c for c in y_cols if c in cols]
     svg = render_line_chart(
         cols[x_col], [cols[c] for c in labels], labels, title=title, xlabel=x_col,
-        ylabel=ylabel or ",".join(labels), logy=logy,
+        ylabel=",".join(labels), logy=logy,
     )
     with open(svg_path, "w") as fh:
         fh.write(svg)

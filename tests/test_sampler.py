@@ -378,6 +378,47 @@ class TestStateFreeRoute:
                     with pytest.raises(TrialCapExceeded):
                         fp.run_chain(g, np.zeros(d), cfg)
 
+    def test_rejection_runs_carried_across_small_pools(self, monkeypatch):
+        # pools of three proposals at d = 5: most steps that reject start their
+        # run in one pool and accept in a later one
+        monkeypatch.setattr(fp.sampler, "_BLOCK_FLOATS", 15)
+        d = 5
+        q = quadratic(d, 1.0, 1.0, np.zeros(d))
+        cfg = fp.SamplerConfig(eta=0.2, iters=2000, seed=8)
+        pooled = fp.run_chain(q, np.zeros(d), cfg)
+        assert_same_run(pooled, fp.run_chain(per_step(q), np.zeros(d), cfg))
+        accepted = np.cumsum(pooled.trial_counts) - 1  # proposal index of each acceptance
+        first = accepted - pooled.trial_counts + 1
+        assert np.count_nonzero(first // 3 != accepted // 3) > 500
+        longest = int(pooled.trial_counts.max())
+        for cap in (longest, longest - 1):
+            monkeypatch.setattr(fp.SamplerConfig, "resolved_max_trials", lambda self, g: cap)
+            if cap == longest:
+                assert fp.run_chain(q, np.zeros(d), cfg).trial_counts.max() == longest
+            else:
+                with pytest.raises(TrialCapExceeded):
+                    fp.run_chain(q, np.zeros(d), cfg)
+
+    def test_memory_is_bounded_across_many_pools(self):
+        # about 17 pools of 32 proposals; the route holds a pool or two at a
+        # time, where deciding every step's offsets up front would hold eight
+        d = 2000
+        cfg = fp.SamplerConfig(eta=1.0 / d, iters=200, seed=4, burn_in=198)
+        q = fp.quadratic_potential(d, 1.0)
+        # the first chain in a process imports what seeding needs, about 1 MB;
+        # a short one first keeps that out of the peak
+        fp.run_chain(fp.quadratic_potential(2, 1.0), np.zeros(2),
+                     fp.SamplerConfig(eta=0.1, iters=2, seed=0))
+        tracemalloc.start()
+        try:
+            run = fp.run_chain(q, np.zeros(d), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pool_bytes = fp.sampler._BLOCK_FLOATS * 8
+        assert run.trial_counts.sum() > 15 * (fp.sampler._BLOCK_FLOATS // d)
+        assert peak < 5 * pool_bytes
+
     def test_large_dimension_allocates_a_bounded_pool(self):
         # pools and chunks hold 2^16 floats: a pool of 4,096 rows would take 655 MB here
         d = 20_000
