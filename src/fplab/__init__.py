@@ -52,10 +52,9 @@ from .quadrature import (
     counterexample_initial_slope,
     counterexample_trace,
     default_time_grid,
-    fi_functional,
+    fi_kl_functional,
     gap_check,
     gauss_hermite,
-    kl_functional,
     perturbed_bound_check,
     smoothed_well_logdensity,
 )

@@ -40,7 +40,6 @@ EXIT_ABORT = 3
 EXIT_USAGE = 64
 
 _ENVELOPE_SLACK = 1e-9  # relative; Gaussian curves meet their envelopes with equality
-_KL_SLACK = 1e-8  # relative rise between trace rows that counts as quadrature noise
 _T_MIN_FLOOR = 1e-300  # counterexample's least --t-min
 _T_MAX_CAP = 1e5  # counterexample's largest --t-max
 _MAX_STEPS = 10**6  # proxgrad's largest step count, of either run
@@ -332,7 +331,7 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
     run.check(slope > lower, None, "FAIL initial slope certificate")
 
     kl = trace.column("kl")
-    rise = np.diff(kl) - _KL_SLACK * kl[:-1]  # relative to the earlier row
+    rise = np.diff(kl) - quadrature.ROW_TOL * (kl[:-1] + kl[1:])  # the two rows' tolerances
     pair = trace.rows[int(np.argmax(rise)):][:2] if np.any(rise > 0.0) else None
     run.check(pair is None, "PASS kl non-increasing along the whole trace",
               pair and f"FAIL kl monotonicity between t={pair[0].t} and t={pair[1].t}")
@@ -481,7 +480,7 @@ def cmd_proxgrad(params: dict, run: RunDir) -> None:
 
     times, flow_gsq = optim.gradient_flow(quartic, [1.0], t_end, dt)
     envelope = flow_gsq[0] * np.exp(-2.0 * quartic.alpha * times)
-    run.check(not np.any(flow_gsq > envelope * (1.0 + 1e-6)),
+    run.check(bool(np.all(_dominates(flow_gsq, envelope))),
               "PASS quartic gradient-flow decay within e^{-2 alpha t}",
               "FAIL quartic gradient-flow envelope")
     quartic_trace = optim.prox_grad_run(quartic, [1.0], eta, k_max)

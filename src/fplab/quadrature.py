@@ -1,6 +1,6 @@
 """1-D quadrature engine: Gaussian smoothing of a density (in closed form for
 the concave well, by Gauss-Hermite for any potential), scores of the
-smoothed density, Fisher-information/KL functionals on uniform grids, and
+smoothed density, one Fisher-information/KL functional on uniform grids, and
 the trace producers for the non-monotonicity and gap constructions.
 
 Numerical policy
@@ -74,8 +74,7 @@ __all__ = [
     "gauss_hermite",
     "convolved_logdensity",
     "smoothed_well_logdensity",
-    "fi_functional",
-    "kl_functional",
+    "fi_kl_functional",
     "counterexample_trace",
     "counterexample_initial_slope",
     "perturbed_bound_check",
@@ -515,20 +514,12 @@ def _smoothed_well(M: float, L: float, t, x: np.ndarray):
 # ---------------------------------------------------------------------------
 # Functionals
 #
-# Both take values on grid.points, so a smoothed density costs its caller one
-# Gauss-Hermite pass per grid for logpdf, score and normalization together.
-# Each integral, normalization checks included, is the rule of the grid.
+# fi_kl_functional takes values on grid.points, so a smoothed density costs
+# its caller one evaluation per grid for logpdf, score and normalization
+# together, and each row exponentiates rho and nu once.  Each integral,
+# normalization checks included, is the rule of the grid.
 
-
-def _require_normalized(dens: np.ndarray, grid: EvalGrid, tol: float = 1e-6,
-                        partial: bool = False) -> None:
-    """Raise NormalizationError unless ``dens`` integrates to 1 +- tol on the
-    grid, or to at most 1 + tol if ``partial``: a grid need not hold all of
-    such a density, but no grid holds more than all of it."""
-    mass = grid.total(dens)
-    if mass - 1.0 > tol or (not partial and 1.0 - mass > tol):
-        bound = f"at most 1 + {tol:g}" if partial else f"1 +- {tol:g}"
-        raise NormalizationError(f"density integrates to {mass!r} on the grid, not {bound}")
+_MASS_TOL = 1e-6  # how far a grid mass may stray from 1: rho's either way, nu's only above
 
 
 def _grid_normalized(logval: np.ndarray, grid: EvalGrid) -> np.ndarray:
@@ -537,30 +528,30 @@ def _grid_normalized(logval: np.ndarray, grid: EvalGrid) -> np.ndarray:
     return logval - (math.log(grid.total(np.exp(logval - shift))) + shift)
 
 
-def fi_functional(logrho: np.ndarray, score_diff: np.ndarray, grid: EvalGrid) -> QuadResult:
-    """integral rho(x) (d/dx log rho - d/dx log nu)^2 dx by the grid's rule.
+def fi_kl_functional(logrho: np.ndarray, score_diff: np.ndarray, lognu: np.ndarray,
+                     grid: EvalGrid) -> tuple[QuadResult, QuadResult, float]:
+    """(fi, kl, nu_mass) by the grid's rule: fi = integral rho (d/dx log rho -
+    d/dx log nu)^2 dx and kl = integral rho log(rho/nu) dx as QuadResults,
+    and nu_mass the mass of nu on the grid.
 
-    ``logrho`` is the normalized log-density of rho and ``score_diff`` the
-    score difference, both on grid.points; raises NormalizationError unless
-    rho integrates to 1 on the grid.
+    ``logrho`` and ``lognu`` are normalized log-densities and ``score_diff``
+    the score difference, all on grid.points.  Raises NormalizationError
+    unless rho integrates to 1 +- _MASS_TOL on the grid and nu to at most
+    1 + _MASS_TOL: both integrands are rho-weighted, so the grid need hold
+    only rho, but no grid holds more than all of nu.
     """
-    dens = np.exp(logrho)
-    _require_normalized(dens, grid)
-    return grid.integrate(dens * score_diff**2)
-
-
-def kl_functional(logrho: np.ndarray, lognu: np.ndarray, grid: EvalGrid) -> QuadResult:
-    """integral rho(x) log(rho(x)/nu(x)) dx by the grid's rule.
-
-    Both normalized log-densities are given on grid.points; raises
-    NormalizationError unless rho integrates to 1 on the grid and nu to at
-    most 1.  nu enters weighted by rho, so the grid need hold only rho.
-    """
-    dens = np.exp(logrho)
-    _require_normalized(dens, grid)
-    _require_normalized(np.exp(lognu), grid, partial=True)
-    integrand = np.where(dens > 0.0, dens * (logrho - lognu), 0.0)
-    return grid.integrate(integrand)
+    rho = np.exp(logrho)
+    rho_mass = grid.total(rho)
+    if abs(rho_mass - 1.0) > _MASS_TOL:
+        raise NormalizationError(f"rho integrates to {rho_mass!r} on the grid, not "
+                                 f"1 +- {_MASS_TOL:g}")
+    nu_mass = grid.total(np.exp(lognu))
+    if nu_mass - 1.0 > _MASS_TOL:
+        raise NormalizationError(f"nu integrates to {nu_mass!r} on the grid, not at most "
+                                 f"1 + {_MASS_TOL:g}")
+    fi = grid.integrate(rho * score_diff**2)
+    kl = grid.integrate(np.where(rho > 0.0, rho * (logrho - lognu), 0.0))
+    return fi, kl, nu_mass
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +754,9 @@ def _grid_row(t: float, grid: EvalGrid, lognu: np.ndarray, nu_score: np.ndarray,
     pts = grid.points
     v = 1.0 + t
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
-    fi = fi_functional(logrho, -pts / v - nu_score, grid)
-    kl = kl_functional(logrho, lognu, grid)
+    fi, kl, nu_mass = fi_kl_functional(logrho, -pts / v - nu_score, lognu, grid)
     return TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated, grid.rule,
-                    grid.total(np.exp(lognu)))
+                    nu_mass)
 
 
 def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: float) -> list:

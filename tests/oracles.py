@@ -23,11 +23,10 @@ from fplab.quadrature import (
     TraceRow,
     TrapezoidGrid,
     _grid_half,
+    _grid_row,
     _simpson,
     _trapezoid_step,
     _well_log_mass,
-    fi_functional,
-    kl_functional,
     smoothed_well_logdensity,
     well_grid,
 )
@@ -88,10 +87,11 @@ def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3)
     ``well_grid``'s grid, its spacing halved until both error estimates meet
     ROW_TOL or the next grid would pass MAX_GRID_STEPS, and one
     smoothed-density call per grid, on its nonnegative half, divided by the
-    well's closed-form mass and mirrored.  The trace, which evaluates
-    batches of rows in one call, must equal it bit for bit at every t > 0.
-    At t = 0 it is the Simpson row on the kink-aligned grid, which the
-    trace's closed-form row replaced."""
+    well's closed-form mass and mirrored, each grid's row formed by the
+    trace's own ``_grid_row``.  The trace, which evaluates batches of rows
+    in one call, must equal it bit for bit at every t > 0.  At t = 0 it is
+    the Simpson row on the kink-aligned grid, which the trace's closed-form
+    row replaced."""
     grid = well_grid(t, halfwidth, step, m_big)
     log_z = _well_log_mass(m_big, halfwidth)
     evaluated = 0
@@ -102,12 +102,7 @@ def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3)
         lv = lv - log_z
         evaluated += half.size
         lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
-        v = 1.0 + t
-        logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
-        fi = fi_functional(logrho, -pts / v - nu_score, grid)
-        kl = kl_functional(logrho, lognu, grid)
-        row = TraceRow(t, fi.value, kl.value, None, fi.error, kl.error, pts.size, evaluated,
-                       grid.rule, grid.total(np.exp(lognu)))
+        row = _grid_row(t, grid, lognu, nu_score, evaluated)
         if row.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
             return row
         grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)

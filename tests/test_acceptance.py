@@ -346,8 +346,8 @@ def _gaussian_functionals(m, vp, vq, grid):
     logrho = -0.5 * math.log(2.0 * math.pi * vp) - (x - m) ** 2 / (2.0 * vp)
     lognu = -0.5 * math.log(2.0 * math.pi * vq) - x**2 / (2.0 * vq)
     score_diff = -(x - m) / vp + x / vq
-    return (fp.fi_functional(logrho, score_diff, grid).value,
-            fp.kl_functional(logrho, lognu, grid).value)
+    fi, kl, _ = fp.fi_kl_functional(logrho, score_diff, lognu, grid)
+    return fi.value, kl.value
 
 
 def test_criterion_10_quadrature_oracle():

@@ -43,7 +43,7 @@ def test_tracer_installs_and_restores(tmp_path):
         during = namespace()
         codes = [cli.main([*argv, "--no-plot", "--out-dir", str(tmp_path)]) for argv in (
             ("gaussian-rates", "--channel", "ou", "--points", "5"),
-            # the concave-well trace under the wrapped potential factory and row pool
+            # the concave-well trace under the wrapped potential factory
             ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
             # the hooks read gap_check's grid and gradient_flow's time grid
             ("gap",),

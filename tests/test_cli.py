@@ -14,7 +14,7 @@ from scipy import integrate
 from scipy.special import ndtr
 
 import fplab as fp
-from fplab import cli, potentials, quadrature, sampler, svgplot
+from fplab import cli, optim, potentials, quadrature, sampler, svgplot
 from fplab.cli import EXIT_ABORT, EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
 from fplab.svgplot import _fmt, plot_csv, read_csv_columns, write_table
 
@@ -270,7 +270,8 @@ class TestCounterexample:
         ("--t-max", "1e300"), ("--t-max", "2e6"), ("--t-min", "1e-305"), ("--L", "1e300"),
         # past 1e5 the late rows' kl estimates stop at the grid cap above ROW_TOL
         ("--t-max", "1e6"),
-        # the t = 0 grid of a well at +-1e5 needs more than MAX_GRID_STEPS steps
+        # a well too wide for its first trapezoid row (well_reach_steps), and
+        # one narrower than the potential's least halfwidth, 2
         ("--L", "1e5"), ("--L", "1.9"),
         # the t = 0 row alone: its closed form leaves the float range
         ("--L", "1e300", "--t-points", "0"), ("--M", "1e300", "--t-points", "0"),
@@ -383,22 +384,22 @@ class TestCounterexample:
 
     def test_kl_check_is_relative(self, tmp_path, monkeypatch, capsys):
         # a rise of 1e-9 on a KL of 1e-6 is 1e-3 relative: a failure at any
-        # scale, though below an absolute slack of 1e-8
+        # scale, though below an absolute slack of 1e-8.  A rise of 5e-9
+        # relative is 25 times the two rows' tolerance ROW_TOL (kl_i +
+        # kl_i+1), though below a relative slack of 1e-8
         bounded = quadrature.perturbed_bound_check
+        for rise, pair in ((lambda kls: (1e-6, 1e-6 + 1e-9, 1e-7), "t=0.0 and t=0.01"),
+                           (lambda kls: (*kls[:2], kls[1] * (1 + 5e-9)), "t=0.01 and t=0.1")):
+            def risen(*args, rise=rise, **kwargs):
+                rows = bounded(*args, **kwargs).rows
+                kls = rise([r.kl for r in rows])
+                return fp.ChannelTrace(rows=tuple(r._replace(kl=kl) for r, kl in zip(rows, kls)))
 
-        def risen(*args, **kwargs):
-            trace = bounded(*args, **kwargs)
-            kls = (1e-6, 1e-6 + 1e-9, 1e-7)
-            return fp.ChannelTrace(rows=tuple(
-                r._replace(kl=kl) for r, kl in zip(trace.rows, kls)))
-
-        monkeypatch.setattr(quadrature, "perturbed_bound_check", risen)
-        code = run_cli(
-            tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
-            "--t-points", "2", "--no-plot",
-        )
-        assert code == EXIT_CERT
-        assert "FAIL kl monotonicity between t=0.0 and t=0.01" in capsys.readouterr().out
+            monkeypatch.setattr(quadrature, "perturbed_bound_check", risen)
+            code = run_cli(tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
+                           "--t-points", "2", "--no-plot")
+            assert code == EXIT_CERT
+            assert f"FAIL kl monotonicity between {pair}" in capsys.readouterr().out
 
 
 class TestSampler:
@@ -617,6 +618,23 @@ class TestProxgrad:
         run_dir = only_run_dir(tmp_path, "proxgrad")
         cols = read_csv_columns(os.path.join(run_dir, "proxgrad_quartic.csv"))
         assert cols["k"] == list(range(26)) and cols["grad_sq_norm"][0] == 4.0
+
+    def test_flow_envelope_slack_is_relative(self, tmp_path, monkeypatch, capsys):
+        # the flow is exact and falls strictly below e^{-2 alpha t} past t = 0,
+        # so a row 1e-7 above it, within a slack of 1e-6, fails the run
+        flow = optim.gradient_flow
+
+        def lifted(f, x0, t_end, dt):
+            times, gsq = flow(f, x0, t_end, dt)
+            gsq = gsq.copy()
+            gsq[1] = gsq[0] * math.exp(-2.0 * f.alpha * times[1]) * (1.0 + 1e-7)
+            return times, gsq
+
+        monkeypatch.setattr(optim, "gradient_flow", lifted)
+        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_CERT
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "FAIL quartic gradient-flow envelope"
+        assert [line.split()[0] for line in out[:1] + out[2:]] == ["PASS"] * 2
 
     def test_quadratic_certificate_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         # an overdeclared alpha = 2 breaks the quadratic run's decay envelope:

@@ -106,8 +106,7 @@ def functionals(m, vp, mq, vq, grid):
     """(fi, kl) of N(m, vp) against N(mq, vq) through the grid functionals."""
     logrho, rho_score = gaussian_log_score(m, vp, grid.points)
     lognu, nu_score = gaussian_log_score(mq, vq, grid.points)
-    return (fp.fi_functional(logrho, rho_score - nu_score, grid),
-            fp.kl_functional(logrho, lognu, grid))
+    return fp.fi_kl_functional(logrho, rho_score - nu_score, lognu, grid)[:2]
 
 
 class TestFunctionalsAgainstClosedForms:
@@ -139,14 +138,17 @@ class TestFunctionalsAgainstClosedForms:
             assert kl_a.value == pytest.approx(kl_b.value, rel=1e-6, abs=1e-12)
 
     def test_unnormalized_density_rejected(self):
+        # rho's grid mass must be 1 either way; nu's may fall short of 1 but not pass it
         grid = oracle_grid()
         logrho, score = gaussian_log_score(0.0, 1.0, grid.points)
-        with pytest.raises(NormalizationError):
-            fp.fi_functional(logrho + 0.1, np.zeros_like(score), grid)
-        with pytest.raises(NormalizationError):
-            fp.kl_functional(logrho + 0.1, logrho, grid)
-        with pytest.raises(NormalizationError):
-            fp.kl_functional(logrho, logrho + 0.1, grid)
+        zero = np.zeros_like(score)
+        for shift in (0.1, -0.1):
+            with pytest.raises(NormalizationError, match="rho integrates"):
+                fp.fi_kl_functional(logrho + shift, zero, logrho, grid)
+        with pytest.raises(NormalizationError, match="nu integrates"):
+            fp.fi_kl_functional(logrho, zero, logrho + 0.1, grid)
+        _, _, nu_mass = fp.fi_kl_functional(logrho, zero, logrho - 0.1, grid)
+        assert nu_mass == pytest.approx(math.exp(-0.1), rel=1e-12)
 
 
 class TestConvolvedLogdensity:
@@ -372,13 +374,13 @@ class TestCounterexampleAnchors:
         kl = trace.column("kl")
         assert np.all(np.diff(kl) <= 1e-8)
 
-    def test_fi_functional_route_matches_anchor(self):
+    def test_fi_kl_functional_route_matches_anchor(self):
         grid = EvalGrid(-24.0, 24.0, 1e-3)
         pot = fp.counterexample_potential(2, 2)
         lognu, nu_score = fp.convolved_logdensity(pot, 0.0, grid.points, RULE)
         logrho, rho_score = gaussian_log_score(0.0, 1.0, grid.points)
-        fi = fp.fi_functional(logrho, rho_score - nu_score, grid)
-        kl = fp.kl_functional(logrho, _grid_normalized(lognu, grid), grid)
+        fi, kl, _ = fp.fi_kl_functional(logrho, rho_score - nu_score,
+                                        _grid_normalized(lognu, grid), grid)
         assert fi.value == pytest.approx(FI0_WELL, abs=1e-4)
         assert kl.value == pytest.approx(KL0_WELL, abs=1e-6)
 
@@ -679,13 +681,14 @@ def test_well_log_mass_is_the_wide_grid_mass(m_big, halfwidth, t):
 
 def test_underestimated_log_mass_is_rejected():
     # nu divided by a mass e^0.1 too small integrates to more than 1 on any
-    # grid that holds nearly all of it, which kl_functional refuses
+    # grid that holds nearly all of it, which fi_kl_functional refuses
     grid = fp.quadrature.well_grid(1.0, 2.0, 1e-3, 2.0)
-    lognu, _ = fp.smoothed_well_logdensity(2.0, 2.0, 1.0, grid.points)
+    lognu, nu_score = fp.smoothed_well_logdensity(2.0, 2.0, 1.0, grid.points)
     logrho = -0.25 * grid.points**2 - 0.5 * math.log(4.0 * math.pi)
-    fp.kl_functional(logrho, lognu - _well_log_mass(2.0, 2.0), grid)
+    score_diff = -grid.points / 2.0 - nu_score
+    fp.fi_kl_functional(logrho, score_diff, lognu - _well_log_mass(2.0, 2.0), grid)
     with pytest.raises(NormalizationError):
-        fp.kl_functional(logrho, lognu - (_well_log_mass(2.0, 2.0) - 0.1), grid)
+        fp.fi_kl_functional(logrho, score_diff, lognu - (_well_log_mass(2.0, 2.0) - 0.1), grid)
 
 
 def test_t0_closed_form_refuses_what_leaves_the_float_range():
@@ -885,8 +888,8 @@ def _full_grid_row(m_big, halfwidth, t, points):
     lognu, nu_score = fp.smoothed_well_logdensity(m_big, halfwidth, t, pts)
     v = 1.0 + t
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
-    fi = fp.fi_functional(logrho, -pts / v - nu_score, grid)
-    kl = fp.kl_functional(logrho, lognu - _well_log_mass(m_big, halfwidth), grid)
+    fi, kl, _ = fp.fi_kl_functional(logrho, -pts / v - nu_score,
+                                    lognu - _well_log_mass(m_big, halfwidth), grid)
     return fi.value, kl.value, sizes
 
 
