@@ -18,7 +18,10 @@ Numerical policy
   even and its score odd, and its grids are symmetric about 0 up to
   rounding, so the closed form is evaluated on the nonnegative half of each
   grid and mirrored; the oracle evaluates every point.
-* A closed-form smoothing call costs about 60 numpy and scipy calls
+* The closed form's special functions are numpy code in ``fplab.special``.
+  Like scipy, which only ``gauss_hermite`` needs, it is imported inside the
+  functions that call it, so importing fplab.cli loads neither.
+* A closed-form smoothing call costs a few hundred small numpy operations
   whatever its size, and a row's half-grid is a few hundred to a few
   thousand points, so the trace evaluates the rows still refining in
   batches of about _BATCH half-grid points, one call each with a time per
@@ -302,7 +305,6 @@ def convolved_logdensity(pot: ScalarPotential, t: float, x, rule: GaussHermiteRu
 
 _SERIES_TAU = 0.1  # |c| w^2 below which the endpoint integral is expanded in c
 _SERIES_TERMS = 13  # 0.1^n / n! < 1e-19 for n >= 13
-_SMALL_KAPPA_TERMS = 21  # 1/21! < 2e-20
 
 
 def _runs(t: np.ndarray):
@@ -333,21 +335,45 @@ def _termwise_sum(terms: np.ndarray) -> np.ndarray:
 def _unit_moments(m: int, kappa: np.ndarray) -> np.ndarray:
     """G_j(kappa) = int_0^1 s^j exp(-kappa s) ds for j = 0..m-1, shape (m, n).
 
-    The power series sum_i (-kappa)^i / (i! (j+1+i)) for |kappa| < 1, the
-    regularized incomplete gamma function j! P(j+1, kappa) / kappa^(j+1)
-    otherwise.
+    Integration by parts gives kappa G_j = j G_{j-1} - e^{-kappa}.  Run
+    upward from G_0 = -expm1(-kappa)/kappa, the recurrence multiplies an
+    error by j/kappa at each order, so it gives the orders j < kappa where
+    kappa > 1; run downward (Miller), by kappa/j, so it gives the rest, from
+    a start at an order far enough above m that the start's error has shrunk
+    below one rounding by order m - 1 even at kappa = m - 1.
     """
-    from scipy.special import gammainc
-
     out = np.empty((m, kappa.size))
-    small = np.abs(kappa) < 1.0
-    i = np.arange(_SMALL_KAPPA_TERMS)[:, None]
-    powers = (-kappa[small]) ** i / np.cumprod(np.r_[1.0, i[1:, 0]])[:, None]
-    kb = kappa[~small]
-    for j in range(m):
-        out[j, small] = _termwise_sum(powers / (j + 1.0 + i))
-        out[j, ~small] = gammainc(j + 1.0, kb) * np.exp(math.lgamma(j + 1.0) - (j + 1.0) * np.log(kb))
+    decay = np.exp(-kappa)
+    up = kappa > 1.0
+    if up.any():
+        k, e = kappa[up], decay[up]
+        g = -np.expm1(-k) / k
+        out[0, up] = g
+        for j in range(1, m):
+            g = (j * g - e) / k
+            out[j, up] = g
+    low = kappa <= m - 1.0
+    if low.any():
+        k, e = kappa[low], decay[low]
+        top = _miller_start(m)
+        g = e / (top + 1.0 - k)  # G_top within a few per cent
+        sub = out[:, low]
+        for j in range(top, 0, -1):
+            g = (k * g + e) / j  # G_{j-1}
+            if j <= m:
+                sub[j - 1] = np.where(k <= max(j - 1.0, 1.0), g, sub[j - 1])
+        out[:, low] = sub
     return out
+
+
+def _miller_start(m: int) -> int:
+    """The order whose error the downward recurrence shrinks by 2^-53 by
+    order m - 1 at every kappa <= m - 1."""
+    top, shrink = m, 1.0
+    while shrink > 2.0**-53:
+        top += 1
+        shrink *= (m - 1.0) / top
+    return top
 
 
 def _endpoint_integral(kappa: np.ndarray, gamma):
@@ -385,15 +411,17 @@ def _endpoint_series(kappa: np.ndarray, gamma: float):
 
 def _endpoint_closed(kappa: np.ndarray, gamma):
     """``_endpoint_integral`` for a gamma of one sign, by erfcx or Dawson."""
-    from scipy.special import dawsn, erfcx
+    from .special import dawson, erfcx
 
     drop = kappa - gamma  # -exponent at s = 1, >= 0
     root = np.sqrt(np.abs(gamma))
     z1 = kappa / (2.0 * root)
     if np.all(gamma < 0.0):
-        j = math.sqrt(math.pi) / (2.0 * root) * (erfcx(z1) - np.exp(-drop) * erfcx(z1 + root))
+        start, end = erfcx(np.stack([z1, z1 + root]))  # one call for both ends
+        j = math.sqrt(math.pi) / (2.0 * root) * (start - np.exp(-drop) * end)
     else:
-        j = (dawsn(z1) - np.exp(-drop) * dawsn(z1 - root)) / root
+        start, end = dawson(np.stack([z1, z1 - root]))
+        j = (start - np.exp(-drop) * end) / root
     # int_0^1 (-kappa + 2 gamma s) e^f ds = e^f(1) - 1 gives the mean
     return j, (kappa + np.expm1(-drop) / j) / (2.0 * gamma)
 
@@ -401,21 +429,14 @@ def _endpoint_closed(kappa: np.ndarray, gamma):
 def _outer_piece(m_big: float, halfwidth: float, t, x: np.ndarray):
     """Log-mass and mean of -g' of the smoothing integrand over y > L, where
     the times t broadcast against x."""
-    from scipy.special import erfcx, log_ndtr
+    from .special import log_ndtr_mills
 
     ml, xr = m_big * halfwidth, x - halfwidth
     z = (ml * t + xr) / np.sqrt(t * (1.0 + t))
-    logphi = log_ndtr(z)
+    logphi, mills = log_ndtr_mills(z)
     logmass = (0.5 * ml * halfwidth + (ml * ml * t + 2.0 * ml * xr - xr * xr) / (2.0 * (1.0 + t))
                - 0.5 * _per_t(math.log1p, t) + logphi)
     # y - L | piece ~ N(z s, s^2) truncated to y > L, with s^2 = t/(1+t)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan only where z < -1e4
-        mills = np.exp(-0.5 * z * z - logphi) / math.sqrt(2.0 * math.pi)
-    if z.min(initial=0.0) < -1e4:
-        # there the exponent cancels to nothing (|z| reaches 1e4 only where
-        # sqrt(t) is below 1e-3 of the grid's reach): phi(z)/Phi(z) by erfcx
-        far = z < -1e4
-        mills[far] = math.sqrt(2.0 / math.pi) / erfcx(-z[far] / math.sqrt(2.0))
     return logmass, ml - np.sqrt(t / (1.0 + t)) * (z + mills)
 
 
@@ -427,7 +448,7 @@ def _well_piece(m_big: float, halfwidth: float, t, x: np.ndarray):
     the piece is a Gaussian split at mu (erf terms); otherwise its maximum is
     the endpoint sign(x) L and the integral runs inward from there.
     """
-    from scipy.special import erf
+    from .special import erf
 
     M, L = m_big, halfwidth
     logmass, mean_y = np.empty_like(x), np.empty_like(x)
@@ -438,7 +459,8 @@ def _well_piece(m_big: float, halfwidth: float, t, x: np.ndarray):
         mu = xi / si
         root_q = np.sqrt(si / (2.0 * _at(t, inside)))
         a, b = (L + mu) * root_q, (L - mu) * root_q
-        mass = erf(a) + erf(b)
+        erf_a, erf_b = erf(np.stack([a, b]))
+        mass = erf_a + erf_b
         logmass[inside] = 0.5 * M * xi * mu - 0.5 * _per_t(math.log, si) + np.log(0.5 * mass)
         mean_y[inside] = mu + (np.expm1(-a * a) - np.expm1(-b * b)) / (
             math.sqrt(math.pi) * root_q * mass)
@@ -466,8 +488,8 @@ def smoothed_well_logdensity(m_big: float, halfwidth: float, t, x):
 
     ``t`` may be an array broadcast against ``x``: one call then evaluates
     many rows' grids, and every point gets the bits of a call with its own
-    float t.  Its per-call cost (about 60 numpy and scipy calls) is then
-    paid once for all of them.
+    float t.  Its per-call cost (a few hundred small numpy operations) is
+    then paid once for all of them.
     """
     pot = counterexample_potential(m_big, halfwidth)  # validates M, L >= 2
     M, L = float(m_big), float(halfwidth)
@@ -863,14 +885,14 @@ def _well_log_mass(m_big: float, halfwidth: float) -> float:
     kernel conserves mass, so it is the log mass of the smoothed well at
     every t.  Not finite where Z leaves the float range.
     """
-    from scipy.special import dawsn, log_ndtr
+    from .special import dawson, log_ndtr_mills
 
     M, L = float(m_big), float(halfwidth)
     with np.errstate(divide="ignore"):  # D underflows to 0 only where Z leaves the float range
-        log_d = float(np.log(dawsn(L * math.sqrt(0.5 * M))))
+        log_d = float(np.log(dawson(np.array([L * math.sqrt(0.5 * M)]))[0]))
     log_well = math.log(2.0 * math.sqrt(2.0 / M)) + log_d + 0.5 * M * L * L
-    log_outer = (math.log(2.0 * math.sqrt(2.0 * math.pi)) + float(log_ndtr(M * L))
-                 + 0.5 * M * (M + 1.0) * L * L)
+    log_phi = float(log_ndtr_mills(np.array([M * L]))[0][0])
+    log_outer = math.log(2.0 * math.sqrt(2.0 * math.pi)) + log_phi + 0.5 * M * (M + 1.0) * L * L
     return max(log_well, log_outer) + math.log1p(math.exp(-abs(log_well - log_outer)))
 
 

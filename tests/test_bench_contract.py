@@ -79,8 +79,9 @@ def test_light_certs_load_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_statistics():
     # statistics pulls in fractions and decimal, several ms of every setup;
-    # only spike_spec needs it, and imports it when called.  scipy is most of
-    # fplab's import time: the functions that need it import it when called
+    # only spike_spec needs it, and imports it when called.  Importing scipy
+    # would cost more than the rest of fplab: only the Gauss-Hermite rule
+    # needs it, and imports it when called
     script = (
         "import sys\n"
         "import fplab.cli\n"
