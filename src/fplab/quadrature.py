@@ -739,7 +739,9 @@ def counterexample_trace(
         raise ValueError("t_grid must start at 0")
     pot = counterexample_potential(m_big, halfwidth)  # validates M, L >= 2
     if order is None:
-        rows = [_well_row_at_zero(m_big, halfwidth), *_well_rows(m_big, halfwidth, t_vals[1:], step)]
+        log_z = _well_log_mass(m_big, halfwidth)  # every row's, as smoothing conserves mass
+        rows = [_well_row_at_zero(m_big, halfwidth, log_z),
+                *_well_rows(m_big, halfwidth, log_z, t_vals[1:], step)]
         return ChannelTrace(rows=tuple(rows))
     rule = gauss_hermite(order)
 
@@ -756,7 +758,7 @@ def counterexample_trace(
     return ChannelTrace(rows=tuple(rows))
 
 
-_BATCH = 4096  # half-grid points per smoothed-density call in the closed-form trace
+_BATCH = 8192  # half-grid points per smoothed-density call in the closed-form trace
 _CLOSED_FORM_REL_ERR = 1e-15  # rounding bound of the t = 0 row's closed forms
 
 
@@ -781,19 +783,19 @@ def _grid_row(t: float, grid: EvalGrid, lognu: np.ndarray, nu_score: np.ndarray,
                     nu_mass)
 
 
-def _well_rows(m_big: float, halfwidth: float, t_vals: Sequence[float], step: float) -> list:
+def _well_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[float],
+               step: float) -> list:
     """The closed-form trace's rows at the times t_vals, a batch of rows at a time.
 
     A batch takes rows until their half-grids reach about _BATCH points.  A
     point costs about half as much again in a shared call as in a call of its
-    own, a call about what a thousand points cost, so a row of more than half
-    a batch takes a call of its own, with a float t.  A row that misses
+    own, a call about what 1,500 points cost, so a row of more than half a
+    batch takes a call of its own, with a float t.  A row that misses
     ROW_TOL goes back to the queue at half its spacing.  The queue holds
     spacings, not grids, so only the batch in hand has grids and memory stays
     bounded by the batch.  Every row divides the smoothed density by the
-    well's exact mass, which smoothing conserves.
+    well's exact mass e^log_z, which smoothing conserves.
     """
-    log_z = _well_log_mass(m_big, halfwidth)
     rows = [None] * len(t_vals)
     # (row, points evaluated, next grid): None for well_grid's, else its type, ends, spacing
     # and size.  Halving the spacing of a grid of n points gives one of 2n - 1 points
@@ -847,7 +849,7 @@ def _batch_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[f
     return rows
 
 
-def _well_row_at_zero(m_big: float, halfwidth: float) -> TraceRow:
+def _well_row_at_zero(m_big: float, halfwidth: float, log_z: float) -> TraceRow:
     """The concave-well trace's t = 0 row: FI and KL of N(0, 1) against
     exp(-g)/Z in closed form.
 
@@ -860,7 +862,7 @@ def _well_row_at_zero(m_big: float, halfwidth: float) -> TraceRow:
         E g(X) = -M/2 E(X^2; |X| <= L) + (1 + (M+1) L^2) P - (2M+1) L phi(L),
         KL = -log(2 pi e)/2 + E g(X) + log Z,
 
-    log Z from ``_well_log_mass``.  Its error estimates are the rounding bound
+    log Z = log_z, from ``_well_log_mass``.  Its error estimates are the rounding bound
     _CLOSED_FORM_REL_ERR of each value.
     """
     M, L = float(m_big), float(halfwidth)
@@ -869,7 +871,7 @@ def _well_row_at_zero(m_big: float, halfwidth: float) -> TraceRow:
     inner_sq = math.erf(L / math.sqrt(2.0)) - 2.0 * L * phi  # E(X^2; |X| <= L)
     fi = (M + 1.0) * (M + 1.0) * (inner_sq + 2.0 * L * L * tail)
     mean_g = -0.5 * M * inner_sq + (1.0 + (M + 1.0) * L * L) * tail - (2.0 * M + 1.0) * L * phi
-    kl = -0.5 * math.log(2.0 * math.pi * math.e) + mean_g + _well_log_mass(M, L)
+    kl = -0.5 * math.log(2.0 * math.pi * math.e) + mean_g + log_z
     if not (math.isfinite(fi) and math.isfinite(kl)):
         raise QuadratureError("the t = 0 row's closed form leaves the float range")
     return TraceRow(0.0, fi, kl, None, _CLOSED_FORM_REL_ERR * fi, _CLOSED_FORM_REL_ERR * kl, 0, 0,
