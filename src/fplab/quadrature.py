@@ -367,8 +367,8 @@ def _unit_moments(m: int, kappa: np.ndarray) -> np.ndarray:
 
 
 def _miller_start(m: int) -> int:
-    """The order whose error the downward recurrence shrinks by 2^-53 by
-    order m - 1 at every kappa <= m - 1."""
+    """The order to start the downward recurrence from: an error there has
+    shrunk by 2^-53 at order m - 1, at every kappa <= m - 1."""
     top, shrink = m, 1.0
     while shrink > 2.0**-53:
         top += 1
@@ -417,8 +417,13 @@ def _endpoint_closed(kappa: np.ndarray, gamma):
     root = np.sqrt(np.abs(gamma))
     z1 = kappa / (2.0 * root)
     if np.all(gamma < 0.0):
-        start, end = erfcx(np.stack([z1, z1 + root]))  # one call for both ends
-        j = math.sqrt(math.pi) / (2.0 * root) * (start - np.exp(-drop) * end)
+        # erfcx decreases, so where e^-drop < 2^-60 the end at s = 1 is below a
+        # quarter ulp of the end at s = 0: j keeps its bits without it
+        j = erfcx(z1)
+        live = drop < 42.0
+        if np.count_nonzero(live):
+            j[live] -= np.exp(-drop[live]) * erfcx(z1[live] + _at(root, live))
+        j *= math.sqrt(math.pi) / (2.0 * root)
     else:
         start, end = dawson(np.stack([z1, z1 - root]))
         j = (start - np.exp(-drop) * end) / root
