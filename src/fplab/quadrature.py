@@ -15,9 +15,12 @@ Numerical policy
   converges only algebraically across the well's kinks, is its oracle.
   Its t = 0 row, FI and KL of N(0, 1) against exp(-g)/Z, is in closed
   form too (erf, Dawson, log Phi) and takes no grid.  The smoothed well is
-  even and its score odd, and its grids are symmetric about 0 up to
-  rounding, so the closed form is evaluated on the nonnegative half of each
-  grid and mirrored; the oracle evaluates every point.
+  even and its score odd, and its grids are symmetric about 0, so the trace
+  takes each grid as its nonnegative half k dx, k = 0..m, evaluates the
+  closed form there, and weights each point for itself and its mirror
+  image; nothing is mirrored back to a full grid, and ``well_grid``'s
+  grids make their points only when asked.  The oracle evaluates every
+  point of its grids and integrates through ``fi_kl_functional``.
 * The closed form's special functions are numpy code in ``fplab.special``.
   Like scipy, which only ``gauss_hermite`` needs, it is imported inside the
   functions that call it, so importing fplab.cli loads neither.
@@ -26,8 +29,10 @@ Numerical policy
   thousand points, so the trace evaluates the rows still refining in
   batches of about _BATCH half-grid points, one call each with a time per
   point; a row of more than half a batch takes its own call with a float
-  t.  Threads gained nothing there, contending for the interpreter lock;
-  ``threads=`` pools the heavier rows of the Gauss-Hermite oracle.
+  t.  A batch's rows are formed as arrays over its points, one reduceat
+  per integral for all of them.  Threads gained nothing there, contending
+  for the interpreter lock; ``threads=`` pools the heavier rows of the
+  Gauss-Hermite oracle.
 * Every integral on a uniform grid takes the grid's rule, composite Simpson
   (``EvalGrid``) or trapezoid (``TrapezoidGrid``), and estimates its error
   as |rule(h) - rule(2h)|.  The spike gap sums exact Gaussian integrals over
@@ -39,9 +44,10 @@ Numerical policy
   geometrically.  Rows below 1.6e-5 take Simpson, with the well's kinks on
   the boundaries of coarse Simpson panels.  Each row halves its spacing
   until both estimates are within ROW_TOL of their values or the next grid
-  would pass MAX_GRID_STEPS.  The Gauss-Hermite oracle smears the kinks
-  over its nodes, so its grids stay Simpson, dense, unaligned and
-  unrefined.
+  would pass MAX_GRID_STEPS; 2k (dx/2) is k dx to the bit, so a halved grid
+  keeps its old points' values and evaluates only its midpoints.  The
+  Gauss-Hermite oracle smears the kinks over its nodes, so its grids stay
+  Simpson, dense, unaligned and unrefined.
 * Grids must cover >= 8 standard deviations of rho_t, whose weight every
   FI and KL integrand carries; the trace producers grow their grids with t
   accordingly.  The closed-form trace divides the smoothed density by the
@@ -544,7 +550,9 @@ def _smoothed_well(M: float, L: float, t, x: np.ndarray):
 # fi_kl_functional takes values on grid.points, so a smoothed density costs
 # its caller one evaluation per grid for logpdf, score and normalization
 # together, and each row exponentiates rho and nu once.  Each integral,
-# normalization checks included, is the rule of the grid.
+# normalization checks included, is the rule of the grid.  The Gauss-Hermite
+# oracle's rows take it; the closed-form trace forms the same integrals over
+# half-grids in ``_batch_rows``.
 
 _MASS_TOL = 1e-6  # how far a grid mass may stray from 1: rho's either way, nu's only above
 
@@ -553,6 +561,17 @@ def _grid_normalized(logval: np.ndarray, grid: EvalGrid) -> np.ndarray:
     """logval minus the log of its mass on the grid."""
     shift = float(logval.max())
     return logval - (math.log(grid.total(np.exp(logval - shift))) + shift)
+
+
+def _check_masses(rho_mass: float, nu_mass: float) -> None:
+    """Raise NormalizationError unless rho's mass on a grid is 1 +- _MASS_TOL
+    and nu's at most 1 + _MASS_TOL."""
+    if abs(rho_mass - 1.0) > _MASS_TOL:
+        raise NormalizationError(f"rho integrates to {rho_mass!r} on the grid, not "
+                                 f"1 +- {_MASS_TOL:g}")
+    if nu_mass - 1.0 > _MASS_TOL:
+        raise NormalizationError(f"nu integrates to {nu_mass!r} on the grid, not at most "
+                                 f"1 + {_MASS_TOL:g}")
 
 
 def fi_kl_functional(logrho: np.ndarray, score_diff: np.ndarray, lognu: np.ndarray,
@@ -568,14 +587,8 @@ def fi_kl_functional(logrho: np.ndarray, score_diff: np.ndarray, lognu: np.ndarr
     only rho, but no grid holds more than all of nu.
     """
     rho = np.exp(logrho)
-    rho_mass = grid.total(rho)
-    if abs(rho_mass - 1.0) > _MASS_TOL:
-        raise NormalizationError(f"rho integrates to {rho_mass!r} on the grid, not "
-                                 f"1 +- {_MASS_TOL:g}")
     nu_mass = grid.total(np.exp(lognu))
-    if nu_mass - 1.0 > _MASS_TOL:
-        raise NormalizationError(f"nu integrates to {nu_mass!r} on the grid, not at most "
-                                 f"1 + {_MASS_TOL:g}")
+    _check_masses(grid.total(rho), nu_mass)
     fi = grid.integrate(rho * score_diff**2)
     kl = grid.integrate(np.where(rho > 0.0, rho * (logrho - lognu), 0.0))
     return fi, kl, nu_mass
@@ -683,6 +696,40 @@ def well_reach_steps(t: float, halfwidth: float, m_big: float, step: float = 1e-
     return 2.0 * half / _trapezoid_step(t, step, half)
 
 
+class _HalfGrid:
+    """Mixed into ``well_grid``'s grids: EvalGrid's checks and ``dx``, its
+    point count as ``size``, and ``points`` made at each use rather than at
+    construction.  The closed-form trace takes a grid as its nonnegative
+    half k dx, k = 0..m, from ``size`` and ``dx`` alone."""
+
+    def __post_init__(self):  # EvalGrid.__post_init__ but for its np.linspace
+        if not self.lo < self.hi:
+            raise ValueError("need lo < hi")
+        if not self.step > 0.0:
+            raise ValueError("step must be positive")
+        if (self.hi - self.lo) / self.step < MIN_GRID_STEPS:
+            raise ValueError(f"grid too coarse: need at least {MIN_GRID_STEPS} steps")
+        if (self.hi - self.lo) / self.step > MAX_GRID_STEPS:
+            raise ValueError(f"grid too fine: more than {MAX_GRID_STEPS} steps")
+        n = int(round((self.hi - self.lo) / self.step)) + 1
+        while (n - 1) % 4 != 0:
+            n += 1
+        object.__setattr__(self, "size", n)
+        object.__setattr__(self, "dx", (self.hi - self.lo) / (n - 1))
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.size)
+
+
+class _SimpsonHalfGrid(_HalfGrid, EvalGrid):
+    pass
+
+
+class _TrapezoidHalfGrid(_HalfGrid, TrapezoidGrid):
+    pass
+
+
 def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
     """The first grid of the closed-form well trace at time t, and its rule.
     Halving its spacing keeps it symmetric and the kinks on panel boundaries.
@@ -706,14 +753,14 @@ def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid
     """
     if _trapezoid_row(t):
         target = 8.5 * math.sqrt(1.0 + t)
-        return TrapezoidGrid(-target, target, _trapezoid_step(t, step, target))
+        return _TrapezoidHalfGrid(-target, target, _trapezoid_step(t, step, target))
     # the 1e-9 keeps a quotient that is an integer up to rounding from
     # gaining a spurious extra panel
     target = _grid_half(t, halfwidth, m_big)
     inner = math.ceil(halfwidth / (2.0 * step) - 1e-9)  # 4 * inner intervals on [-L, L]
     outer = math.ceil((target - halfwidth) * inner / (2.0 * halfwidth) - 1e-9)
     half = halfwidth * (inner + 2 * outer) / inner  # L + 4 * outer intervals
-    return EvalGrid(-half, half, half / (2 * inner + 4 * outer))
+    return _SimpsonHalfGrid(-half, half, half / (2 * inner + 4 * outer))
 
 
 def counterexample_trace(
@@ -734,10 +781,12 @@ def counterexample_trace(
     The t = 0 row is ``_well_row_at_zero``, in closed form.  Later rows take
     the smoothed density from ``smoothed_well_logdensity`` (closed form) on
     ``well_grid``, refined to ROW_TOL (``TraceRow.converged``);
-    ``smoothed_points`` counts every level's evaluations.  Given ``order``,
-    the Gauss-Hermite rule of that order computes every row through
-    ``convolved_logdensity`` on one Simpson grid: the oracle.  ``threads`` > 1
-    runs its rows on a thread pool of that size.
+    ``smoothed_points`` counts its evaluations, the size of its last
+    half-grid, since each halving evaluates only the new midpoints.  Given
+    ``order``, the Gauss-Hermite rule of that order computes every row
+    through ``convolved_logdensity`` and ``fi_kl_functional`` on one Simpson
+    grid: the oracle.  ``threads`` > 1 runs its rows on a thread pool of
+    that size.
     """
     t_vals = [float(t) for t in t_grid]
     if not t_vals or t_vals[0] != 0.0:
@@ -778,8 +827,8 @@ def _first_grid(make_grid, t: float, halfwidth: float, step: float, m_big: float
 
 def _grid_row(t: float, grid: EvalGrid, lognu: np.ndarray, nu_score: np.ndarray,
               evaluated: int) -> TraceRow:
-    """The row at time t from the smoothed density's normalized log and its
-    score on the grid."""
+    """The Gauss-Hermite oracle's row at time t from the smoothed density's
+    normalized log and its score on the grid."""
     pts = grid.points
     v = 1.0 + t
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
@@ -788,70 +837,151 @@ def _grid_row(t: float, grid: EvalGrid, lognu: np.ndarray, nu_score: np.ndarray,
                     nu_mass)
 
 
+class _Level(NamedTuple):
+    """One grid of a closed-form trace row, held as its nonnegative half
+    k dx, k = 0..m.  A level that halves the row's previous spacing keeps the
+    previous level's values, which are its values at the even k."""
+
+    row: int
+    dx: float
+    m: int
+    rule: str
+    evaluated: int  # smoothed-density evaluations at the row's earlier levels
+    kept: Optional[tuple] = None  # (normalized logval, score) at the even k
+
+    def new_points(self) -> int:
+        """The points at which this level evaluates the smoothed density."""
+        return self.m + 1 if self.kept is None else self.m // 2
+
+
 def _well_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[float],
                step: float) -> list:
     """The closed-form trace's rows at the times t_vals, a batch of rows at a time.
 
-    A batch takes rows until their half-grids reach about _BATCH points.  A
-    point costs about half as much again in a shared call as in a call of its
-    own, a call about what 1,500 points cost, so a row of more than half a
-    batch takes a call of its own, with a float t.  A row that misses
-    ROW_TOL goes back to the queue at half its spacing.  The queue holds
-    spacings, not grids, so only the batch in hand has grids and memory stays
-    bounded by the batch.  Every row divides the smoothed density by the
-    well's exact mass e^log_z, which smoothing conserves.
+    A row's first level is ``well_grid``'s grid, built when the row joins a
+    batch.  A batch takes levels until their new points reach about _BATCH.
+    A point costs about half as much again in a shared call as in a call of
+    its own, a call about what 1,500 points cost, so a level of more than
+    half a batch takes a call of its own, with a float t.  A row that misses
+    ROW_TOL goes back to the front of the queue at half its spacing, with
+    its values, which the next level keeps at its even points: 2k (dx/2) is
+    k dx to the bit, so that level evaluates only its midpoints.  Every row
+    divides the smoothed density by the well's exact mass e^log_z, which
+    smoothing conserves.
     """
     rows = [None] * len(t_vals)
-    # (row, points evaluated, next grid): None for well_grid's, else its type, ends, spacing
-    # and size.  Halving the spacing of a grid of n points gives one of 2n - 1 points
-    queue = deque((i, 0, None) for i in range(len(t_vals)))
+    queue = deque(range(len(t_vals)))  # a row whose first level is still to build, or a _Level
     while queue:
         batch, size = [], 0
         while queue:
-            i, evaluated, spec = queue.popleft()
-            if spec is None:
-                grid = _first_grid(well_grid, t_vals[i], halfwidth, step, m_big)
-                spec = (type(grid), grid.lo, grid.hi, grid.step, grid.points.size)
-            else:
-                grid = None
-            n = (spec[4] + 1) // 2
+            level = queue.popleft()
+            if not isinstance(level, _Level):
+                grid = _first_grid(well_grid, t_vals[level], halfwidth, step, m_big)
+                level = _Level(level, grid.dx, (grid.size - 1) // 2, grid.rule, 0)
+            n = level.new_points()
             alone = n > _BATCH // 2
-            if batch and (alone or size + n > _BATCH):  # the next batch builds this grid again
-                queue.appendleft((i, evaluated, spec))
+            if batch and (alone or size + n > _BATCH):
+                queue.appendleft(level)
                 break
-            batch.append((i, spec[0](*spec[1:4]) if grid is None else grid, evaluated))
+            batch.append(level)
             size += n
             if alone:
                 break
-        for (i, grid, _), r in zip(batch, _batch_rows(m_big, halfwidth, log_z, t_vals, batch)):
-            if r.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
-                rows[i] = r
+        refined = []
+        for level, (r, kept) in zip(batch, _batch_rows(m_big, halfwidth, log_z, t_vals, batch)):
+            if r.converged() or 4 * level.m > MAX_GRID_STEPS:  # the next grid has 4m steps
+                rows[level.row] = r
             else:
-                queue.append((i, r.smoothed_points,
-                              (type(grid), grid.lo, grid.hi, grid.dx / 2, 2 * r.points - 1)))
+                refined.append(level._replace(dx=level.dx / 2, m=2 * level.m,
+                                              evaluated=r.smoothed_points, kept=kept))
+        queue.extendleft(reversed(refined))
     return rows
 
 
 def _batch_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[float],
                 batch: list) -> list:
-    """The rows of a batch of (row, grid, points evaluated) from one
-    smoothed-density call, normalized by the log mass ``log_z``.  Each grid
-    is symmetric about 0, the smoothed density even and its score odd: the
-    call takes the nonnegative half of each grid, and each row mirrors its
-    part."""
-    halves = [-grid.points[(grid.points.size - 1) // 2::-1] for _, grid, _ in batch]
-    if len(batch) == 1:  # a float t: no per-point times
-        lv_all, sc_all = smoothed_well_logdensity(m_big, halfwidth, t_vals[batch[0][0]], halves[0])
+    """(row, (logval, score)) for each _Level of a batch: one smoothed-density
+    call at the levels' new points, normalized by the log mass ``log_z``,
+    and one pass over the batch's points for every row's integrals.
+
+    Each grid is symmetric about 0, the smoothed density even and its score
+    odd, so each integral is the rule's sum over the nonnegative half, each
+    point weighted for itself and its mirror image (``_half_weights``), and
+    one reduceat per integral adds each row's terms.  A batch of one level
+    passes a float t, the others one time per point, which gives each point
+    the same bits.
+    """
+    t = np.array([t_vals[b.row] for b in batch])
+    m = np.array([b.m for b in batch])
+    ends = np.cumsum(m + 1) - 1
+    starts = ends - m
+    k = np.arange(ends[-1] + 1) - np.repeat(starts, m + 1)
+    x = k * np.repeat([b.dx for b in batch], m + 1)
+    log_norm = [-0.5 * math.log(2.0 * math.pi * (1.0 + s)) for s in t.tolist()]  # of rho_t
+    if len(batch) == 1:
+        times, log_norm = float(t[0]), log_norm[0]
     else:
-        times = np.repeat([t_vals[i] for i, _, _ in batch], [h.size for h in halves])
-        lv_all, sc_all = smoothed_well_logdensity(m_big, halfwidth, times, np.concatenate(halves))
-    rows, stop = [], 0
-    for (i, grid, evaluated), half in zip(batch, halves):
-        lv, sc = lv_all[stop:stop + half.size] - log_z, sc_all[stop:stop + half.size]
-        stop += half.size
-        lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
-        rows.append(_grid_row(t_vals[i], grid, lognu, nu_score, evaluated + half.size))
-    return rows
+        times, log_norm = np.repeat(t, m + 1), np.repeat(log_norm, m + 1)
+    fresh = [b.kept is None for b in batch]
+    new = slice(None) if all(fresh) else ((k & 1) == 1) | np.repeat(fresh, m + 1)
+    lv, sc = smoothed_well_logdensity(m_big, halfwidth, times[new] if len(batch) > 1 else times,
+                                      x[new])
+    lv -= log_z
+    if not all(fresh):  # the levels that halve a spacing keep their even points' values
+        kept = [b.kept for b in batch if b.kept is not None]
+        lv_new, sc_new = lv, sc
+        lv, sc = np.empty(x.size), np.empty(x.size)
+        lv[new], sc[new] = lv_new, sc_new
+        lv[~new] = np.concatenate([logval for logval, _ in kept])
+        sc[~new] = np.concatenate([score for _, score in kept])
+    v = 1.0 + times
+    logrho = log_norm - x**2 / (2.0 * v)
+    rho = np.exp(logrho)
+    fi_terms = rho * np.square(x / v + sc)  # rho (d/dx log rho - score)^2
+    kl_terms = rho * (logrho - lv)
+    simpson = [b.rule == "simpson" for b in batch]
+    fine_w, coarse_w = _half_weights(k, starts, ends, m, simpson)
+    scale = np.array([b.dx / 3.0 if s else b.dx for b, s in zip(batch, simpson)])
+
+    def sums(weights, *terms):  # each row's weighted sum of each term
+        # one 1-D product per term: stacked four to an array, the terms made
+        # the heap shrink and fault its pages back in at every batch in some
+        # processes
+        return np.array([np.add.reduceat(y * weights, starts) for y in terms])
+
+    fine = (sums(fine_w, rho, np.exp(lv), fi_terms, kl_terms) * scale).T.tolist()
+    coarse = (sums(coarse_w, fi_terms, kl_terms) * (2.0 * scale)).T.tolist()
+    out = []
+    for b, lo, hi, (rho_mass, nu_mass, fi, kl), (fi_c, kl_c) in zip(
+            batch, starts.tolist(), ends.tolist(), fine, coarse):
+        _check_masses(rho_mass, nu_mass)
+        row = TraceRow(t_vals[b.row], fi, kl, None, abs(fi - fi_c), abs(kl - kl_c), 2 * b.m + 1,
+                       b.evaluated + b.new_points(), b.rule, nu_mass)
+        out.append((row, (lv[lo:hi + 1], sc[lo:hi + 1])))
+    return out
+
+
+def _half_weights(k: np.ndarray, starts: np.ndarray, ends: np.ndarray, m: np.ndarray,
+                  simpson: list):
+    """The fine and coarse rules' weights at the points k = 0..m of the
+    nonnegative halves of symmetric grids of 2m + 1 points (m even), each
+    full-grid weight doubled for its mirror image except at k = 0.  Fine,
+    trapezoid: 1 at k = 0 and m, else 2 (times dx); Simpson: 2 at k = 0 and
+    m, 8 at odd k, else 4 (times dx/3).  The coarse rules take the even k at
+    twice the spacing, where a Simpson weight follows the parity of the
+    point's index (m + k)/2 on the coarse grid."""
+    fold = np.full(k.size, 2.0)
+    fold[starts] = 1.0
+    odd = k & 1
+    if any(simpson):
+        rule = np.repeat(simpson, m + 1)
+        fine = fold * np.where(rule, 2 + 2 * odd, 1)
+        coarse_odd = ((np.repeat(m, m + 1) + k) // 2) & 1
+        coarse = fold * (1 - odd) * np.where(rule, 2 + 2 * coarse_odd, 1)
+    else:
+        fine, coarse = fold, fold * (1 - odd)
+    fine[ends] = coarse[ends] = np.where(simpson, 2.0, 1.0)
+    return fine, coarse
 
 
 def _well_row_at_zero(m_big: float, halfwidth: float, log_z: float) -> TraceRow:

@@ -23,7 +23,6 @@ from fplab.quadrature import (
     TraceRow,
     TrapezoidGrid,
     _grid_half,
-    _grid_row,
     _simpson,
     _trapezoid_step,
     _well_log_mass,
@@ -83,29 +82,51 @@ def simpson_gap_check(spec, grid: EvalGrid):
 
 
 def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3) -> TraceRow:
-    """One row of the closed-form concave-well trace, evaluated on its own:
-    ``well_grid``'s grid, its spacing halved until both error estimates meet
-    ROW_TOL or the next grid would pass MAX_GRID_STEPS, and one
-    smoothed-density call per grid, on its nonnegative half, divided by the
-    well's closed-form mass and mirrored, each grid's row formed by the
-    trace's own ``_grid_row``.  The trace, which evaluates batches of rows
-    in one call, must equal it bit for bit at every t > 0.  At t = 0 it is
-    the Simpson row on the kink-aligned grid, which the trace's closed-form
-    row replaced."""
+    """One row of the closed-form concave-well trace, evaluated on its own
+    by the trace's arithmetic: ``well_grid``'s grid, its spacing halved
+    until both error estimates meet ROW_TOL or the next grid would pass
+    MAX_GRID_STEPS.  Each grid is taken as its nonnegative half k dx, k =
+    0..m, and the smoothed density is evaluated at every point of it in one
+    call with a float t and divided by the well's closed-form mass; each
+    integral is the rule's sum over the half, each point weighted for itself
+    and its mirror image.  The trace, which evaluates batches of rows with
+    one time per point and, on a halved grid, only the new midpoints, must
+    equal it bit for bit at every t > 0.  At t = 0 it is the Simpson row on
+    the kink-aligned grid, which the trace's closed-form row replaced."""
     grid = well_grid(t, halfwidth, step, m_big)
+    dx, m = grid.dx, (grid.size - 1) // 2
     log_z = _well_log_mass(m_big, halfwidth)
-    evaluated = 0
+    v = 1.0 + t
     while True:
-        pts = grid.points
-        half = -pts[(pts.size - 1) // 2::-1]
-        lv, sc = smoothed_well_logdensity(m_big, halfwidth, t, half)
-        lv = lv - log_z
-        evaluated += half.size
-        lognu, nu_score = np.concatenate([lv[:0:-1], lv]), np.concatenate([-sc[:0:-1], sc])
-        row = _grid_row(t, grid, lognu, nu_score, evaluated)
-        if row.converged() or (grid.hi - grid.lo) / (grid.dx / 2) > MAX_GRID_STEPS:
+        x = np.arange(m + 1) * dx
+        lognu, nu_score = smoothed_well_logdensity(m_big, halfwidth, t, x)
+        lognu = lognu - log_z
+        logrho = -0.5 * math.log(2.0 * math.pi * v) - x**2 / (2.0 * v)
+        rho = np.exp(logrho)
+        terms = [rho, np.exp(lognu), rho * np.square(x / v + nu_score), rho * (logrho - lognu)]
+        fine, coarse = np.zeros(m + 1), np.zeros(m + 1)
+        if grid.rule == "simpson":  # 1 4 2 4 ... 2 4 1 on the full grid, folded at x = 0
+            scale = dx / 3.0
+            fine[0::2], fine[1::2] = 4.0, 8.0
+            coarse_index = (m + np.arange(0, m + 1, 2)) // 2  # on the coarse grid of m + 1 points
+            coarse[0::2] = np.where(coarse_index % 2 == 1, 8.0, 4.0)
+            end = 2.0
+        else:  # 1/2 1 1 ... 1 1/2 on the full grid, folded at x = 0
+            scale = dx
+            fine[:] = 2.0
+            coarse[0::2] = 2.0
+            end = 1.0
+        fine[0] /= 2.0
+        coarse[0] /= 2.0
+        fine[-1] = coarse[-1] = end
+        rho_mass, nu_mass, fi, kl = (float(np.add.reduceat(y * fine, [0])[0]) * scale for y in terms)
+        fi_c, kl_c = (float(np.add.reduceat(y * coarse, [0])[0]) * (2.0 * scale) for y in terms[2:])
+        assert abs(rho_mass - 1.0) <= 1e-6 and nu_mass - 1.0 <= 1e-6, (rho_mass, nu_mass)
+        row = TraceRow(t, fi, kl, None, abs(fi - fi_c), abs(kl - kl_c), 2 * m + 1, m + 1,
+                       grid.rule, nu_mass)
+        if row.converged() or 4 * m > MAX_GRID_STEPS:
             return row
-        grid = type(grid)(grid.lo, grid.hi, grid.dx / 2)
+        dx, m = dx / 2, 2 * m
 
 
 def wide_grid_log_mass(m_big: float, halfwidth: float, t: float, step: float = 1e-3) -> float:

@@ -708,18 +708,52 @@ def test_simpson_row_at_zero_matches_the_closed_form(m_big, halfwidth):
     assert abs(row.kl - kl) <= 2e-14 * kl
 
 
-@pytest.mark.parametrize("m_big, halfwidth", [(2.0, 2.0), (10.0, 2.0), (2.0, 20.0)])
-def test_batched_trace_is_the_per_row_evaluation_bit_for_bit(m_big, halfwidth):
-    # the trace evaluates batches of rows in one smoothed-density call; at
-    # (10, 2) and (2, 20) rows refine, and some batches hold a single row
-    ts = fp.default_time_grid()
-    rows = fp.counterexample_trace(m_big, halfwidth, ts).rows
-    assert len(rows) == ts.size
+_DEFAULT_TIMES = fp.default_time_grid().tolist()
+
+
+@pytest.mark.parametrize("m_big, halfwidth, ts, step", [
+    (2.0, 2.0, _DEFAULT_TIMES, 1e-3), (10.0, 2.0, _DEFAULT_TIMES, 1e-3),
+    (2.0, 20.0, _DEFAULT_TIMES, 1e-3),
+    # Simpson rows below t = 1.6e-5, and rows around t = 1/M, where the well
+    # piece's vertex leaves the interval
+    (2.0, 2.0, [0.0, 1e-7, 1e-6, 1e-3, 0.5 * (1.0 - 1e-9), 0.5, 50.0], 1e-3),
+    # at a coarse step Simpson and trapezoid rows share batches, and the
+    # Simpson rows refine six to nine times
+    (2.0, 2.0, [0.0, 1e-7, 1e-6, 1e-5, 1e-3, 0.1], 0.05),
+    # Simpson rows that meet ROW_TOL on their first grid, whose middle point
+    # has an odd index on the coarse grid (m/2 odd)
+    (2.0, 2.25, [0.0, 1e-300, 1e-20, 1e-12], 1e-3),
+], ids=["2.0-2.0", "10.0-2.0", "2.0-20.0", "2.0-2.0-simpson-rows", "2.0-2.0-mixed-batches",
+        "2.0-2.25-first-grid-simpson"])
+def test_batched_trace_is_the_per_row_evaluation_bit_for_bit(m_big, halfwidth, ts, step):
+    # the trace evaluates batches of rows in one smoothed-density call, and a
+    # halved grid only at its new midpoints; at (10, 2) and (2, 20) rows
+    # refine, and some batches hold a single row
+    rows = fp.counterexample_trace(m_big, halfwidth, ts, step=step).rows
+    assert len(rows) == len(ts)
     for r in rows[1:]:
-        ref = well_trace_row(m_big, halfwidth, r.t)
+        ref = well_trace_row(m_big, halfwidth, r.t, step)
         assert [x.hex() for x in (r.fi, r.kl, r.fi_err, r.kl_err, r.nu_mass)] == \
             [x.hex() for x in (ref.fi, ref.kl, ref.fi_err, ref.kl_err, ref.nu_mass)], r.t
         assert (r.points, r.smoothed_points, r.rule) == (ref.points, ref.smoothed_points, ref.rule)
+
+
+def test_default_trace_forms_its_rows_as_arrays(monkeypatch):
+    # three smoothed-density calls for the 60 rows with t > 0 (8,053, 7,980
+    # and 1,995 half-grid points), and no row through the full-grid
+    # functional, which only the Gauss-Hermite route takes
+    calls = {"smoothed_well_logdensity": 0, "fi_kl_functional": 0, "_grid_row": 0}
+    for name in calls:
+        fn = getattr(fp.quadrature, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fp.quadrature, name, counted)
+    rows = fp.counterexample_trace(2, 2, fp.default_time_grid()).rows
+    assert calls == {"smoothed_well_logdensity": 3, "fi_kl_functional": 0, "_grid_row": 0}
+    assert sum(r.smoothed_points for r in rows) == 8053 + 7980 + 1995
 
 
 def test_gauss_hermite_route_is_bit_for_bit():
@@ -769,6 +803,32 @@ class TestWellGrid:
         for step in (1e-3, 2e-3, 4e-3):
             dx = fp.quadrature.well_grid(t, 2.3, step, 2.0).dx
             assert 0.5 * step < dx <= step
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 50.0])
+    def test_points_wait_for_use(self, t):
+        # the closed-form trace takes a grid's half as k dx and never asks
+        # for its points; asked, they, the size and dx are EvalGrid's
+        grid = fp.quadrature.well_grid(t, 2.3, 1e-3, 2.0)
+        ref = {"simpson": EvalGrid, "trapezoid": fp.quadrature.TrapezoidGrid}[grid.rule]
+        ref = ref(grid.lo, grid.hi, grid.step)
+        assert "points" not in vars(grid)
+        assert (grid.size, grid.dx.hex()) == (ref.points.size, ref.dx.hex())
+        assert np.array_equal(grid.points, ref.points)
+        for step in (0.0101, 0.0103, 0.0105, 0.01006):  # 792, 777, 762, 795 steps on [-4, 4]
+            ours, theirs = type(grid)(-4.0, 4.0, step), type(ref)(-4.0, 4.0, step)
+            assert (ours.size, ours.dx.hex()) == (theirs.points.size, theirs.dx.hex())
+
+    def test_checks_are_eval_grids(self):
+        steps = fp.quadrature.MAX_GRID_STEPS
+        for t, ref in ((1e-6, EvalGrid), (1e-3, fp.quadrature.TrapezoidGrid)):
+            cls = type(fp.quadrature.well_grid(t, 2.0, 1e-3, 2.0))
+            for args in ((1.0, -1.0, 0.1), (-1.0, 1.0, 0.0), (-1.0, 1.0, 0.5),
+                         (-1.0, 1.0, 2.0 / (steps + 1)), (-1e300, 1e300, 1e-300)):
+                with pytest.raises(ValueError) as ours:
+                    cls(*args)
+                with pytest.raises(ValueError) as theirs:
+                    ref(*args)
+                assert str(ours.value) == str(theirs.value), args
 
     def test_point_count_stays_bounded_at_late_times(self):
         # past sqrt(t) >> L the spacing keeps growing with the grid's width
@@ -874,10 +934,11 @@ class TestTrapezoidGrid:
 
 
 def _full_grid_row(m_big, halfwidth, t, points):
-    """(fi, kl, sizes) of a closed-form trace row whose last grid has
+    """(fi, kl, sizes, errors) of a closed-form trace row whose last grid has
     ``points`` points, with the smoothed well evaluated at every point of it:
-    the oracle of the trace's half-grid mirror.  ``sizes`` are the point
-    counts of the row's grids, from ``well_grid`` halved down to that one."""
+    the oracle of the trace's half-grid weights.  ``sizes`` are the point
+    counts of the row's grids, from ``well_grid`` halved down to that one,
+    and ``errors`` the grid's estimates of fi's and kl's errors."""
     grid = fp.quadrature.well_grid(t, halfwidth, 1e-3, m_big)
     sizes = [grid.points.size]
     while grid.points.size < points:
@@ -890,11 +951,14 @@ def _full_grid_row(m_big, halfwidth, t, points):
     logrho = -0.5 * math.log(2.0 * math.pi * v) - pts**2 / (2.0 * v)
     fi, kl, _ = fp.fi_kl_functional(logrho, -pts / v - nu_score,
                                     lognu - _well_log_mass(m_big, halfwidth), grid)
-    return fi.value, kl.value, sizes
+    return fi.value, kl.value, sizes, (fi.error, kl.error)
 
 
 class TestMirroredTrace:
-    @pytest.mark.parametrize("m_big, halfwidth", [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3)])
+    # at (2, 2.25) the t = 0 row's Simpson grid has its middle point at an odd
+    # index of the coarse grid
+    @pytest.mark.parametrize("m_big, halfwidth",
+                             [(2.0, 2.0), (3.0, 2.0), (2.5, 3.0), (2.0, 2.3), (2.0, 2.25)])
     def test_matches_full_grid_evaluation(self, m_big, halfwidth):
         # t = 1/M and its neighbours take the well piece's series path
         # t = 0 is the oracle's Simpson row: the trace's is in closed form
@@ -902,11 +966,16 @@ class TestMirroredTrace:
         ts = sorted([0.0, 1e-7, 1e-3, t0 * (1.0 - 1e-9), t0, t0 * (1.0 + 1e-9), 50.0])
         rows = fp.counterexample_trace(m_big, halfwidth, ts).rows
         for r in (well_trace_row(m_big, halfwidth, 0.0),) + rows[1:]:
-            fi, kl, sizes = _full_grid_row(m_big, halfwidth, r.t, r.points)
+            fi, kl, sizes, (fi_err, kl_err) = _full_grid_row(m_big, halfwidth, r.t, r.points)
             assert abs(r.fi - fi) <= 1e-13 * fi, r.t
             assert abs(r.kl - kl) <= 1e-13 * kl, r.t
-            # each level evaluates the nonnegative half of its grid
-            assert r.smoothed_points == sum((n + 1) // 2 for n in sizes)
+            # the coarse rule's weights, too: a wrong one moves an estimate by
+            # about the integral itself
+            assert abs(r.fi_err - fi_err) <= 1e-13 * fi, r.t
+            assert abs(r.kl_err - kl_err) <= 1e-13 * kl, r.t
+            # the first level evaluates the nonnegative half of its grid and
+            # each halving only its new midpoints: the last half-grid in all
+            assert r.smoothed_points == (sizes[-1] + 1) // 2
 
 
 class TestChannelTraceContainer:
