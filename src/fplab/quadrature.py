@@ -18,9 +18,9 @@ Numerical policy
   even and its score odd, and its grids are symmetric about 0, so the trace
   takes each grid as its nonnegative half k dx, k = 0..m, evaluates the
   closed form there, and weights each point for itself and its mirror
-  image; nothing is mirrored back to a full grid, and ``well_grid``'s
-  grids make their points only when asked.  The oracle evaluates every
-  point of its grids and integrates through ``fi_kl_functional``.
+  image; nothing is mirrored back to a full grid, and a grid makes its
+  points only when first asked.  The oracle evaluates every point of its
+  grids and integrates through ``fi_kl_functional``.
 * The closed form's special functions are numpy code in ``fplab.special``.
   Like scipy, which only ``gauss_hermite`` needs, it is imported inside the
   functions that call it, so importing fplab.cli loads neither.
@@ -37,15 +37,16 @@ Numerical policy
   (``EvalGrid``) or trapezoid (``TrapezoidGrid``), and estimates its error
   as |rule(h) - rule(2h)|.  The spike gap sums exact Gaussian integrals over
   the pieces of its piecewise linear potential.
-* ``well_grid`` alone picks the closed-form trace's first grid at t > 0,
-  and with it the rule.  Rows with t >= 1.6e-5 take the trapezoid rule:
-  their integrands are Gaussian convolutions whose smoothed kinks the grid
+* ``well_grid`` alone picks the closed-form trace's grid at t > 0, and
+  with it the rule.  Rows with t >= 1.6e-5 take the trapezoid rule: their
+  integrands are Gaussian convolutions whose smoothed kinks the grid
   resolves (spacing at most sqrt(t)/2), on which it converges
-  geometrically.  Rows below 1.6e-5 take Simpson, with the well's kinks on
-  the boundaries of coarse Simpson panels.  Each row halves its spacing
-  until both estimates are within ROW_TOL of their values or the next grid
-  would pass MAX_GRID_STEPS; 2k (dx/2) is k dx to the bit, so a halved grid
-  keeps its old points' values and evaluates only its midpoints.  The
+  geometrically: most start at twice that grid's spacing.  Rows below
+  1.6e-5 take Simpson, with the well's kinks on the boundaries of coarse
+  Simpson panels.  Each row halves its spacing until both estimates are
+  within ROW_TOL of their values or the next grid would pass
+  MAX_GRID_STEPS; 2k (dx/2) is k dx to the bit, so a halved grid keeps its
+  old points' values and evaluates only its midpoints.  The
   Gauss-Hermite oracle smears the kinks over its nodes, so its grids stay
   Simpson, dense, unaligned and unrefined.
 * Grids must cover >= 8 standard deviations of rho_t, whose weight every
@@ -63,6 +64,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -166,9 +168,10 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
 @dataclass(frozen=True, eq=False)
 class EvalGrid:
     """Uniform grid on [lo, hi] whose integrals are composite Simpson.  The
-    point count is rounded up so that the interval count is a multiple of 4
-    (the rule plus its coarse comparison both apply); ``dx`` is the realized
-    spacing.  A grid takes MIN_GRID_STEPS to MAX_GRID_STEPS steps."""
+    point count ``size`` is rounded up so that the interval count is a
+    multiple of 4 (the rule plus its coarse comparison both apply); ``dx`` is
+    the realized spacing.  A grid takes MIN_GRID_STEPS to MAX_GRID_STEPS
+    steps, and makes its ``points`` when first asked."""
 
     rule = "simpson"
     _sum = staticmethod(_simpson)  # the rule's sum of values at spacing dx
@@ -176,7 +179,7 @@ class EvalGrid:
     lo: float
     hi: float
     step: float
-    points: np.ndarray = field(init=False, repr=False, default=None)
+    size: int = field(init=False, repr=False, default=None)
     dx: float = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -188,11 +191,13 @@ class EvalGrid:
             raise ValueError(f"grid too coarse: need at least {MIN_GRID_STEPS} steps")
         if (self.hi - self.lo) / self.step > MAX_GRID_STEPS:
             raise ValueError(f"grid too fine: more than {MAX_GRID_STEPS} steps")
-        n = int(round((self.hi - self.lo) / self.step)) + 1
-        while (n - 1) % 4 != 0:
-            n += 1
-        object.__setattr__(self, "points", np.linspace(self.lo, self.hi, n))
+        n = 4 * math.ceil(round((self.hi - self.lo) / self.step) / 4) + 1
+        object.__setattr__(self, "size", n)
         object.__setattr__(self, "dx", (self.hi - self.lo) / (n - 1))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.size)
 
     def covers(self, center: float, sd: float, nsd: float = 8.0) -> bool:
         return self.lo <= center - nsd * sd and self.hi >= center + nsd * sd
@@ -696,42 +701,8 @@ def well_reach_steps(t: float, halfwidth: float, m_big: float, step: float = 1e-
     return 2.0 * half / _trapezoid_step(t, step, half)
 
 
-class _HalfGrid:
-    """Mixed into ``well_grid``'s grids: EvalGrid's checks and ``dx``, its
-    point count as ``size``, and ``points`` made at each use rather than at
-    construction.  The closed-form trace takes a grid as its nonnegative
-    half k dx, k = 0..m, from ``size`` and ``dx`` alone."""
-
-    def __post_init__(self):  # EvalGrid.__post_init__ but for its np.linspace
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if (self.hi - self.lo) / self.step < MIN_GRID_STEPS:
-            raise ValueError(f"grid too coarse: need at least {MIN_GRID_STEPS} steps")
-        if (self.hi - self.lo) / self.step > MAX_GRID_STEPS:
-            raise ValueError(f"grid too fine: more than {MAX_GRID_STEPS} steps")
-        n = int(round((self.hi - self.lo) / self.step)) + 1
-        while (n - 1) % 4 != 0:
-            n += 1
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "dx", (self.hi - self.lo) / (n - 1))
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.size)
-
-
-class _SimpsonHalfGrid(_HalfGrid, EvalGrid):
-    pass
-
-
-class _TrapezoidHalfGrid(_HalfGrid, TrapezoidGrid):
-    pass
-
-
 def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid:
-    """The first grid of the closed-form well trace at time t, and its rule.
+    """The grid of the closed-form well trace at time t, and its rule.
     Halving its spacing keeps it symmetric and the kinks on panel boundaries.
 
     The smoothed density is analytic except near the kinks at +-L, which
@@ -753,14 +724,14 @@ def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid
     """
     if _trapezoid_row(t):
         target = 8.5 * math.sqrt(1.0 + t)
-        return _TrapezoidHalfGrid(-target, target, _trapezoid_step(t, step, target))
+        return TrapezoidGrid(-target, target, _trapezoid_step(t, step, target))
     # the 1e-9 keeps a quotient that is an integer up to rounding from
     # gaining a spurious extra panel
     target = _grid_half(t, halfwidth, m_big)
     inner = math.ceil(halfwidth / (2.0 * step) - 1e-9)  # 4 * inner intervals on [-L, L]
     outer = math.ceil((target - halfwidth) * inner / (2.0 * halfwidth) - 1e-9)
     half = halfwidth * (inner + 2 * outer) / inner  # L + 4 * outer intervals
-    return _SimpsonHalfGrid(-half, half, half / (2 * inner + 4 * outer))
+    return EvalGrid(-half, half, half / (2 * inner + 4 * outer))
 
 
 def counterexample_trace(
@@ -859,15 +830,17 @@ def _well_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[fl
     """The closed-form trace's rows at the times t_vals, a batch of rows at a time.
 
     A row's first level is ``well_grid``'s grid, built when the row joins a
-    batch.  A batch takes levels until their new points reach about _BATCH.
-    A point costs about half as much again in a shared call as in a call of
-    its own, a call about what 1,500 points cost, so a level of more than
-    half a batch takes a call of its own, with a float t.  A row that misses
-    ROW_TOL goes back to the front of the queue at half its spacing, with
-    its values, which the next level keeps at its even points: 2k (dx/2) is
-    k dx to the bit, so that level evaluates only its midpoints.  Every row
-    divides the smoothed density by the well's exact mass e^log_z, which
-    smoothing conserves.
+    batch; a trapezoid row whose half-grid m is a multiple of 4 and at least
+    MIN_GRID_STEPS starts at (2 dx, m/2), where most meet ROW_TOL, and whose
+    first halving is that grid to the bit.  A batch takes levels until their
+    new points reach about _BATCH.  A point costs about half as much again
+    in a shared call as in a call of its own, a call about what 1,500 points
+    cost, so a level of more than half a batch takes a call of its own, with
+    a float t.  A row that misses ROW_TOL goes back to the front of the
+    queue at half its spacing, with its values, which the next level keeps
+    at its even points: 2k (dx/2) is k dx to the bit, so that level
+    evaluates only its midpoints.  Every row divides the smoothed density by
+    the well's exact mass e^log_z, which smoothing conserves.
     """
     rows = [None] * len(t_vals)
     queue = deque(range(len(t_vals)))  # a row whose first level is still to build, or a _Level
@@ -877,7 +850,10 @@ def _well_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[fl
             level = queue.popleft()
             if not isinstance(level, _Level):
                 grid = _first_grid(well_grid, t_vals[level], halfwidth, step, m_big)
-                level = _Level(level, grid.dx, (grid.size - 1) // 2, grid.rule, 0)
+                dx, m = grid.dx, (grid.size - 1) // 2
+                if grid.rule == "trapezoid" and m % 4 == 0 and m >= MIN_GRID_STEPS:
+                    dx, m = 2.0 * dx, m // 2
+                level = _Level(level, dx, m, grid.rule, 0)
             n = level.new_points()
             alone = n > _BATCH // 2
             if batch and (alone or size + n > _BATCH):
@@ -924,16 +900,14 @@ def _batch_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[f
         times, log_norm = np.repeat(t, m + 1), np.repeat(log_norm, m + 1)
     fresh = [b.kept is None for b in batch]
     new = slice(None) if all(fresh) else ((k & 1) == 1) | np.repeat(fresh, m + 1)
-    lv, sc = smoothed_well_logdensity(m_big, halfwidth, times[new] if len(batch) > 1 else times,
-                                      x[new])
+    lv, sc = smoothed_well_logdensity(m_big, halfwidth, _at(times, new), x[new])
     lv -= log_z
     if not all(fresh):  # the levels that halve a spacing keep their even points' values
         kept = [b.kept for b in batch if b.kept is not None]
         lv_new, sc_new = lv, sc
         lv, sc = np.empty(x.size), np.empty(x.size)
         lv[new], sc[new] = lv_new, sc_new
-        lv[~new] = np.concatenate([logval for logval, _ in kept])
-        sc[~new] = np.concatenate([score for _, score in kept])
+        lv[~new], sc[~new] = (np.concatenate(values) for values in zip(*kept))
     v = 1.0 + times
     logrho = log_norm - x**2 / (2.0 * v)
     rho = np.exp(logrho)
@@ -1070,28 +1044,13 @@ def perturbed_bound_check(m_big: float, halfwidth: float, t_grid: Sequence[float
 # Spike gap figures
 
 
-_MILLS_CF_FROM = 3.0  # Mills ratio by continued fraction from here on
-_MILLS_DEPTH = 60  # continued-fraction depth: 1.5e-17 relative at z = 3, less beyond
-
-
 def _mills_ratio(z: np.ndarray) -> np.ndarray:
-    """Phi-bar(z) / phi(z) for an array z, to a few ulp.
+    """Phi-bar(z) / phi(z) for an array z, within 2e-15 relative on [-8, 40]:
+    1 / m(-z), m = phi / Phi from ``fplab.special.log_ndtr_mills``, which is
+    sqrt(pi/2) erfcx(z / sqrt 2) for z >= 0 and never underflows there."""
+    from .special import log_ndtr_mills
 
-    Below 3 it is sqrt(pi/2) erfc(z/sqrt 2) e^{z^2/2}; from 3 on Laplace's
-    continued fraction 1/(z + 1/(z + 2/(z + 3/(z + ...)))), evaluated
-    backwards, which neither underflows nor overflows.
-    """
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    near = z < _MILLS_CF_FROM
-    out[near] = [math.sqrt(math.pi / 2.0) * math.erfc(v / math.sqrt(2.0)) * math.exp(0.5 * v * v)
-                 for v in z[near].tolist()]
-    far = z[~near]
-    t = far.copy()
-    for n in range(_MILLS_DEPTH, 0, -1):
-        t = far + n / t
-    out[~near] = 1.0 / t
-    return out
+    return 1.0 / log_ndtr_mills(-np.asarray(z, dtype=float))[1]
 
 
 def spike_pieces(spec: SpikeSpec):

@@ -19,6 +19,7 @@ from fplab.gaussian import OU, Heat, IsoGaussian, _check_dims, fisher_informatio
 from fplab.potentials import SmoothPotential, spike_potential
 from fplab.quadrature import (
     MAX_GRID_STEPS,
+    MIN_GRID_STEPS,
     EvalGrid,
     TraceRow,
     TrapezoidGrid,
@@ -83,18 +84,22 @@ def simpson_gap_check(spec, grid: EvalGrid):
 
 def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3) -> TraceRow:
     """One row of the closed-form concave-well trace, evaluated on its own
-    by the trace's arithmetic: ``well_grid``'s grid, its spacing halved
-    until both error estimates meet ROW_TOL or the next grid would pass
-    MAX_GRID_STEPS.  Each grid is taken as its nonnegative half k dx, k =
-    0..m, and the smoothed density is evaluated at every point of it in one
-    call with a float t and divided by the well's closed-form mass; each
-    integral is the rule's sum over the half, each point weighted for itself
-    and its mirror image.  The trace, which evaluates batches of rows with
-    one time per point and, on a halved grid, only the new midpoints, must
-    equal it bit for bit at every t > 0.  At t = 0 it is the Simpson row on
-    the kink-aligned grid, which the trace's closed-form row replaced."""
+    by the trace's arithmetic: ``well_grid``'s grid (at twice its spacing
+    for a trapezoid grid of 2m steps, m a multiple of 4 and at least
+    MIN_GRID_STEPS), its spacing halved until both error estimates meet
+    ROW_TOL or the next grid would pass MAX_GRID_STEPS.  Each grid is taken
+    as its nonnegative half k dx, k = 0..m, and the smoothed density is
+    evaluated at every point of it in one call with a float t and divided by
+    the well's closed-form mass; each integral is the rule's sum over the
+    half, each point weighted for itself and its mirror image.  The trace,
+    which evaluates batches of rows with one time per point and, on a halved
+    grid, only the new midpoints, must equal it bit for bit at every t > 0.
+    At t = 0 it is the Simpson row on the kink-aligned grid, which the
+    trace's closed-form row replaced."""
     grid = well_grid(t, halfwidth, step, m_big)
     dx, m = grid.dx, (grid.size - 1) // 2
+    if grid.rule == "trapezoid" and m % 4 == 0 and m >= MIN_GRID_STEPS:
+        dx, m = 2.0 * dx, m // 2
     log_z = _well_log_mass(m_big, halfwidth)
     v = 1.0 + t
     while True:

@@ -216,8 +216,10 @@ class TestCounterexample:
         )
         assert code == EXIT_CERT
         assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
-        # the t = 0 row is in closed form; each later row is smoothed once
-        assert sorted(smoothed_at) == [0.01, 0.1]
+        # the t = 0 row is in closed form; each later row is smoothed once per
+        # grid it takes, and t = 0.01 misses ROW_TOL at twice well_grid's
+        # spacing, where both rows start, and halves it once
+        assert sorted(smoothed_at) == [0.01, 0.01, 0.1]
         run_dir = only_run_dir(tmp_path, "counterexample")
         for name in ("trace.csv", "bound.csv"):
             assert os.path.getsize(os.path.join(run_dir, name)) > 0
@@ -240,7 +242,12 @@ class TestCounterexample:
             assert math.isfinite(health[key]) and 0.0 <= health[key] < 2e-11
         assert health["kl_rel_err_max"] == pytest.approx(1e-15, rel=1e-9)
         ts = quadrature.default_time_grid(1e-3, 0.5, 4)
-        sizes = [quadrature.well_grid(t, 2.0, 1e-3, 2.0).points.size for t in ts[1:]]
+        # t = 1e-3's half-grid has 538 steps, not a multiple of 4, so its row
+        # starts at well_grid's grid; the others start at twice its spacing,
+        # where t = 0.063 meets ROW_TOL and the other two halve it once
+        assert [quadrature.well_grid(t, 2.0, 1e-3, 2.0).size for t in ts[1:]] == [
+            1077, 569, 569, 569]
+        sizes = [1077, 569, 285, 569]
         assert health["grid_points_max"] == max(sizes)
         assert health["grid_points_total"] == sum(sizes)
         assert health["rules"] == {"closed-form": {"rows": 1, "points": 0},
