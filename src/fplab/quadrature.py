@@ -21,9 +21,10 @@ Numerical policy
   image; nothing is mirrored back to a full grid, and a grid makes its
   points only when first asked.  The oracle evaluates every point of its
   grids and integrates through ``fi_kl_functional``.
-* The closed form's special functions are numpy code in ``fplab.special``.
-  Like scipy, which only ``gauss_hermite`` needs, it is imported inside the
-  functions that call it, so importing fplab.cli loads neither.
+* The closed form's special functions are numpy code in ``fplab.special``,
+  imported inside the functions that call it, so importing fplab.cli does
+  not load it.  The Gauss-Hermite rule is numpy code too: fplab's only
+  runtime dependency is numpy.
 * A closed-form smoothing call costs a few hundred small numpy operations
   whatever its size, and a row's half-grid is a few hundred to a few
   thousand points, so the trace evaluates the rows still refining in
@@ -61,6 +62,7 @@ Numerical policy
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -145,13 +147,40 @@ class GaussHermiteRule:
             raise ValueError("nodes must be symmetric about 0")
 
 
-def gauss_hermite(order: int) -> GaussHermiteRule:
-    if order < 1:
-        raise ValueError("order must be positive")
-    from scipy.special import roots_hermitenorm  # stable for high orders
+def _hermite_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_{n-1}(x), p_n(x)) / 2**e and the integer exponents e, for the
+    orthonormal p_k = He_k / sqrt(k!), from p_{k+1} = (x p_k - sqrt(k) p_{k-1})
+    / sqrt(k+1).  Each step divides the pair by the power of two of its
+    larger member, exactly, so nothing overflows, and a zero of p_k leaves
+    the pair nonzero."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    exp2 = np.zeros(x.shape, dtype=np.int64)
+    for k in range(n):
+        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+        prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
+        exp2 += e
+    return prev, cur, exp2
 
-    nodes, weights = roots_hermitenorm(int(order))
-    return GaussHermiteRule(order=order, nodes=nodes, weights=weights / math.sqrt(2.0 * math.pi))
+
+def gauss_hermite(order: int) -> GaussHermiteRule:
+    """The ``order``-point rule: Golub-Welsch nodes, the eigenvalues of the
+    Jacobi matrix of the p_k, each polished by two Newton steps p_n /
+    (sqrt(n) p_{n-1}) and then symmetrized; Christoffel weights 1 / (n
+    p_{n-1}^2), formed from their logs and normalized to sum to 1."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
+    n = int(order)
+    off = np.sqrt(np.arange(1.0, n))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        prev, cur = _hermite_pair(x, n)[:2]
+        x = x - cur / (math.sqrt(n) * prev)
+    x = (x - x[::-1]) / 2.0
+    prev, _, exp2 = _hermite_pair(x, n)
+    log_w = -2.0 * (np.log(np.abs(prev)) + exp2 * math.log(2.0))
+    w = np.exp(log_w - log_w.max())  # extreme nodes' weights may underflow to 0
+    return GaussHermiteRule(order=n, nodes=x, weights=w / w.sum())
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:

@@ -79,9 +79,8 @@ def test_light_certs_load_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_statistics():
     # statistics pulls in fractions and decimal, several ms of every setup;
-    # only spike_spec needs it, and imports it when called.  Importing scipy
-    # would cost more than the rest of fplab: only the Gauss-Hermite rule
-    # needs it, and imports it when called
+    # only spike_spec needs it, and imports it when called.  No module of
+    # fplab imports scipy, which would cost more than the rest of fplab
     script = (
         "import sys\n"
         "import fplab.cli\n"

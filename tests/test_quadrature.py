@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import roots_hermitenorm
 
 import fplab as fp
 from fplab.potentials import ScalarPotential
@@ -45,13 +47,64 @@ class TestGaussHermiteRule:
         assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
-            fp.gauss_hermite(0)
+        # an order that is not a positive integer is refused, never truncated
+        for order in (0, -2, 64.5, 64.0, True, "64"):
+            with pytest.raises(ValueError, match="positive integer"):
+                fp.gauss_hermite(order)
+        assert fp.gauss_hermite(np.int64(3)).order == 3
 
     def test_polynomial_exactness(self):
         # E[x^6] = 15 for N(0,1)
         rule = fp.gauss_hermite(64)
         assert (rule.weights * rule.nodes**6).sum() == pytest.approx(15.0, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 3, 33, 64, 65, 128, 256, 512])
+    def test_matches_scipy(self, order):
+        rule, ref = fp.gauss_hermite(order), _scipy_rule(order)
+        assert rule.order == order and rule.nodes.shape == rule.weights.shape == (order,)
+        assert np.max(np.abs(rule.nodes - ref.nodes)) <= 5e-14
+        big = ref.weights > 1e-300
+        assert np.max(np.abs(rule.weights[big] / ref.weights[big] - 1.0)) <= 5e-12
+        assert np.all(rule.weights[~big] <= 1e-300)
+
+    @pytest.mark.parametrize("order", [64, 65])
+    def test_matches_40_digit_rule(self, order):
+        # each nonnegative node polished by Newton steps at 40 digits, and its
+        # Christoffel weight (n-1)! / (n He_{n-1}(x)^2) there
+        rule = fp.gauss_hermite(order)
+        half = rule.nodes >= 0.0
+        with mp.workdps(40):
+            for x0, w in zip(rule.nodes[half], rule.weights[half]):
+                x = mp.mpf(float(x0))
+                for _ in range(4):
+                    he_prev, he = _hermite_e(order, x)
+                    x -= he / (order * he_prev)
+                he_prev, _ = _hermite_e(order, x)
+                assert abs(x0 - x) <= 2e-14
+                assert abs(w / (mp.factorial(order - 1) / (order * he_prev**2)) - 1) <= 5e-12
+
+    def test_trace_rows_match_the_scipy_rule(self, monkeypatch):
+        ts = [0.0, 0.05, 0.5]
+        rows = fp.counterexample_trace(2, 2, ts, order=128, step=1e-3, threads=2).rows
+        monkeypatch.setattr(fp.quadrature, "gauss_hermite", _scipy_rule)
+        ref = fp.counterexample_trace(2, 2, ts, order=128, step=1e-3, threads=2).rows
+        for r, q in zip(rows[1:], ref[1:]):
+            assert r.fi == pytest.approx(q.fi, rel=1e-14, abs=0.0)
+            assert r.kl == pytest.approx(q.kl, rel=1e-14, abs=0.0)
+
+
+def _scipy_rule(order):
+    """The rule from scipy's roots_hermitenorm, a reference for gauss_hermite."""
+    nodes, weights = roots_hermitenorm(order)
+    return fp.GaussHermiteRule(order=order, nodes=nodes, weights=weights / math.sqrt(2.0 * math.pi))
+
+
+def _hermite_e(order, x):
+    """(He_{n-1}(x), He_n(x)) from He_{k+1} = x He_k - k He_{k-1}."""
+    prev, cur = 0, 1
+    for k in range(order):
+        prev, cur = cur, x * cur - k * prev
+    return prev, cur
 
 
 class TestEvalGrid:
@@ -797,13 +850,13 @@ def test_default_trace_evaluations(m_big, halfwidth, evaluations, from_well_grid
 
 def test_gauss_hermite_route_is_bit_for_bit():
     # the oracle route (_smoothing_grid, Simpson fi/kl functionals) that
-    # bench/make_reference.py runs; any change to the shared functionals
-    # moves these hex digits
+    # bench/make_reference.py runs; any change to the shared functionals or
+    # to the rule moves these hex digits
     rows = fp.counterexample_trace(2, 2, [0.0, 0.05, 0.5], order=64, step=4e-3).rows
     assert [(r.fi.hex(), r.kl.hex()) for r in rows] == [
         ("0x1.091d5511de719p+3", "0x1.66bc1ad776daep+3"),
         ("0x1.2074fd6f05837p+3", "0x1.5fd04ac023146p+3"),
-        ("0x1.687a65a9b9b55p+3", "0x1.10ff2a95c41e4p+3"),
+        ("0x1.687a65a9b9b57p+3", "0x1.10ff2a95c41e3p+3"),  # scipy's rule: ...b55p+3, ...1e4p+3
     ]
     assert {r.rule for r in rows} == {"simpson"}
 

@@ -1,6 +1,6 @@
 """fplab.special and the moment recurrence against mpmath at 50 digits; the
-checked-in tables against the script that generates them; and the one
-place where fplab still imports scipy."""
+checked-in tables against the script that generates them; and a walk of
+``src/`` that finds no import of scipy."""
 
 import ast
 from pathlib import Path
@@ -158,10 +158,10 @@ def _scipy_imports(node, scope=""):
         yield from _scipy_imports(child, scope)
 
 
-def test_only_gauss_hermite_imports_scipy():
+def test_src_imports_no_scipy():
     # importing scipy.special costs a fresh process about 0.3 s and 23 MB;
-    # only the Gauss-Hermite oracle's rule still needs it
+    # numpy is fplab's only runtime dependency
     src = Path(special.__file__).parent
     found = [(path.name, scope) for path in sorted(src.rglob("*.py"))
              for scope in _scipy_imports(ast.parse(path.read_text()))]
-    assert found == [("quadrature.py", "gauss_hermite")]
+    assert found == []
