@@ -3,73 +3,18 @@
 Closed-form isotropic-Gaussian channel arithmetic, a 1-D quadrature
 engine for smoothed densities, the proximal sampler with a
 rejection-sampling backward step, and the finite-dimensional
-optimization analogues, all wired to a certifying CLI.
+optimization analogues, all wired to a certifying CLI.  The package
+re-exports the public names of those five modules.
 """
 
-from .gaussian import (
-    Heat,
-    HeatPerturbed,
-    HeatSLC,
-    HeatSLCPoincare,
-    IsoGaussian,
-    OU,
-    OuSLC,
-    OuSLCPoincare,
-    Proximal,
-    ProxRate,
-    evolve,
-    fi_curve,
-    fisher_information,
-    iteration_count,
-    kl_curve,
-    kl_divergence,
-    proximal_chain,
-    proximal_step,
-)
-from .potentials import (
-    ConvergenceError,
-    QuadraticPotential,
-    QuarticPotential,
-    ScalarPotential,
-    SmoothPotential,
-    SpikeSpec,
-    counterexample_potential,
-    minimize,
-    quadratic_potential,
-    quartic_1d,
-    spike_potential,
-    spike_spec,
-)
-from .quadrature import (
-    ChannelTrace,
-    EvalGrid,
-    GaussHermiteRule,
-    NormalizationError,
-    QuadratureError,
-    QuadResult,
-    TraceRow,
-    convolved_logdensity,
-    counterexample_initial_slope,
-    counterexample_trace,
-    default_time_grid,
-    fi_kl_functional,
-    gap_check,
-    gauss_hermite,
-    perturbed_bound_check,
-    smoothed_well_logdensity,
-)
-from .sampler import (
-    AcceptanceExponentError,
-    SamplerConfig,
-    SamplerRun,
-    TrialCapExceeded,
-    chain_rng,
-    expected_trials_bound,
-    forward_step,
-    rejection_kappa,
-    rgo_sample,
-    run_chain,
-)
-from .optim import ProxGradTrace, gradient_flow, prox_grad_run, prox_grad_step
+from .gaussian import *  # noqa: F401,F403
+from .potentials import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .sampler import *  # noqa: F401,F403
+from .optim import *  # noqa: F401,F403
+from . import gaussian, optim, potentials, quadrature, sampler
+
+__all__ = [*gaussian.__all__, *potentials.__all__, *quadrature.__all__, *sampler.__all__,
+           *optim.__all__]
 
 __version__ = "0.1.0"

@@ -53,10 +53,11 @@ Numerical policy
 * Grids must cover >= 8 standard deviations of rho_t, whose weight every
   FI and KL integrand carries; the trace producers grow their grids with t
   accordingly.  The closed-form trace divides the smoothed density by the
-  well's exact mass, which smoothing conserves, so its trapezoid grids
-  reach 8.5 sd of rho_t and no further, and hold only part of nu where the
-  well's mass lies beyond.  Its Simpson rows and the Gauss-Hermite oracle's
-  grids reach past that mass too; the oracle normalizes on its grid.
+  well's exact mass, which smoothing conserves, so its grids, trapezoid
+  and Simpson alike, reach 8.5 sd of rho_t (a Simpson grid at least to the
+  kinks) and no further, and hold only part of nu where the well's mass
+  lies beyond.  The Gauss-Hermite oracle normalizes on its grid, so its
+  grids reach past that mass.
 """
 
 from __future__ import annotations
@@ -686,8 +687,9 @@ def default_time_grid(t_min: float = 1e-3, t_max: float = 50.0, points: int = 60
 
 
 def _grid_half(t: float, halfwidth: float, m_big: float) -> float:
-    # The reach of a grid that holds the smoothed well's mass, for the rows
-    # that normalize it on their grid.  rho_t = N(0, 1+t) needs 8 sd.
+    # The reach of a grid that holds the smoothed well's mass: the
+    # Gauss-Hermite oracle's, which normalizes on its grid, and the one
+    # ``well_reach_steps`` sizes.  rho_t = N(0, 1+t) needs 8 sd.
     # exp(-g) holds nearly all its mass in unit-variance bumps at +-(M+1) L,
     # the vertices of the outer quadratics, which smoothing widens to sd
     # sqrt(1+t): the grid reaches 8.5 of those sd past the well plus 10, or
@@ -721,9 +723,8 @@ def well_reach_steps(t: float, halfwidth: float, m_big: float, step: float = 1e-
     """The steps of a grid at the trapezoid row's first spacing at time t
     that reached past the well's mass around +-(M+1)L (``_grid_half``)
     rather than rho_t's 8.5 sd; 0 for the Simpson rows (t < 1.6e-5), whose
-    grids reach that far and check their own size.  Where it passes
-    MAX_GRID_STEPS the well is too wide or steep for its rows to be
-    resolved within that cap."""
+    grids check their own size.  Where it passes MAX_GRID_STEPS the well is
+    too wide or steep for its rows to be resolved within that cap."""
     if not _trapezoid_row(t):
         return 0.0
     half = _grid_half(t, halfwidth, m_big)
@@ -736,27 +737,29 @@ def well_grid(t: float, halfwidth: float, step: float, m_big: float) -> EvalGrid
 
     The smoothed density is analytic except near the kinks at +-L, which
     smoothing rounds off over a width sqrt(t); elsewhere it varies on the
-    scale sqrt(1+t) of rho_t.  Both kinds of grid are symmetric about 0.
+    scale sqrt(1+t) of rho_t.  Both kinds of grid are symmetric about 0 and
+    reach 8.5 sd of rho_t: the trace normalizes the smoothed density by its
+    exact mass, and every integrand is rho_t-weighted.
 
     * t < 1.6e-5: the kinks are narrower than ``step``.  A Simpson grid of
       spacing ``step``, shrunk until +-L fall on nodes whose index is a
       multiple of 4, so that no Simpson panel, fine or coarse, straddles a
-      kink; the ends move out to the next such node past ``_grid_half``,
-      which covers rho_t and the smoothed density's mass around +-(M+1) L.
-      The realized spacing lies in (step/2, step] for step <= L/2.
+      kink; the ends move out to the next such node at or past the reach,
+      or at +-L where the kinks lie beyond it.  The realized spacing lies in
+      (step/2, step] for step <= L/2.
     * From 1.6e-5 on the grid resolves the smoothed kinks, and the trapezoid
       rule converges geometrically: spacing step * min(30 sqrt(1+t),
       500 sqrt(t)), at most sqrt(t)/2 and width / MIN_GRID_STEPS (one ulp
-      below, so the grid's own floor passes).  The grid reaches 8.5 sd of
-      rho_t and no further: the trace normalizes the smoothed density by
-      its exact mass, and every integrand is rho_t-weighted.
+      below, so the grid's own floor passes).
+
+    ``m_big`` is not read: the signature is ``_smoothing_grid``'s.
     """
+    reach = 8.5 * math.sqrt(1.0 + t)
     if _trapezoid_row(t):
-        target = 8.5 * math.sqrt(1.0 + t)
-        return TrapezoidGrid(-target, target, _trapezoid_step(t, step, target))
+        return TrapezoidGrid(-reach, reach, _trapezoid_step(t, step, reach))
     # the 1e-9 keeps a quotient that is an integer up to rounding from
     # gaining a spurious extra panel
-    target = _grid_half(t, halfwidth, m_big)
+    target = max(halfwidth, reach)
     inner = math.ceil(halfwidth / (2.0 * step) - 1e-9)  # 4 * inner intervals on [-L, L]
     outer = math.ceil((target - halfwidth) * inner / (2.0 * halfwidth) - 1e-9)
     half = halfwidth * (inner + 2 * outer) / inner  # L + 4 * outer intervals

@@ -5,9 +5,12 @@ independent checks of those forms: a classical RK4 integration of the
 gradient flow, composite Simpson on the spike gap's densities, the
 concave-well trace evaluated one row at a time, whose t = 0 row is the
 Simpson row that the closed form replaced, and the smoothed well's mass on
-a grid wide enough to hold it, which the closed-form log mass replaced.  Beside them are closed forms
-that no program path needs: the time derivatives of FI and KL along the
-Gaussian channels, and the concave-well trace's t = 0 row at 50 digits.
+a grid wide enough to hold it, which the closed-form log mass replaced.
+The trace's rows at t > 0 also have a reference of their own, by
+Gauss-Legendre panels broken where smoothing rounds the well's kinks off.
+Beside them are closed forms that no program path needs: the time
+derivatives of FI and KL along the Gaussian channels, and the concave-well
+trace's t = 0 row at 50 digits.
 """
 
 import math
@@ -132,6 +135,44 @@ def well_trace_row(m_big: float, halfwidth: float, t: float, step: float = 1e-3)
         if row.converged() or 4 * m > MAX_GRID_STEPS:
             return row
         dx, m = dx / 2, 2 * m
+
+
+_KINK_CUTS = (0, 1, -1, 2, -2, 5, -5, 10, -10, 20, -20, 40, -40)  # in sd sqrt(t) about L
+
+
+def well_row_by_panels(m_big: float, halfwidth: float, t: float, order: int = 20,
+                       width: float = 0.25) -> tuple:
+    """(fi, kl) of the closed-form concave-well trace's row at time t > 0 by
+    Gauss-Legendre panels of ``order`` nodes on [0, 8.5 sqrt(1+t)], the
+    trace's reach.  The panels break at L + k sqrt(t) for k in 0, +-1, +-2,
+    +-5, +-10, +-20, +-40, where smoothing rounds the kink off, and at
+    k (1+t) / ((M+1) L) for k > 0, where the smoothed score swings from the
+    mass around -(M+1)L to that around +(M+1)L; no panel is wider than
+    ``width``.  nu's log and score are ``smoothed_well_logdensity``'s less
+    the exact log mass; FI and KL are even integrands, so each is twice its
+    integral over the half.  The trace's uniform rules meet kinks far
+    narrower than their spacing; the panels resolve them whatever t."""
+    reach = 8.5 * math.sqrt(1.0 + t)
+    swing = (1.0 + t) / ((m_big + 1.0) * halfwidth)
+    cuts = ({0.0, reach} | {halfwidth + k * math.sqrt(t) for k in _KINK_CUTS}
+            | {k * swing for k in _KINK_CUTS if k > 0})
+    edges = sorted(c for c in cuts if 0.0 <= c <= reach)
+    z, w = np.polynomial.legendre.leggauss(order)
+    x, dx = [], []
+    for a, b in zip(edges, edges[1:]):
+        pieces = np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)
+        mid, half = (pieces[1:] + pieces[:-1]) / 2.0, (pieces[1:] - pieces[:-1]) / 2.0
+        x.append((mid[:, None] + half[:, None] * z).ravel())
+        dx.append((half[:, None] * w).ravel())
+    x, dx = np.concatenate(x), np.concatenate(dx)
+    lognu, nu_score = smoothed_well_logdensity(m_big, halfwidth, t, x)
+    lognu = lognu - _well_log_mass(m_big, halfwidth)
+    v = 1.0 + t
+    logrho = -0.5 * math.log(2.0 * math.pi * v) - x**2 / (2.0 * v)
+    rho = np.exp(logrho)
+    fi = 2.0 * math.fsum(dx * rho * np.square(x / v + nu_score))
+    kl = 2.0 * math.fsum(dx * rho * (logrho - lognu))
+    return fi, kl
 
 
 def wide_grid_log_mass(m_big: float, halfwidth: float, t: float, step: float = 1e-3) -> float:

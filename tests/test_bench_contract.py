@@ -79,12 +79,14 @@ def test_light_certs_load_no_scipy(tmp_path):
 
 def test_cli_import_loads_no_statistics():
     # statistics pulls in fractions and decimal, several ms of every setup;
-    # only spike_spec needs it, and imports it when called.  No module of
+    # only spike_spec needs it, and imports it when called.  fplab.special
+    # loads when the closed-form smoothing is first called.  No module of
     # fplab imports scipy, which would cost more than the rest of fplab
     script = (
         "import sys\n"
         "import fplab.cli\n"
-        "print(sorted(m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules)\n"
+        "print(sorted(m for m in ('statistics', 'fractions', 'decimal', 'fplab.special')\n"
+        "             if m in sys.modules)\n"
         "      + sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     src = Path(cli.__file__).resolve().parents[1]

@@ -316,6 +316,19 @@ class TestCounterexample:
                                              "manifest.json")))["health"]
         assert 0.0 <= health["nu_grid_mass_min"] < 1e-6
 
+    @pytest.mark.parametrize("args", [
+        ("--t-min", "1e-10", "--t-max", "4e-9", "--t-points", "8"),
+        ("--M", "200", "--L", "2", "--t-min", "1e-8", "--t-max", "4e-6", "--t-points", "8"),
+    ])
+    def test_sharp_kink_rows_meet_the_row_tolerance(self, tmp_path, args, capsys):
+        # kinks of width sqrt(t) far below the spacing: on Simpson grids
+        # reaching past +-(M+1)L these rows stopped at the 2^20-step cap
+        # above ROW_TOL, on grids reaching rho_t's 8.5 sd they meet it
+        assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_OK
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert len(verdicts) == 3 and all(line.startswith("PASS") for line in verdicts)
+
     def test_rows_near_zero_time_equal_the_first(self, tmp_path):
         # sqrt(t) far below the grid step: the smoothed well is exp(-g) to
         # every digit, and the closed form stays finite down to t = 1e-300

@@ -12,6 +12,7 @@ from fplab.potentials import ScalarPotential
 from oracles import (
     GapBoundError,
     simpson_gap_check,
+    well_row_by_panels,
     well_trace_at_zero,
     well_trace_row,
     wide_grid_log_mass,
@@ -884,9 +885,11 @@ class TestWellGrid:
         grid.require_covers(0.0, math.sqrt(1.0 + t))
 
     def test_zero_time_grid_is_the_parent_rule(self):
+        # where step divides L the kink-aligned grid is the plain step grid,
+        # reaching rho_0's 8.5 sd like the trapezoid rows
         for halfwidth in (2.0, 3.0):
             ours = fp.quadrature.well_grid(0.0, halfwidth, 1e-3, 2.0).points
-            assert np.array_equal(ours, _parent_rule_grid(0.0, halfwidth, 1e-3).points)
+            assert np.array_equal(ours, EvalGrid(-8.5, 8.5, 1e-3).points)
 
     @pytest.mark.parametrize("t", [0.0, 1e-6, 1e-5])
     def test_spacing_follows_the_rule(self, t):
@@ -956,6 +959,23 @@ class TestWellGrid:
             assert abs(ra.kl - rb.kl) <= 1e-13 * rb.kl, ra.t
             assert ra.converged(), ra.t
 
+    @pytest.mark.parametrize("m_big, t", [
+        (2.0, fp.default_time_grid(1e-10)[3]), (2.0, fp.default_time_grid(1e-10)[6]),
+        (10.0, fp.default_time_grid(1e-10)[3]), (200.0, 1e-8)])
+    def test_sharp_kink_rows_match_gauss_legendre_panels(self, m_big, t):
+        # kinks of width sqrt(t) = 1.6e-5 to 1e-4 against a spacing of 1e-3:
+        # Simpson converges only algebraically here, and these rows meet
+        # ROW_TOL within MAX_GRID_STEPS only on grids that stop at rho_t's
+        # 8.5 sd.  Panels that break at the smoothed kink are the reference
+        ref = well_row_by_panels(m_big, 2.0, t, order=30, width=0.125)
+        coarse = well_row_by_panels(m_big, 2.0, t)
+        for value, reference in zip(coarse, ref):
+            assert abs(value - reference) <= 1e-14 * reference
+        row = fp.counterexample_trace(m_big, 2.0, [0.0, t]).rows[1]
+        assert row.rule == "simpson" and row.converged()
+        assert abs(row.fi - ref[0]) <= max(row.fi_err, fp.quadrature.ROW_TOL * ref[0])
+        assert abs(row.kl - ref[1]) <= max(row.kl_err, fp.quadrature.ROW_TOL * ref[1])
+
 
 class TestTrapezoidGrid:
     @pytest.mark.parametrize("t", [1.6e-5, 1e-3, 0.5, 50.0, 1e6])
@@ -975,15 +995,15 @@ class TestTrapezoidGrid:
             assert h / (1.0 + 4.0 / 200) <= grid.dx <= h * (1.0 + 0.5 / 200)
 
     def test_default_trace_points_per_rule(self):
-        # the t = 0 row is in closed form; the Simpson row it replaced had
-        # 41,001.  The trapezoid grids reach rho_t's 8.5 sd and no further,
+        # the t = 0 row is in closed form; the Simpson row it replaced, on
+        # the grid reaching rho_0's 8.5 sd, has 17,001.  The trapezoid grids reach rho_t's 8.5 sd and no further,
         # and most rows meet ROW_TOL one halving below well_grid's grids,
         # which hold 35,996 points in all
         rows = fp.counterexample_trace(2, 2, fp.default_time_grid()).rows
         closed = [r.points for r in rows if r.rule == "closed-form"]
         trapezoid = [r.points for r in rows if r.rule == "trapezoid"]
         assert closed == [0] and len(trapezoid) == 60 and sum(trapezoid) == 26056
-        assert well_trace_row(2, 2, 0.0).points == 41001
+        assert well_trace_row(2, 2, 0.0).points == 17001
 
     @pytest.mark.parametrize("step", [1e-3, 4e-3, 8e-3])
     def test_coarse_steps_resolve_the_smoothed_kink(self, step):
