@@ -1,10 +1,9 @@
 """Batch front door: one subcommand per certified artifact.
 
 Each subcommand hands its tables, as columns, and its verdicts to ``RunDir``,
-which writes CSV traces (and SVG line plots from the same columns, which
-``plot_csv`` regenerates byte for byte from the CSV alone) under
-``<out-dir>/<subcommand>-<timestamp>/`` beside a ``manifest.json`` and prints
-each PASS/FAIL line; ``main`` derives the exit code from them:
+which writes CSV traces under ``<out-dir>/<subcommand>-<timestamp>/`` beside a
+``manifest.json`` and prints each PASS/FAIL line; ``main`` derives the exit
+code from them:
 
     0   success, every certificate holds
     2   a certificate failed (offending row printed)
@@ -14,6 +13,9 @@ each PASS/FAIL line; ``main`` derives the exit code from them:
 Configuration precedence: command-line flags > ``--config`` JSON file >
 built-in defaults.  The JSON file maps flag names (dashes as underscores)
 to values, e.g. ``{"alpha": 0.5, "iters": 10000}``.
+
+A run draws no plots.  ``fplab.cli.plot_csv`` (from ``fplab.svgplot``) draws
+one on demand from a CSV the run wrote, by README's recipe for that table.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import gaussian as ga
 from . import optim, potentials, quadrature, sampler
-from .svgplot import plot_csv, write_table
+from .svgplot import plot_csv, write_table  # noqa: F401  (plot_csv: the on-demand plotter)
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -79,9 +81,8 @@ def _git_describe() -> str:
 
 class RunDir:
     """Output directory, manifest bookkeeping, and the one path of the run's
-    tables, plots and verdicts: the only reader of ``--no-plot``.  The
-    directory is made at the first file or the manifest, so a run that a
-    usage error stops leaves none behind."""
+    tables and verdicts.  The directory is made at the first file or the
+    manifest, so a run that a usage error stops leaves none behind."""
 
     def __init__(self, out_dir: str, subcommand: str, params: dict):
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
@@ -100,16 +101,9 @@ class RunDir:
         self.outputs.append(full)
         return full
 
-    def table(self, name: str, cols: dict, *plots, params: dict | None = None) -> None:
-        """CSV ``name`` under the echo of ``params`` (default the run's), then ``plots``."""
+    def table(self, name: str, cols: dict, params: dict | None = None) -> None:
+        """CSV ``name`` under the echo of ``params`` (default the run's)."""
         write_table(self.file(name), self.params if params is None else params, cols)
-        self.plot(cols, *plots)
-
-    def plot(self, cols: dict, *plots) -> None:
-        """Each (svg name, x column, y columns, title[, logy]) from ``cols``, unless --no-plot."""
-        if not self.params["no_plot"]:
-            for svg, *spec in plots:
-                plot_csv(cols, self.file(svg), *spec)
 
     def check(self, ok: bool, pass_line: str | None, fail_line: str | None) -> None:
         """Print and record one certificate's verdict; None prints nothing."""
@@ -255,8 +249,7 @@ def cmd_gaussian_rates(params: dict, run: RunDir) -> None:
     fis, kls = ga.fi_curve(p0, q0, chan, ts), ga.kl_curve(p0, q0, chan, ts)
     # the envelope is scalar in t; None (an empty cell) when fi0 = 0
     bound = [env.factor(t) * fi0 for t in ts.tolist()] if fi0 > 0 else [None] * ts.size
-    run.table("trace.csv", {"t": ts, "fi": fis, "kl": kls, "bound": bound},
-              ("plot.svg", "t", ["fi", "bound"], f"{channel} channel", bool(np.any(fis > 0.0))))
+    run.table("trace.csv", {"t": ts, "fi": fis, "kl": kls, "bound": bound})
     bounds = np.array(bound, dtype=float)  # an empty bound (None) is nan: never live
     live = bounds > 0.0
     run.health = {"rows": int(ts.size), "fi_bound_ratio_max":
@@ -319,10 +312,7 @@ def cmd_counterexample(params: dict, run: RunDir) -> None:
 
     cols = trace.columns()
     trace.write_csv(run.file("trace.csv"), params)
-    run.plot(cols, ("fi.svg", "t", ["fi"], "relative Fisher information"),
-             ("kl.svg", "t", ["kl"], "KL divergence"))
-    run.table("bound.csv", {name: cols[name] for name in ("t", "fi", "bound")},
-              ("bound.svg", "t", ["fi", "bound"], "fi vs perturbed envelope", True))
+    run.table("bound.csv", {name: cols[name] for name in ("t", "fi", "bound")})
 
     slope = quadrature.counterexample_initial_slope(m_big, halfwidth)
     lower = max(0.0, (m_big - 2.0) * (m_big + 1.0) ** 2)
@@ -400,8 +390,7 @@ def cmd_sampler(params: dict, run: RunDir) -> None:
     cols = {"k": ks, "trials": out.trial_counts[ks]}
     cols.update({f"mean_{j + 1}": cum_mean[::every, j] for j in range(d)})
     cols.update({f"var_{j + 1}": cum_var[::every, j] for j in range(d)})
-    run.table("run.csv", cols, ("plot.svg", "k", ["mean_1", "var_1"], "running moments"),
-              params={**params, "eta": eta, "x0_norm": float(np.linalg.norm(x0))})
+    run.table("run.csv", cols, params={**params, "eta": eta, "x0_norm": float(np.linalg.norm(x0))})
     with open(run.file("config.json"), "w") as fh:
         json.dump({**params, "eta": eta, "burn_in": burn}, fh, indent=2)
     run.health = {
@@ -445,8 +434,7 @@ def cmd_gap(params: dict, run: RunDir) -> None:
     pts = np.union1d(grid.points, kinks)
     nu = np.exp(-(pts**2) / 2.0) / math.sqrt(2.0 * math.pi)
     g = np.interp(pts, kinks, g_kinks, left=0.0, right=0.0)
-    run.table("density.csv", {"x": pts, "nu": nu, "rho_unnormalized": nu * np.exp(-g)},
-              ("plot.svg", "x", ["nu", "rho_unnormalized"], "spiked density vs N(0,1)"))
+    run.table("density.csv", {"x": pts, "nu": nu, "rho_unnormalized": nu * np.exp(-g)})
     run.health = {"route": "closed-form", "pieces": pieces, "z": math.exp(-r_inf),
                   "grid_points": int(grid.points.size), "density_rows": int(pts.size)}
 
@@ -491,11 +479,8 @@ def cmd_proxgrad(params: dict, run: RunDir) -> None:
 
     for name, trace in (("quadratic", quad_trace), ("quartic", quartic_trace)):
         gsq = trace.grad_sq_norms
-        run.table(f"proxgrad_{name}.csv", {"k": np.arange(gsq.size), "grad_sq_norm": gsq},
-                  (f"proxgrad_{name}.svg", "k", ["grad_sq_norm"], f"proximal gradient, {name}",
-                   True))
-    run.table("flow_quartic.csv", {"t": times, "grad_sq_norm": flow_gsq},
-              ("flow_quartic.svg", "t", ["grad_sq_norm"], "gradient flow, quartic", True))
+        run.table(f"proxgrad_{name}.csv", {"k": np.arange(gsq.size), "grad_sq_norm": gsq})
+    run.table("flow_quartic.csv", {"t": times, "grad_sq_norm": flow_gsq})
     run.health = {
         "prox_point": {"quadratic": sampler.prox_route(quad), "quartic": sampler.prox_route(quartic)},
         "flow": "closed-form",
@@ -547,7 +532,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(_flag(flag))
-        p.add_argument("--no-plot", action="store_const", const=True)
         p.add_argument("--config")
         p.add_argument("--out-dir", default="./out")
     return parser
@@ -556,7 +540,7 @@ def _build_parser() -> _Parser:
 def _params(flags: dict, args: argparse.Namespace) -> dict:
     """Defaults < ``--config`` file < command line, each value that is not
     None passed once through its flag's check."""
-    params = {name: default for name, (_, default) in flags.items()} | {"no_plot": False}
+    params = {name: default for name, (_, default) in flags.items()}
     config_path = args.config
     if config_path:
         try:

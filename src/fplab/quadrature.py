@@ -30,10 +30,11 @@ Numerical policy
   thousand points, so the trace evaluates the rows still refining in
   batches of about _BATCH half-grid points, one call each with a time per
   point; a row of more than half a batch takes its own call with a float
-  t.  A batch's rows are formed as arrays over its points, one reduceat
-  per integral for all of them.  Threads gained nothing there, contending
-  for the interpreter lock; ``threads=`` pools the heavier rows of the
-  Gauss-Hermite oracle.
+  t, since a time per point makes each point cost up to 1.2 times as much
+  (``_well_rows``).  A batch's rows are formed as arrays over its points,
+  one reduceat per integral for all of them.  Threads gained nothing there,
+  contending for the interpreter lock; ``threads=`` pools the heavier rows
+  of the Gauss-Hermite oracle.
 * Every integral on a uniform grid takes the grid's rule, composite Simpson
   (``EvalGrid``) or trapezoid (``TrapezoidGrid``), and estimates its error
   as |rule(h) - rule(2h)|.  The spike gap sums exact Gaussian integrals over
@@ -865,14 +866,18 @@ def _well_rows(m_big: float, halfwidth: float, log_z: float, t_vals: Sequence[fl
     batch; a trapezoid row whose half-grid m is a multiple of 4 and at least
     MIN_GRID_STEPS starts at (2 dx, m/2), where most meet ROW_TOL, and whose
     first halving is that grid to the bit.  A batch takes levels until their
-    new points reach about _BATCH.  A point costs about half as much again
-    in a shared call as in a call of its own, a call about what 1,500 points
-    cost, so a level of more than half a batch takes a call of its own, with
-    a float t.  A row that misses ROW_TOL goes back to the front of the
-    queue at half its spacing, with its values, which the next level keeps
-    at its even points: 2k (dx/2) is k dx to the bit, so that level
-    evaluates only its midpoints.  Every row divides the smoothed density by
-    the well's exact mass e^log_z, which smoothing conserves.
+    new points reach about _BATCH.  A call costs about what 1,000 to 1,500
+    points cost, and a point 1.04 to 1.17 times as much in a shared call,
+    with a time per point, as in a call of its own with a float t (medians
+    of 15 to 41 interleaved calls at 20,000 and 100,000 points, t = 0.01 and
+    1, on a 2-vCPU x86 machine).  So a level of more than half a batch takes
+    a call of its own: sharing every call cost 16% more trace CPU at
+    (20, 20) and 19 to 23% more at (2, 2) with t_min = 1e-10 (medians of 8
+    to 30 interleaved traces).  A row that misses ROW_TOL goes back to the
+    front of the queue at half its spacing, with its values, which the next
+    level keeps at its even points: 2k (dx/2) is k dx to the bit, so that
+    level evaluates only its midpoints.  Every row divides the smoothed
+    density by the well's exact mass e^log_z, which smoothing conserves.
     """
     rows = [None] * len(t_vals)
     queue = deque(range(len(t_vals)))  # a row whose first level is still to build, or a _Level

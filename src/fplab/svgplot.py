@@ -1,16 +1,14 @@
-"""CSV tables and the SVG line charts drawn from them.
+"""CSV tables, and the SVG line charts drawn from them on demand.
 
 ``write_table`` writes every CSV from its columns and ``read_csv_columns``
-parses it back.  ``plot_csv`` draws a chart from the columns a table was
-written from, or from the CSV alone: the two give the same bytes, so any
-plot can be regenerated offline from its CSV without rerunning the
-computation.
+parses it back.  No run draws a plot: ``plot_csv`` draws one from a CSV
+alone, after the run, by the recipe README lists for that table (x column,
+y columns, title, logy).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from typing import Optional, Sequence
 
 import numpy as np
@@ -207,23 +205,17 @@ def render_line_chart(
 
 
 def plot_csv(
-    source,
+    csv_path,
     svg_path,
     x_col: str,
     y_cols: Sequence[str],
     title: str = "",
     logy: bool = False,
 ) -> None:
-    """Draw ``y_cols`` against ``x_col`` into ``svg_path``.
-
-    ``source`` is a CSV path or the mapping of columns that ``write_table``
-    wrote it from.  Both draw the same chart: a cell of None is an empty CSV
-    cell, which parses as NaN, and %.17g round-trips every float.
-    """
-    if isinstance(source, Mapping):
-        cols = {c: np.array(source[c], dtype=float) for c in (x_col, *y_cols) if c in source}
-    else:
-        cols = read_csv_columns(source, [x_col, *y_cols])
+    """Draw ``y_cols`` against ``x_col`` of the CSV at ``csv_path`` into
+    ``svg_path``; a row whose cell is empty (or, with ``logy``, not positive) is
+    left out of that column's line."""
+    cols = read_csv_columns(csv_path, [x_col, *y_cols])
     labels = [c for c in y_cols if c in cols]
     svg = render_line_chart(
         cols[x_col], [cols[c] for c in labels], labels, title=title, xlabel=x_col,

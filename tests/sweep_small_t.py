@@ -49,7 +49,7 @@ def sweep_run(m_big, halfwidth, t_min: str, out_dir: str) -> tuple:
         return traces[-1]
 
     argv = ["counterexample", "--M", str(m_big), "--L", str(halfwidth), "--t-min", t_min,
-            "--no-plot", "--out-dir", out_dir]
+            "--out-dir", out_dir]
     with mock.patch.object(quadrature, "perturbed_bound_check", keep), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         start = time.process_time()

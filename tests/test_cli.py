@@ -16,11 +16,22 @@ from scipy.special import ndtr
 import fplab as fp
 from fplab import cli, optim, potentials, quadrature, sampler, svgplot
 from fplab.cli import EXIT_ABORT, EXIT_CERT, EXIT_OK, EXIT_USAGE, _dominates, main
-from fplab.svgplot import _fmt, plot_csv, read_csv_columns, write_table
+from fplab.svgplot import _fmt, read_csv_columns, write_table
 
 
 def run_cli(tmp_path, *args):
     return main([*args, "--out-dir", str(tmp_path)])
+
+
+def readme_plot_recipes():
+    """README's plot recipes: (subcommand, csv, x column, y columns, title,
+    logy) per row of its recipe table."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        rows = re.findall(r"^\| `([\w-]+)` \| `([\w.]+)` \| `(\w+)` \| (.+?) \| `(.+?)` \| (.+?) \|$",
+                          fh.read(), re.M)
+    return [(sub, csv, x_col, tuple(re.findall(r"`(\w+)`", y_cols)), title, logy)
+            for sub, csv, x_col, y_cols, title, logy in rows]
 
 
 def only_run_dir(tmp_path, sub):
@@ -33,7 +44,7 @@ class TestGaussianRates:
     def test_prox_channel_quarters(self, tmp_path):
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "prox", "--alpha", "1",
-            "--eta", "1", "--m0", "1", "--var0", "1", "--k", "50", "--no-plot",
+            "--eta", "1", "--m0", "1", "--var0", "1", "--k", "50",
         )
         assert code == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
@@ -50,7 +61,7 @@ class TestGaussianRates:
         mp = pytest.importorskip("mpmath")
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "prox", "--alpha", "1", "--eta", "0.01",
-            "--m0", m0, "--var0", "2", "--k", "2000", "--no-plot",
+            "--m0", m0, "--var0", "2", "--k", "2000",
         )
         assert code == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
@@ -68,7 +79,7 @@ class TestGaussianRates:
     def test_heat_centered_cubic_decay(self, tmp_path):
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "heat", "--alpha", "1",
-            "--s", "2", "--m", "0", "--t-max", "40", "--no-plot",
+            "--s", "2", "--m", "0", "--t-max", "40",
         )
         assert code == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
@@ -81,7 +92,7 @@ class TestGaussianRates:
     def test_ou_channel_envelope_certified(self, tmp_path):
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "ou", "--gamma", "1",
-            "--alpha", "0.1", "--beta", "100", "--m", "0", "--no-plot",
+            "--alpha", "0.1", "--beta", "100", "--m", "0",
         )
         assert code == EXIT_OK
 
@@ -91,7 +102,7 @@ class TestGaussianRates:
         mp = pytest.importorskip("mpmath")
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "ou", "--gamma", "1",
-            "--alpha", "0.1", "--beta", "100", "--m", "0", "--no-plot",
+            "--alpha", "0.1", "--beta", "100", "--m", "0",
         )
         assert code == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
@@ -111,7 +122,7 @@ class TestGaussianRates:
         mp = pytest.importorskip("mpmath")
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "ou", "--gamma", "1",
-            "--alpha", "0.1", "--beta", "100", "--m", "0", "--t-max", "40", "--no-plot",
+            "--alpha", "0.1", "--beta", "100", "--m", "0", "--t-max", "40",
         )
         assert code == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gaussian-rates"), "trace.csv"))
@@ -129,7 +140,7 @@ class TestGaussianRates:
         # below the exact curve: the certificate must fail with exit 2
         code = run_cli(
             tmp_path, "gaussian-rates", "--channel", "heat", "--alpha", "1",
-            "--s", "2", "--m", "0", "--beta", "10", "--no-plot",
+            "--s", "2", "--m", "0", "--beta", "10",
         )
         assert code == EXIT_CERT
 
@@ -142,7 +153,7 @@ class TestGaussianRates:
     ])
     def test_overflowing_start_fi_is_usage_error(self, tmp_path, args, capsys):
         # every fi, kl and bound cell would be inf, and _dominates(inf, inf) holds
-        assert run_cli(tmp_path, "gaussian-rates", *args, "--no-plot") == EXIT_USAGE
+        assert run_cli(tmp_path, "gaussian-rates", *args) == EXIT_USAGE
         captured = capsys.readouterr()
         assert "FI(p0 || q0) overflows" in captured.err and captured.out == ""
         assert os.listdir(tmp_path) == []
@@ -151,8 +162,8 @@ class TestGaussianRates:
         # u rounds to -1 there, where log1p(u), the branch kl_curve does not take, divides by 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(tmp_path, "gaussian-rates", "--channel", "heat", "--alpha", "1e-300",
-                           "--no-plot") == EXIT_OK
+            assert run_cli(tmp_path, "gaussian-rates", "--channel", "heat",
+                           "--alpha", "1e-300") == EXIT_OK
 
     def test_envelope_check_is_relative_at_every_scale(self):
         # an absolute slack would pass any fi below it, whatever the bound
@@ -164,7 +175,7 @@ class TestGaussianRates:
 class TestCounterexample:
     def test_small_grid_run(self, tmp_path):
         code = run_cli(
-            tmp_path, "counterexample", "--t-points", "8", "--t-max", "2", "--no-plot",
+            tmp_path, "counterexample", "--t-points", "8", "--t-max", "2",
         )
         assert code == EXIT_OK
         run_dir = only_run_dir(tmp_path, "counterexample")
@@ -189,7 +200,7 @@ class TestCounterexample:
             return grid
 
         monkeypatch.setattr(quadrature, "well_grid", counted)
-        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot")
+        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5")
         assert code == EXIT_OK
         # t = 0 is in closed form, on no grid; every later row has t >= 1.6e-5,
         # whose smoothed kink the trapezoid grid resolves
@@ -212,7 +223,7 @@ class TestCounterexample:
         monkeypatch.setattr(quadrature, "smoothed_well_logdensity", counted)
         code = run_cli(
             tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
-            "--t-points", "2", "--no-plot",
+            "--t-points", "2",
         )
         assert code == EXIT_CERT
         assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
@@ -227,7 +238,7 @@ class TestCounterexample:
         assert len(bound["t"]) == 3 and all(math.isfinite(b) for b in bound["bound"])
 
     def test_manifest_reports_numerical_health(self, tmp_path):
-        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot")
+        code = run_cli(tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5")
         assert code == EXIT_OK
         run_dir = only_run_dir(tmp_path, "counterexample")
         manifest = json.load(open(os.path.join(run_dir, "manifest.json")))
@@ -286,7 +297,7 @@ class TestCounterexample:
         ("--grid-step", "1e-3"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
-        assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
+        assert run_cli(tmp_path, "counterexample", *args) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
@@ -298,7 +309,7 @@ class TestCounterexample:
         # a trapezoid grid at the first row's spacing that reached the outer
         # vertices +-(M+1)L would need more than MAX_GRID_STEPS steps: past
         # that the rows of such wells stop at the cap above ROW_TOL
-        assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_USAGE
+        assert run_cli(tmp_path, "counterexample", *args) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "too wide or steep for the trace to resolve" in err and "t=0.001" in err
 
@@ -308,7 +319,7 @@ class TestCounterexample:
         # +-(M+1)L they would stop at the 2^20-step cap above ROW_TOL, on
         # grids reaching rho_t's 8.5 sd they meet it.  Those grids hold next
         # to none of nu
-        code = run_cli(tmp_path, "counterexample", "--M", m_big, "--L", halfwidth, "--no-plot")
+        code = run_cli(tmp_path, "counterexample", "--M", m_big, "--L", halfwidth)
         assert code == EXIT_OK
         assert "PASS fi and kl error estimates within 1e-10 relative on all 61 rows" in \
             capsys.readouterr().out
@@ -324,7 +335,7 @@ class TestCounterexample:
         # kinks of width sqrt(t) far below the spacing: on Simpson grids
         # reaching past +-(M+1)L these rows stopped at the 2^20-step cap
         # above ROW_TOL, on grids reaching rho_t's 8.5 sd they meet it
-        assert run_cli(tmp_path, "counterexample", *args, "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "counterexample", *args) == EXIT_OK
         verdicts = [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith(("PASS", "FAIL"))]
         assert len(verdicts) == 3 and all(line.startswith("PASS") for line in verdicts)
@@ -333,7 +344,7 @@ class TestCounterexample:
         # sqrt(t) far below the grid step: the smoothed well is exp(-g) to
         # every digit, and the closed form stays finite down to t = 1e-300
         code = run_cli(tmp_path, "counterexample", "--t-min", "1e-300", "--t-max", "0.1",
-                       "--t-points", "3", "--no-plot")
+                       "--t-points", "3")
         assert code == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "counterexample"),
                                              "trace.csv"))
@@ -351,7 +362,7 @@ class TestCounterexample:
                             lambda self, t: factor(self, t) / (1.0 + 1e-8))
         code = run_cli(
             tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
-            "--t-points", "2", "--no-plot",
+            "--t-points", "2",
         )
         assert code == EXIT_CERT
         assert "FAIL envelope: t=0.0 " in capsys.readouterr().out
@@ -373,7 +384,7 @@ class TestCounterexample:
         monkeypatch.setattr(quadrature, "perturbed_bound_check", risen)
         code = run_cli(
             tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
-            "--t-points", "2", "--no-plot",
+            "--t-points", "2",
         )
         assert code == EXIT_CERT
         out = capsys.readouterr().out.splitlines()
@@ -397,7 +408,7 @@ class TestCounterexample:
 
         monkeypatch.setattr(quadrature, "perturbed_bound_check", loose)
         code = run_cli(tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
-                       "--t-points", "2", "--no-plot")
+                       "--t-points", "2")
         assert code == EXIT_CERT
         assert capsys.readouterr().out.splitlines()[-1].startswith(
             "FAIL row tolerance: t=0.01 fi_err=")
@@ -417,7 +428,7 @@ class TestCounterexample:
 
             monkeypatch.setattr(quadrature, "perturbed_bound_check", risen)
             code = run_cli(tmp_path, "counterexample", "--t-min", "0.01", "--t-max", "0.1",
-                           "--t-points", "2", "--no-plot")
+                           "--t-points", "2")
             assert code == EXIT_CERT
             assert f"FAIL kl monotonicity between {pair}" in capsys.readouterr().out
 
@@ -426,7 +437,7 @@ class TestSampler:
     def test_small_run_and_determinism(self, tmp_path):
         args = (
             "sampler", "--d", "2", "--alpha", "1", "--L", "1", "--eta", "0.5",
-            "--iters", "2000", "--seed", "42", "--no-plot",
+            "--iters", "2000", "--seed", "42",
         )
         assert run_cli(tmp_path / "a", *args) == EXIT_OK
         assert run_cli(tmp_path / "b", *args) == EXIT_OK
@@ -437,7 +448,7 @@ class TestSampler:
     def test_auto_eta_and_manifest(self, tmp_path):
         code = run_cli(
             tmp_path, "sampler", "--d", "5", "--alpha", "1", "--L", "1",
-            "--eta", "auto", "--iters", "4000", "--seed", "7", "--no-plot",
+            "--eta", "auto", "--iters", "4000", "--seed", "7",
         )
         assert code == EXIT_OK
         run_dir = only_run_dir(tmp_path, "sampler")
@@ -460,7 +471,7 @@ class TestSampler:
         assert config["eta"] == pytest.approx(0.2)
 
     def test_auto_eta_valid_in_one_dimension(self, tmp_path):
-        code = run_cli(tmp_path, "sampler", "--d", "1", "--iters", "2000", "--no-plot")
+        code = run_cli(tmp_path, "sampler", "--d", "1", "--iters", "2000")
         assert code == EXIT_OK
         config = json.load(open(os.path.join(only_run_dir(tmp_path, "sampler"), "config.json")))
         assert config["eta"] == 0.5
@@ -468,7 +479,7 @@ class TestSampler:
     def test_csv_header_comment(self, tmp_path):
         run_cli(
             tmp_path, "sampler", "--d", "1", "--alpha", "1", "--L", "1",
-            "--eta", "0.5", "--iters", "400", "--seed", "3", "--no-plot",
+            "--eta", "0.5", "--iters", "400", "--seed", "3",
         )
         path = os.path.join(only_run_dir(tmp_path, "sampler"), "run.csv")
         first = open(path).readline()
@@ -479,7 +490,7 @@ class TestSampler:
             raise sampler.TrialCapExceeded("no acceptance within 150 trials")
 
         monkeypatch.setattr(sampler, "run_chain", capped)
-        assert run_cli(tmp_path, "sampler", "--iters", "200", "--no-plot") == EXIT_ABORT
+        assert run_cli(tmp_path, "sampler", "--iters", "200") == EXIT_ABORT
         line = "ABORT rejection sampling: no acceptance within 150 trials"
         assert capsys.readouterr().out == line + "\n"
         with open(os.path.join(only_run_dir(tmp_path, "sampler"), "manifest.json")) as fh:
@@ -489,7 +500,7 @@ class TestSampler:
     def test_trials_bound_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         # the mean and variance checks still pass; the trial-count check alone fails
         monkeypatch.setattr(sampler, "expected_trials_bound", lambda eta, L, d: 0.5)
-        assert run_cli(tmp_path, "sampler", "--iters", "200", "--no-plot") == EXIT_CERT
+        assert run_cli(tmp_path, "sampler", "--iters", "200") == EXIT_CERT
         out = capsys.readouterr().out.splitlines()
         assert [line[:4] for line in out] == ["PASS", "PASS", "FAIL"]
         assert out[2].startswith("FAIL mean trials ")
@@ -504,15 +515,15 @@ class TestSampler:
     @pytest.mark.parametrize("scale", ["1e-300", "1e-200", "1e200", "1e300"])
     def test_extreme_curvature_runs(self, tmp_path, scale):
         # alpha**2 in the variance's standard error would underflow to 0 or overflow
-        assert run_cli(tmp_path, "sampler", "--alpha", scale, "--L", scale, "--iters", "2000",
-                       "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "sampler", "--alpha", scale, "--L", scale,
+                       "--iters", "2000") == EXIT_OK
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_check_figures_show_the_margin_at_every_scale(self, tmp_path, scale, capsys):
         # five significant digits: fixed-point figures read 0.00000 at 1e300
         # and integers of over 100 digits at 1e-300
         assert run_cli(tmp_path, "sampler", "--alpha", repr(scale), "--L", repr(scale),
-                       "--iters", "2000", "--no-plot") == EXIT_OK
+                       "--iters", "2000") == EXIT_OK
         out = capsys.readouterr().out
         figures = re.findall(r"\|=(\S+) \(3 se = (\S+)\)", out)
         assert len(figures) == 2, out
@@ -547,28 +558,28 @@ class TestSampler:
 
 class TestGap:
     def test_pass_cases(self, tmp_path):
-        assert run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10", "--no-plot") == EXIT_OK
-        assert run_cli(tmp_path, "gap", "--eps", "0.9", "--fi-floor", "2", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10") == EXIT_OK
+        assert run_cli(tmp_path, "gap", "--eps", "0.9", "--fi-floor", "2") == EXIT_OK
 
     def test_domain_violation(self, tmp_path):
         assert run_cli(tmp_path, "gap", "--eps", "1.5", "--fi-floor", "10") == EXIT_USAGE
         assert run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "0.5") == EXIT_USAGE
 
     def test_csv_written(self, tmp_path):
-        run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10", "--no-plot")
+        run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10")
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gap"), "gap.csv"))
         assert cols["r_inf"][0] <= 0.5 + 1e-6
         assert cols["fi"][0] >= 10.0 - 1e-6
 
     def test_certificate_failure_writes_its_figures(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(quadrature, "gap_check", lambda spec, grid: (0.75, 12.5))
-        assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_CERT
+        assert run_cli(tmp_path, "gap") == EXIT_CERT
         assert capsys.readouterr().out.startswith("FAIL gap certificate: r_inf=0.75 exceeds eps=0.5\n")
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "gap"), "gap.csv"))
         assert (cols["r_inf"], cols["fi"]) == ([0.75], [12.5])
 
     def test_manifest_reports_numerical_health(self, tmp_path):
-        assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "gap") == EXIT_OK
         run_dir = only_run_dir(tmp_path, "gap")
         health = json.load(open(os.path.join(run_dir, "manifest.json")))["health"]
         r_inf = read_csv_columns(os.path.join(run_dir, "gap.csv"))["r_inf"][0]
@@ -585,12 +596,12 @@ class TestGap:
     ])
     def test_spikes_narrower_than_the_grid_step(self, tmp_path, args, capsys):
         # the certificate is exact at any step; no guard ties --eps to the grid
-        assert run_cli(tmp_path, "gap", *args, "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "gap", *args) == EXIT_OK
         assert capsys.readouterr().out.startswith("PASS r_inf=")
 
     @pytest.mark.parametrize("args", [(), ("--eps", "0.9", "--fi-floor", "1e4"), ("--eps", "1e-4")])
     def test_density_rows_hold_every_kink(self, tmp_path, args):
-        assert run_cli(tmp_path, "gap", *args, "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "gap", *args) == EXIT_OK
         run_dir = only_run_dir(tmp_path, "gap")
         cols = read_csv_columns(os.path.join(run_dir, "density.csv"))
         x, nu, rho = (np.array(cols[name]) for name in ("x", "nu", "rho_unnormalized"))
@@ -607,7 +618,7 @@ class TestGap:
 
 class TestProxgrad:
     def test_pass(self, tmp_path):
-        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "proxgrad") == EXIT_OK
         run_dir = only_run_dir(tmp_path, "proxgrad")
         cols = read_csv_columns(os.path.join(run_dir, "proxgrad_quadratic.csv"))
         gsq = np.array(cols["grad_sq_norm"])
@@ -619,7 +630,7 @@ class TestProxgrad:
     @pytest.mark.parametrize("args", [("--eta", "3"), ("--k", "40"), ("--eta", "1e100", "--k", "400")])
     def test_quartic_envelope_holds_to_the_last_step(self, tmp_path, args, capsys):
         # the implicit step is exact, so grad_sq_norm keeps falling with the envelope
-        assert run_cli(tmp_path, "proxgrad", *args, "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "proxgrad", *args) == EXIT_OK
         assert capsys.readouterr().out.count("PASS") == 3
 
     def test_quartic_certificate_failure_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -628,7 +639,7 @@ class TestProxgrad:
         quartic = potentials.quartic_1d
         monkeypatch.setattr(potentials, "quartic_1d",
                             lambda: dataclasses.replace(quartic(), alpha=3.0))
-        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_CERT
+        assert run_cli(tmp_path, "proxgrad") == EXIT_CERT
         out = capsys.readouterr().out.splitlines()
         assert out[1:] == [
             "FAIL quartic gradient-flow envelope",
@@ -651,7 +662,7 @@ class TestProxgrad:
             return times, gsq
 
         monkeypatch.setattr(optim, "gradient_flow", lifted)
-        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_CERT
+        assert run_cli(tmp_path, "proxgrad") == EXIT_CERT
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "FAIL quartic gradient-flow envelope"
         assert [line.split()[0] for line in out[:1] + out[2:]] == ["PASS"] * 2
@@ -662,14 +673,14 @@ class TestProxgrad:
         quadratic = potentials.quadratic_potential
         monkeypatch.setattr(potentials, "quadratic_potential", lambda d, a: dataclasses.replace(
             quadratic(d, a), alpha=2.0 * a, smoothness=2.0 * a))
-        assert run_cli(tmp_path, "proxgrad", "--no-plot") == EXIT_CERT
+        assert run_cli(tmp_path, "proxgrad") == EXIT_CERT
         out = capsys.readouterr().out.splitlines()
         assert out[0] == ("FAIL quadratic proximal-gradient envelope: decay certificate violated "
                           "at step 1: 0.25 > 0.11111111111111115 (1 + 1e-09)")
         assert [line.split()[0] for line in out[1:]] == ["PASS"] * 3
 
     def test_manifest_reports_numerical_health(self, tmp_path):
-        assert run_cli(tmp_path, "proxgrad", "--k", "10", "--t-end", "1", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "proxgrad", "--k", "10", "--t-end", "1") == EXIT_OK
         health = json.load(open(os.path.join(only_run_dir(tmp_path, "proxgrad"),
                                               "manifest.json")))["health"]
         assert health["prox_point"] == {"quadratic": "closed-form", "quartic": "closed-form"}
@@ -679,7 +690,7 @@ class TestProxgrad:
 
     def test_dt_spaces_the_flow_rows(self, tmp_path):
         # the flow is exact, so any --dt is only the spacing of its rows
-        assert run_cli(tmp_path, "proxgrad", "--dt", "0.5", "--t-end", "2", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, "proxgrad", "--dt", "0.5", "--t-end", "2") == EXIT_OK
         cols = read_csv_columns(os.path.join(only_run_dir(tmp_path, "proxgrad"), "flow_quartic.csv"))
         assert cols["t"] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
@@ -702,7 +713,7 @@ class TestDriver:
         cfg.write_text(json.dumps({"eps": 0.3, "fi_floor": 5.0}))
         # config supplies eps/fi_floor; flag overrides eps
         code = main([
-            "gap", "--config", str(cfg), "--eps", "0.6", "--no-plot",
+            "gap", "--config", str(cfg), "--eps", "0.6",
             "--out-dir", str(tmp_path),
         ])
         assert code == EXIT_OK
@@ -757,7 +768,7 @@ class TestDriver:
         ("gap", "--fi-floor", "1e308"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args, capsys):
-        assert run_cli(tmp_path, *args, "--no-plot") == EXIT_USAGE
+        assert run_cli(tmp_path, *args) == EXIT_USAGE
         assert "usage error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, flag", [
@@ -771,13 +782,13 @@ class TestDriver:
         (("--channel", "prox", "--alpha", "1e10", "--eta", "1e300"), "--eta"),
     ])
     def test_envelope_range_is_usage_error(self, tmp_path, args, flag, capsys):
-        assert run_cli(tmp_path, "gaussian-rates", *args, "--no-plot") == EXIT_USAGE
+        assert run_cli(tmp_path, "gaussian-rates", *args) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage error:" in err and flag in err
 
     def test_parser_reuse_does_not_leak_values(self, tmp_path):
-        assert run_cli(tmp_path / "a", "gap", "--eps", "0.6", "--no-plot") == EXIT_OK
-        assert run_cli(tmp_path / "b", "gap", "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path / "a", "gap", "--eps", "0.6") == EXIT_OK
+        assert run_cli(tmp_path / "b", "gap") == EXIT_OK
         with open(os.path.join(only_run_dir(tmp_path / "b", "gap"), "gap.csv")) as fh:
             echo = fh.readline().split()
         assert "eps=0.5" in echo
@@ -810,7 +821,7 @@ class TestDriver:
         cli._git_describe.cache_clear()
         try:
             for sub in ("a", "b"):
-                assert run_cli(tmp_path / sub, "proxgrad", "--k", "2", "--no-plot") == EXIT_OK
+                assert run_cli(tmp_path / sub, "proxgrad", "--k", "2") == EXIT_OK
         finally:
             cli._git_describe.cache_clear()
         assert calls == [(["git", "describe", "--always", "--dirty"], package_dir)]
@@ -850,19 +861,22 @@ class TestDriver:
         with pytest.raises(ValueError, match="equal lengths"):
             write_table(path, {}, {"x": [1.0], "y": [1.0, 2.0]})
 
-    @pytest.mark.parametrize("argv", [
+    # one small run of each subcommand
+    _SMALL_RUNS = [
         ("gaussian-rates", "--channel", "heat", "--points", "5"),
         ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2"),
         ("sampler", "--iters", "200"),
         ("gap",),
         ("proxgrad", "--k", "5"),
-    ], ids=lambda argv: argv[0])
+    ]
+
+    @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
     def test_every_csv_has_one_format(self, tmp_path, argv):
         # the echo of the parameters in sorted key order, each value as _fmt
         # prints it (the sampler's echo adds the step it resolved and the
         # start's norm), the header, then cells that read_csv_columns parses
         # back to the same text
-        assert run_cli(tmp_path, *argv, "--no-plot") == EXIT_OK
+        assert run_cli(tmp_path, *argv) == EXIT_OK
         run_dir = only_run_dir(tmp_path, argv[0])
         with open(os.path.join(run_dir, "manifest.json")) as fh:
             params = json.load(fh)["parameters"]
@@ -887,52 +901,85 @@ class TestDriver:
                     assert (cell == "" and math.isnan(back)) or _fmt(back) == cell, (name, i, col)
             assert all(len(c) == len(lines) - 2 for c in cols.values()), name
 
-    def test_no_plot_suppresses_svg(self, tmp_path):
-        run_cli(tmp_path, "gap", "--eps", "0.5", "--fi-floor", "10", "--no-plot")
-        run_dir = only_run_dir(tmp_path, "gap")
-        assert not any(name.endswith(".svg") for name in os.listdir(run_dir))
-
-    # (argv, csv, svg, plot_csv arguments as the subcommand passes them):
-    # every SVG the CLI writes
-    _COUNTEREXAMPLE = ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2")
-
-    @pytest.mark.parametrize("argv, csv, svg, x_col, y_cols, title, logy", [
-        (("gap", "--eps", "0.5", "--fi-floor", "10"), "density.csv", "plot.svg", "x",
-         ["nu", "rho_unnormalized"], "spiked density vs N(0,1)", False),
-        (("gaussian-rates", "--channel", "heat"), "trace.csv", "plot.svg", "t",
-         ["fi", "bound"], "heat channel", True),
-        (("gaussian-rates", "--channel", "prox", "--k", "50"), "trace.csv", "plot.svg", "t",
-         ["fi", "bound"], "prox channel", True),
-        (("gaussian-rates", "--channel", "ou", "--gamma", "1", "--alpha", "0.1", "--beta", "100"),
-         "trace.csv", "plot.svg", "t", ["fi", "bound"], "ou channel", True),
-        # p0 = q0: fi is 0 on every row and the bound column is empty
-        (("gaussian-rates", "--channel", "ou"), "trace.csv", "plot.svg", "t",
-         ["fi", "bound"], "ou channel", False),
-        (("sampler", "--iters", "2000"), "run.csv", "plot.svg", "k",
-         ["mean_1", "var_1"], "running moments", False),
-        (("proxgrad",), "proxgrad_quartic.csv", "proxgrad_quartic.svg", "k",
-         ["grad_sq_norm"], "proximal gradient, quartic", True),
-        (("proxgrad",), "proxgrad_quadratic.csv", "proxgrad_quadratic.svg", "k",
-         ["grad_sq_norm"], "proximal gradient, quadratic", True),
-        (("proxgrad",), "flow_quartic.csv", "flow_quartic.svg", "t",
-         ["grad_sq_norm"], "gradient flow, quartic", True),
-        (_COUNTEREXAMPLE, "bound.csv", "bound.svg", "t", ["fi", "bound"],
-         "fi vs perturbed envelope", True),
-        (_COUNTEREXAMPLE, "trace.csv", "fi.svg", "t", ["fi"], "relative Fisher information",
-         False),
-        (_COUNTEREXAMPLE, "trace.csv", "kl.svg", "t", ["kl"], "KL divergence", False),
-    ], ids=["gap", "gaussian-rates", "gaussian-rates-prox", "gaussian-rates-ou",
-            "gaussian-rates-ou-no-bound", "sampler", "proxgrad", "proxgrad-quadratic",
-            "proxgrad-flow", "counterexample", "counterexample-fi", "counterexample-kl"])
-    def test_plots_regenerate_from_csv_alone(self, tmp_path, argv, csv, svg, x_col, y_cols,
-                                             title, logy):
+    @pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_run_writes_no_plot(self, tmp_path, argv):
+        # a run writes its CSVs and manifest, no SVG, and declares every file it wrote
         assert run_cli(tmp_path, *argv) == EXIT_OK
         run_dir = only_run_dir(tmp_path, argv[0])
-        svg = os.path.join(run_dir, svg)
-        assert os.path.getsize(svg) > 0
-        replot = tmp_path / "replot.svg"
-        plot_csv(os.path.join(run_dir, csv), replot, x_col, y_cols, title=title, logy=logy)
-        assert replot.read_bytes() == open(svg, "rb").read()
+        files = sorted(os.listdir(run_dir))
+        assert not any(name.endswith(".svg") for name in files)
+        with open(os.path.join(run_dir, "manifest.json")) as fh:
+            declared = json.load(fh)["output_paths"]
+        assert sorted([*(os.path.basename(p) for p in declared), "manifest.json"]) == files
+        assert all(os.path.dirname(p) == run_dir for p in declared)
+
+    def test_no_plot_is_a_usage_error(self, tmp_path, capsys):
+        # runs draw no plots, so there is nothing for the flag or the key to switch off
+        assert run_cli(tmp_path, "gap", "--no-plot") == EXIT_USAGE
+        assert "--no-plot" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"no_plot": True}))
+        assert main(["gap", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "unknown config keys: ['no_plot']" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    # every plot recipe in README, by test id: (argv of a small run, csv, x
+    # column, y columns, title, logy); "<channel>" in a title and a logy of
+    # "any `fi` > 0" are read from the run
+    _COUNTEREXAMPLE = ("counterexample", "--t-min", "0.01", "--t-max", "0.1", "--t-points", "2")
+    _ANY_FI = "any `fi` > 0"
+    _RECIPES = {
+        "gap": (("gap", "--eps", "0.5", "--fi-floor", "10"), "density.csv", "x",
+                ("nu", "rho_unnormalized"), "spiked density vs N(0,1)", False),
+        "gaussian-rates": (("gaussian-rates", "--channel", "heat"), "trace.csv", "t",
+                           ("fi", "bound"), "<channel> channel", _ANY_FI),
+        "gaussian-rates-prox": (("gaussian-rates", "--channel", "prox", "--k", "50"), "trace.csv",
+                                "t", ("fi", "bound"), "<channel> channel", _ANY_FI),
+        "gaussian-rates-ou": (("gaussian-rates", "--channel", "ou", "--gamma", "1", "--alpha",
+                               "0.1", "--beta", "100"), "trace.csv", "t", ("fi", "bound"),
+                              "<channel> channel", _ANY_FI),
+        # p0 = q0: fi is 0 on every row and the bound column is empty
+        "gaussian-rates-ou-no-bound": (("gaussian-rates", "--channel", "ou"), "trace.csv", "t",
+                                       ("fi", "bound"), "<channel> channel", _ANY_FI),
+        "sampler": (("sampler", "--iters", "2000"), "run.csv", "k", ("mean_1", "var_1"),
+                    "running moments", False),
+        "proxgrad": (("proxgrad",), "proxgrad_quartic.csv", "k", ("grad_sq_norm",),
+                     "proximal gradient, quartic", True),
+        "proxgrad-quadratic": (("proxgrad",), "proxgrad_quadratic.csv", "k", ("grad_sq_norm",),
+                               "proximal gradient, quadratic", True),
+        "proxgrad-flow": (("proxgrad",), "flow_quartic.csv", "t", ("grad_sq_norm",),
+                          "gradient flow, quartic", True),
+        "counterexample": (_COUNTEREXAMPLE, "bound.csv", "t", ("fi", "bound"),
+                           "fi vs perturbed envelope", True),
+        "counterexample-fi": (_COUNTEREXAMPLE, "trace.csv", "t", ("fi",),
+                              "relative Fisher information", False),
+        "counterexample-kl": (_COUNTEREXAMPLE, "trace.csv", "t", ("kl",), "KL divergence", False),
+    }
+
+    def test_readme_plot_recipes_are_the_tested_ones(self):
+        logy_text = {True: "yes", False: "no", self._ANY_FI: self._ANY_FI}
+        tested = {(argv[0], csv, x_col, y_cols, title, logy_text[logy])
+                  for argv, csv, x_col, y_cols, title, logy in self._RECIPES.values()}
+        assert set(readme_plot_recipes()) == tested
+
+    @pytest.mark.parametrize("argv, csv, x_col, y_cols, title, logy", list(_RECIPES.values()),
+                             ids=list(_RECIPES))
+    def test_plots_regenerate_from_csv_alone(self, tmp_path, argv, csv, x_col, y_cols, title,
+                                             logy):
+        # the recipe's columns are in a fresh run's CSV, and fplab.cli.plot_csv
+        # draws the same non-empty chart from that CSV each time
+        assert run_cli(tmp_path, *argv) == EXIT_OK
+        path = os.path.join(only_run_dir(tmp_path, argv[0]), csv)
+        cols = read_csv_columns(path)
+        assert {x_col, *y_cols} <= set(cols)
+        if logy == self._ANY_FI:
+            title = title.replace("<channel>", argv[2])
+            logy = bool(np.any(np.array(cols["fi"]) > 0.0))
+        charts = [tmp_path / "first.svg", tmp_path / "again.svg"]
+        for svg in charts:
+            cli.plot_csv(path, svg, x_col, y_cols, title, logy)
+        assert charts[0].stat().st_size > 0
+        assert charts[0].read_bytes() == charts[1].read_bytes()
 
     def test_subcommands_do_not_import_scipy_special(self, tmp_path):
         # importing scipy.special costs a fresh process about 0.3 s and 23 MB;
@@ -944,7 +991,7 @@ class TestDriver:
             "runs = [('gaussian-rates', '--channel', 'heat'), ('gap',), ('proxgrad',),\n"
             "        ('sampler', '--iters', '200'), ('counterexample', '--t-points', '5')]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main([*argv, '--no-plot', '--out-dir', out]) for argv in runs]\n"
+            "    codes = [main([*argv, '--out-dir', out]) for argv in runs]\n"
             "print(codes, 'scipy.special' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(fp.__file__))
@@ -964,6 +1011,6 @@ class TestDriver:
 
         monkeypatch.setattr(quadrature, "ThreadPoolExecutor", no_pool)
         code = run_cli(
-            tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5", "--no-plot",
+            tmp_path, "counterexample", "--t-points", "4", "--t-max", "0.5",
         )
         assert code == EXIT_OK

@@ -948,8 +948,8 @@ class TestWellGrid:
         # past t = 1/M the smoothed score swings by +-L/t over a width of
         # about t/L, which the first grid's spacing does not follow: on it
         # alone fi was off by 2.9e-7 at (10, 2), t = 0.1414, and by 4.5e-4 at
-        # (2, 20), t = 0.6131.  A quarter step, since at L = 20 an
-        # eighth-step Simpson grid for t = 0 has more than MAX_GRID_STEPS steps
+        # (2, 20), t = 0.6131.  The reference starts two halvings finer, on a
+        # quarter of the default step
         ts = [0.0, *fp.default_time_grid()[[28, 36]]]
         assert ts[1:] == [pytest.approx(0.1414, abs=1e-4), pytest.approx(0.6131, abs=1e-4)]
         a = fp.counterexample_trace(m_big, halfwidth, ts)
